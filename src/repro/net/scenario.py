@@ -440,10 +440,7 @@ class Scenario:
         """
         medium = self.medium
         for radio in medium.radios:
-            medium._reach_from(radio)
-            hearers_from = getattr(medium, "_hearers_from", None)
-            if hearers_from is not None:
-                hearers_from(radio)
+            medium._hearers_from(radio)
 
     def run(self, duration_s: float) -> None:
         """Advance the simulation by ``duration_s`` seconds.

@@ -180,13 +180,22 @@ def check_regression(
     quantifies the slowdown — both the wall-clock ratio and the events/s
     drop when the baseline recorded one — so a CI failure is diagnosable
     from the log alone (``tests/test_perf_harness.py`` pins the format).
+
+    When a scenario ran at the baseline's seed and simulated duration, its
+    ``events`` and ``metrics`` are deterministic, so any difference from the
+    baseline is reported too, with both values: behaviour drift that the
+    loose wall-time factor would never catch.
     """
     problems = []
     base_scenarios = baseline.get("scenarios", {})
+    seed = bench.get("seed")
+    same_seed = seed is not None and seed == baseline.get("seed")
     for name, entry in bench.get("scenarios", {}).items():
         base = base_scenarios.get(name)
         if base is None:
             continue
+        if same_seed and entry.get("sim_duration_s") == base.get("sim_duration_s"):
+            problems.extend(_behaviour_drift(name, entry, base))
         limit = factor * base["wall_s"]
         if entry["wall_s"] > limit:
             slowdown = entry["wall_s"] / base["wall_s"]
@@ -202,6 +211,28 @@ def check_regression(
                     f"vs baseline {base_rate:,.0f}"
                 )
             problems.append(message)
+    return problems
+
+
+def _behaviour_drift(
+    name: str, entry: Mapping[str, Any], base: Mapping[str, Any]
+) -> list[str]:
+    """Exact-equality messages for one scenario run at the baseline's settings."""
+    problems = []
+    if "events" in base and entry.get("events") != base["events"]:
+        problems.append(
+            f"{name}: events {entry.get('events')} vs baseline {base['events']} "
+            "(behaviour drift)"
+        )
+    base_metrics = base.get("metrics")
+    if base_metrics is not None:
+        metrics = entry.get("metrics", {})
+        for key in sorted(set(metrics) | set(base_metrics)):
+            if metrics.get(key) != base_metrics.get(key):
+                problems.append(
+                    f"{name}: metric {key} {metrics.get(key)!r} vs baseline "
+                    f"{base_metrics.get(key)!r} (behaviour drift)"
+                )
     return problems
 
 

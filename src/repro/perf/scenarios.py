@@ -150,14 +150,15 @@ def _dense_hotspot(seed: int) -> BuiltScenario:
     """A grid of independent hotspot cells, one AP + 4 uplink clients each.
 
     Cells are spaced 250 m apart with the paper's 55 m communication /
-    99 m interference ranges (Figure 23), so every sender's reach list holds
-    all 239 other radios while only its own cell can hear it.  The scalar
-    medium pays the full O(nodes) threshold filter per transmitted frame;
-    the vectorized backend prefilters once per topology — this scenario is
-    where that gap is widest, and it stands in for the dense-deployment
-    campaigns the ROADMAP targets.  Cell 0's AP inflates the NAV of its MAC
-    ACKs (the no-RTS variant of the paper's receiver misbehavior), keeping
-    the greedy machinery on the timed path.
+    99 m interference ranges (Figure 23), so each sender has 239 other
+    radios but only the 4 in its own cell can hear it.  The medium's
+    hearer lists filter those once per sender (a distance prune, then the
+    exact carrier-sense threshold), so per-frame fan-out stays at the cell
+    size; the one-time O(nodes^2) build is largest here, and the scenario
+    stands in for the dense-deployment campaigns the ROADMAP targets.
+    Cell 0's AP inflates the NAV of its MAC ACKs (the no-RTS variant of the
+    paper's receiver misbehavior), keeping the greedy machinery on the
+    timed path.
     """
     cells, clients, spacing = 48, 4, 250.0
     s = Scenario(
@@ -250,7 +251,7 @@ def build_dense_hotspot_sinr(
     """Assemble the coupled multi-AP hotspot grid on the SINR medium.
 
     Unlike ``dense_hotspot`` (250 m spacing — cells are isolated and the
-    scenario stresses reach-list *size*), the 72 m spacing here overlaps the
+    scenario stresses the hearer-list build), the 72 m spacing here overlaps the
     cells: adjacent cells carrier-sense each other while diagonal and more
     distant cells (>= 101 m) stay mutually hidden, so uplink frames arrive
     at each AP with live interference from transmitters one to two cells

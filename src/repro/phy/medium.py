@@ -16,6 +16,7 @@ deferral can react to them.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Any, Callable, Optional
 
@@ -36,6 +37,10 @@ ADDRESS_SURVIVAL = {
     "802.11b": (1351 / 1367, 1282 / 1351),
     "802.11a": (6197 / 7376, 5663 / 6197),
 }
+
+#: Relative slack on the carrier-sense range in the hearer-list distance
+#: prune — far above pow/hypot rounding, far below any topology's geometry.
+_PRUNE_SLACK = 1e-6
 
 
 class _Transmission:
@@ -218,12 +223,13 @@ class Medium:
         # directly from ``rng``), fall back to draw-on-demand (batch=1) so
         # the interleaving of uniform and Gaussian draws is untouched.
         self._uniform = BatchedUniform(rng, batch=256 if rssi_jitter is None else 1)
-        # sender -> [(receiver, rss, propagation delay in us), ...] for every
-        # other radio, in attach order.  Positions and the path-loss model are
-        # fixed once traffic starts, so the per-frame geometry math is
-        # computed once per sender (thresholds stay per-frame comparisons:
-        # they may be reconfigured at any time via ``configure_ranges``).
-        self._reach: dict[Radio, list[tuple[Radio, float, float]]] = {}
+        # sender -> [(on_tx_start, on_tx_end, rss, delay, decodable), ...]:
+        # one entry per receiver inside carrier-sense range, in attach order.
+        # Positions and the path-loss model are fixed once traffic starts, so
+        # a sender's list is built on its first frame and only rebuilt after
+        # the topology (``_attach``) or the thresholds (``configure_ranges``)
+        # change.
+        self._hearers: dict[Radio, list[tuple]] = {}
         # rss (linear) -> dB, memoized: each link contributes one value.
         self._rss_db: dict[float, float] = {}
 
@@ -233,7 +239,7 @@ class Medium:
         if any(r.name == radio.name for r in self.radios):
             raise ValueError(f"duplicate radio name: {radio.name}")
         self.radios.append(radio)
-        self._reach.clear()  # topology changed: recompute link geometry
+        self._hearers.clear()  # topology changed: rebuild every hearer list
 
     def configure_ranges(
         self, comm_range_m: float, interference_range_m: float, tx_power: float = 1.0
@@ -247,11 +253,7 @@ class Medium:
         self.cs_threshold = self.pathloss.threshold_for_range(
             tx_power, interference_range_m
         )
-
-    def rss_between(self, sender: Radio, receiver: Radio) -> float:
-        """Received signal strength (linear) of ``sender`` at ``receiver``."""
-        d = distance(sender.position, receiver.position)
-        return self.pathloss.rss(sender.tx_power, d)
+        self._hearers.clear()
 
     def _captures(self, strong: float, weak: float) -> bool:
         if not self.capture_enabled:
@@ -262,21 +264,45 @@ class Medium:
 
     # -- transmission ----------------------------------------------------------
 
-    def _reach_from(self, sender: Radio) -> list[tuple[Radio, float, float]]:
-        """Cached (receiver, rss, propagation delay) list for ``sender``."""
-        reach = self._reach.get(sender)
-        if reach is None:
-            rss_fn = self.pathloss.rss
-            tx_power = sender.tx_power
-            reach = []
-            for receiver in self.radios:
-                if receiver is sender:
-                    continue
-                d = distance(sender.position, receiver.position)
-                delay = d / SPEED_OF_LIGHT_M_PER_US if self.propagation_delay else 0.0
-                reach.append((receiver, rss_fn(tx_power, d), delay))
-            self._reach[sender] = reach
-        return reach
+    def _hearers_from(self, sender: Radio) -> list[tuple]:
+        """Cached hearer list for ``sender``; see ``_hearers`` in ``__init__``."""
+        hearers = self._hearers.get(sender)
+        if hearers is not None:
+            return hearers
+        cs_threshold = self.cs_threshold
+        rx_threshold = self.rx_threshold
+        rss_fn = self.pathloss.rss
+        tx_power = sender.tx_power
+        position = sender.position
+        x, y = position
+        # Cheap prune ahead of the exact rule: no receiver beyond the
+        # carrier-sense range can reach ``cs_threshold``.  The slack absorbs
+        # rounding in the range's pow and in the distance, so the prune never
+        # drops a hearer (``tests/test_medium.py`` pins this at the boundary).
+        limit_sq = math.inf
+        if cs_threshold > 0:
+            limit = self.pathloss.range_for_threshold(tx_power, cs_threshold)
+            limit_sq = (limit * (1.0 + _PRUNE_SLACK)) ** 2
+        hearers = []
+        for receiver in self.radios:
+            if receiver is sender:
+                continue
+            rx, ry = receiver.position
+            dx = rx - x
+            dy = ry - y
+            if dx * dx + dy * dy > limit_sq:
+                continue
+            d = distance(position, receiver.position)
+            rss = rss_fn(tx_power, d)
+            if rss < cs_threshold:
+                continue  # out of interference range: hears nothing
+            delay = d / SPEED_OF_LIGHT_M_PER_US if self.propagation_delay else 0.0
+            hearers.append(
+                (receiver._on_tx_start, receiver._on_tx_end, rss, delay,
+                 rss >= rx_threshold)
+            )
+        self._hearers[sender] = hearers
+        return hearers
 
     def transmit(self, sender: Radio, frame: Any, duration: float) -> None:
         """Broadcast ``frame`` from ``sender`` for ``duration`` microseconds."""
@@ -294,13 +320,11 @@ class Medium:
         sender._begin_transmit(tx.end)
         call_after = sim.call_after
         call_after(duration, sender._end_transmit)
-        cs_threshold = self.cs_threshold
-        rx_threshold = self.rx_threshold
-        for receiver, rss, delay in self._reach_from(sender):
-            if rss < cs_threshold:
-                continue  # out of interference range: hears nothing
-            call_after(delay, receiver._on_tx_start, tx, rss, rss >= rx_threshold)
-            call_after(duration + delay, receiver._on_tx_end, tx, rss)
+        for on_tx_start, on_tx_end, rss, delay, decodable in self._hearers_from(
+            sender
+        ):
+            call_after(delay, on_tx_start, tx, rss, decodable)
+            call_after(duration + delay, on_tx_end, tx, rss)
 
     def _deliver(self, tx: _Transmission, receiver: Radio, lock: _Lock) -> None:
         frame = tx.frame
@@ -355,18 +379,14 @@ class VectorizedMedium(Medium):
     """:class:`Medium` with batch-precomputed hot paths (``vectorized`` backend).
 
     Observable behavior is **bit-identical** to the base class — the golden
-    traces and :mod:`repro.perf.diff` enforce it.  Three substitutions:
+    traces and :mod:`repro.perf.diff` enforce it.  It inherits ``transmit`` and
+    the per-sender hearer lists, and makes two substitutions:
 
     * Per-frame corruption/address uniforms come from
       :class:`repro.sim.rng.NumpyBlockUniform` (MT19937 state transplanted
       into numpy; block refills replay the scalar stream exactly).  With an
       RSSI-jitter callable the medium keeps the scalar draw-on-demand
       wrapper, because jitter interleaves Gaussian draws on the same stream.
-    * ``transmit`` iterates a **prefiltered hearer table**
-      (:func:`repro.phy.vectorized.hearer_table`): the per-receiver
-      threshold comparisons move out of the per-frame loop into one numpy
-      compare per ``(sender, thresholds)``, and the ``_on_tx_start`` /
-      ``_on_tx_end`` bound methods are hoisted once per entry.
     * ``_deliver`` replaces the table-walk in
       :meth:`BitErrorModel.is_corrupted` with a flat **corruption-plan
       cache** keyed ``(src, dst, size, is_data, rate)``, invalidated by the
@@ -380,57 +400,9 @@ class VectorizedMedium(Medium):
             from repro.sim.rng import NumpyBlockUniform
 
             self._uniform = NumpyBlockUniform(self.rng, block=rng_block)
-        # sender -> [(on_tx_start, on_tx_end, rss, delay, decodable)] with
-        # sub-cs receivers already dropped; valid for _hearers_key thresholds.
-        self._hearers: dict[Radio, list[tuple]] = {}
-        self._hearers_key = (self.cs_threshold, self.rx_threshold)
         # (src, dst, size, is_data, rate) -> corruption probability or None.
         self._plan: dict[tuple, Any] = {}
         self._plan_key: tuple | None = None
-
-    def _attach(self, radio: Radio) -> None:
-        super()._attach(radio)
-        self._hearers.clear()
-
-    def _hearers_from(self, sender: Radio) -> list[tuple]:
-        key = (self.cs_threshold, self.rx_threshold)
-        if key != self._hearers_key:  # configure_ranges() ran mid-scenario
-            self._hearers.clear()
-            self._hearers_key = key
-        hearers = self._hearers.get(sender)
-        if hearers is None:
-            from repro.phy.vectorized import hearer_table
-
-            hearers = [
-                (receiver._on_tx_start, receiver._on_tx_end, rss, delay, decodable)
-                for receiver, rss, delay, decodable in hearer_table(
-                    self._reach_from(sender), key[0], key[1]
-                )
-            ]
-            self._hearers[sender] = hearers
-        return hearers
-
-    def transmit(self, sender: Radio, frame: Any, duration: float) -> None:
-        # Mirror of Medium.transmit with the threshold filter precomputed.
-        if sender.transmitting:
-            raise RuntimeError(f"{sender.name}: already transmitting")
-        if duration <= 0:
-            raise ValueError(f"non-positive airtime: {duration}")
-        sim = self.sim
-        tx = _Transmission(sender, frame, sim.now, sim.now + duration)
-        self.frames_sent += 1
-        obs = self.obs
-        if obs is not None:
-            obs.inc(f"phy.{sender.name}.tx_frames")
-            obs.inc(f"phy.{sender.name}.tx_airtime_us", duration)
-        sender._begin_transmit(tx.end)
-        call_after = sim.call_after
-        call_after(duration, sender._end_transmit)
-        for on_tx_start, on_tx_end, rss, delay, decodable in self._hearers_from(
-            sender
-        ):
-            call_after(delay, on_tx_start, tx, rss, decodable)
-            call_after(duration + delay, on_tx_end, tx, rss)
 
     def _deliver(self, tx: _Transmission, receiver: Radio, lock: _Lock) -> None:
         # Mirror of Medium._deliver with the corruption roll cached flat.
@@ -503,7 +475,7 @@ class SinrRadio(Radio):
         # Power of every audible in-flight transmission, in arrival order.
         # Plain insertion-ordered dict: the deterministic left-to-right
         # interference sum must be identical across backends, which holds
-        # because both schedule ``_on_tx_start`` in reach-list order.
+        # because both schedule ``_on_tx_start`` in hearer-list (attach) order.
         self._rss: dict[_Transmission, float] = {}
         super().__init__(*args, **kwargs)
 
@@ -624,8 +596,8 @@ class SinrMedium(_SinrMixin, Medium):
 class VectorizedSinrMedium(_SinrMixin, VectorizedMedium):
     """:class:`VectorizedMedium` with SINR-based reception.
 
-    Bit-identical to :class:`SinrMedium` — the hearer tables preserve
-    reach-list order, so ``_on_tx_start`` arrival order (and with it the
+    Bit-identical to :class:`SinrMedium` — both share the base class's
+    hearer lists, so ``_on_tx_start`` arrival order (and with it the
     interference-sum order) matches the scalar medium exactly; the
     cross-backend differential harness enforces it on the SINR golden set.
     """

@@ -52,8 +52,8 @@ class SimBackend:
     #: Draw corruption/address-survival uniforms in numpy blocks
     #: (:class:`repro.sim.rng.NumpyBlockUniform`) instead of python batches.
     vector_rng: bool = False
-    #: Build :class:`repro.phy.medium.VectorizedMedium` (batched reach,
-    #: threshold-prefiltered hearer lists, flat FER cache).
+    #: Build :class:`repro.phy.medium.VectorizedMedium` (numpy-block
+    #: uniforms, flat FER cache).
     vector_phy: bool = False
     #: Precompute DCF slot-delay and CW-doubling tables (:mod:`repro.mac.dcf`).
     dcf_tables: bool = False

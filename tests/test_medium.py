@@ -1,13 +1,23 @@
 """Unit tests for the broadcast medium: ranges, capture, collisions."""
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.faults import FaultPlan, JammerConfig
 from repro.mac.frames import Frame, FrameKind
+from repro.net.scenario import Scenario
+from repro.phy.channel import ChannelConfig
 from repro.phy.error import BitErrorModel
-from repro.phy.medium import Medium, Radio
+from repro.phy.medium import Medium, Radio, SinrMedium
 from repro.phy.params import dot11b
+from repro.phy.propagation import SPEED_OF_LIGHT_M_PER_US, PathLossModel, distance
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
+
+MEDIA = pytest.mark.parametrize("medium_cls", [Medium, SinrMedium])
 
 
 class RecordingMac:
@@ -31,9 +41,9 @@ class RecordingMac:
         self.received.append((frame, corrupted, addr_ok, rssi_db))
 
 
-def make_medium(positions, **kwargs):
+def make_medium(positions, medium_cls=Medium, **kwargs):
     sim = Simulator()
-    medium = Medium(
+    medium = medium_cls(
         sim,
         dot11b(),
         RngStreams(3).stream("m"),
@@ -42,7 +52,7 @@ def make_medium(positions, **kwargs):
     )
     radios = []
     for i, pos in enumerate(positions):
-        radio = Radio(medium, f"r{i}", pos)
+        radio = medium.radio_class(medium, f"r{i}", pos)
         radio.mac = RecordingMac()
         radios.append(radio)
     return sim, medium, radios
@@ -209,3 +219,134 @@ def test_carrier_busy_during_own_transmission():
     assert a.carrier_busy
     sim.run()
     assert not a.carrier_busy
+
+
+# ------------------------------------------------------------ hearer lists --
+
+
+def brute_force_hearers(medium, sender):
+    """The carrier-sense rule applied from scratch to every attached radio."""
+    expected = []
+    for receiver in medium.radios:
+        if receiver is sender:
+            continue
+        d = distance(sender.position, receiver.position)
+        rss = medium.pathloss.rss(sender.tx_power, d)
+        if rss < medium.cs_threshold:
+            continue
+        delay = d / SPEED_OF_LIGHT_M_PER_US if medium.propagation_delay else 0.0
+        expected.append((receiver, rss.hex(), delay.hex(), rss >= medium.rx_threshold))
+    return expected
+
+
+def cached_hearers(medium, sender):
+    entries = []
+    for on_tx_start, on_tx_end, rss, delay, decodable in medium._hearers_from(sender):
+        receiver = on_tx_start.__self__
+        assert on_tx_end.__self__ is receiver
+        assert type(decodable) is bool
+        entries.append((receiver, rss.hex(), delay.hex(), decodable))
+    return entries
+
+
+coordinate = st.floats(min_value=-300.0, max_value=300.0, allow_nan=False)
+
+
+@st.composite
+def hearer_topologies(draw):
+    """Random radios around one at the origin, some pinned exactly onto its
+    communication or interference range circle (where rounding decides)."""
+    ranges = draw(
+        st.none()
+        | st.tuples(
+            st.floats(min_value=1.0, max_value=150.0),
+            st.floats(min_value=0.0, max_value=150.0),
+            st.floats(min_value=0.1, max_value=10.0),
+        ).map(lambda t: (t[0], t[0] + t[1], t[2]))
+    )
+    comm, interference, range_power = (55.0, 99.0, 1.0) if ranges is None else ranges
+    on_circle = st.tuples(
+        st.sampled_from([comm, interference]), st.floats(min_value=0.0, max_value=6.3)
+    ).map(lambda t: (t[0] * math.cos(t[1]), t[0] * math.sin(t[1])))
+    tx_power = st.just(range_power) | st.floats(min_value=0.01, max_value=100.0)
+    radios = [((0.0, 0.0), draw(tx_power))] + draw(
+        st.lists(
+            st.tuples(
+                st.tuples(coordinate, coordinate) | on_circle | st.just((0.0, 0.0)),
+                tx_power,
+            ),
+            max_size=9,
+        )
+    )
+    pathloss = PathLossModel(
+        exponent=draw(st.floats(min_value=1.5, max_value=6.0)),
+        reference_distance=draw(st.sampled_from([0.5, 1.0, 5.0])),
+    )
+    return ranges, radios, pathloss, draw(st.booleans())
+
+
+@MEDIA
+@settings(max_examples=150, deadline=None)
+@given(topology=hearer_topologies())
+def test_hearer_lists_match_brute_force_filter(medium_cls, topology):
+    ranges, radios, pathloss, propagation_delay = topology
+    sim, medium, _ = make_medium(
+        [], medium_cls, pathloss=pathloss, propagation_delay=propagation_delay
+    )
+    for i, (position, tx_power) in enumerate(radios):
+        medium.radio_class(medium, f"r{i}", position, tx_power)
+    if ranges is not None:
+        medium.configure_ranges(*ranges)
+    for sender in medium.radios:
+        assert cached_hearers(medium, sender) == brute_force_hearers(medium, sender)
+
+
+def frame_outcome(sim, sender, receiver, seq):
+    """Send one frame and say how ``receiver`` experienced it."""
+    receiver.mac.received.clear()
+    receiver.mac.busy_transitions.clear()
+    sender.transmit(data_frame(seq=seq), 957.0)
+    sim.run()
+    if receiver.mac.received:
+        return "decoded"
+    return "sensed" if receiver.mac.busy_transitions else "silent"
+
+
+@MEDIA
+def test_configure_ranges_mid_run_reaches_warm_sender(medium_cls):
+    sim, medium, (a, b) = make_medium([(0, 0), (40, 0)], medium_cls)
+    assert frame_outcome(sim, a, b, 1) == "decoded"  # no ranges: everyone hears
+    medium.configure_ranges(30.0, 60.0)  # shrink: b only senses
+    assert frame_outcome(sim, a, b, 2) == "sensed"
+    medium.configure_ranges(20.0, 35.0)  # shrink further: b is out of range
+    assert frame_outcome(sim, a, b, 3) == "silent"
+    medium.configure_ranges(55.0, 99.0)  # grow back
+    assert frame_outcome(sim, a, b, 4) == "decoded"
+
+
+@MEDIA
+def test_radio_attached_after_traffic_hears_warm_sender(medium_cls):
+    sim, medium, (a, b) = make_medium([(0, 0), (10, 0)], medium_cls)
+    assert frame_outcome(sim, a, b, 1) == "decoded"
+    late = medium.radio_class(medium, "late", (20, 0))
+    late.mac = RecordingMac()
+    assert frame_outcome(sim, a, late, 2) == "decoded"
+    assert len(b.mac.received) == 2  # the earlier hearer still hears too
+
+
+@pytest.mark.parametrize("model", ["pairwise", "sinr"])
+def test_jammer_installed_mid_run_hears_warm_senders(model):
+    s = Scenario(seed=1, channel=ChannelConfig(model=model), rts_enabled=False)
+    for name in ("S0", "R0"):
+        s.add_wireless_node(name)
+    source, _sink = s.udp_flow("S0", "R0")
+    source.start()
+    s.run(0.05)
+    assert s.medium.frames_sent > 0
+    # A jammer that never bursts inside the test: its radio only listens.
+    injector = s.install_faults(
+        FaultPlan(jammer=JammerConfig(start_us=10_000_000.0, position=(5.0, 0.0)))
+    )
+    probe = injector.jammer.radio.mac = RecordingMac()
+    s.run(0.05)
+    assert {frame.src for frame, *_rest in probe.received} >= {"S0", "R0"}

@@ -130,6 +130,43 @@ def test_check_regression_failure_without_baseline_event_rate():
     assert "events/s" not in message
 
 
+def test_check_regression_reports_behaviour_drift_at_baseline_settings():
+    """Same seed and duration: events and metrics must match exactly."""
+    base_entry = {
+        "wall_s": 1.0,
+        "sim_duration_s": 2.0,
+        "events": 33968,
+        "metrics": {"goodput_R0": 0.036864, "goodput_R1": 3.465216},
+    }
+    baseline = {"seed": 1, "scenarios": {"fig1_nav_udp": base_entry}}
+    assert check_regression({"seed": 1, "scenarios": {"fig1_nav_udp": base_entry}},
+                            baseline) == []
+    drifted = {
+        **base_entry,
+        "events": 33969,
+        "metrics": {"goodput_R0": 0.036864, "goodput_R1": 3.5},
+    }
+    bench = {"seed": 1, "scenarios": {"fig1_nav_udp": drifted}}
+    assert check_regression(bench, baseline) == [
+        "fig1_nav_udp: events 33969 vs baseline 33968 (behaviour drift)",
+        "fig1_nav_udp: metric goodput_R1 3.5 vs baseline 3.465216 (behaviour drift)",
+    ]
+    # Another seed or another duration legitimately changes both.
+    assert check_regression({**bench, "seed": 2}, baseline) == []
+    shorter = {**drifted, "sim_duration_s": SMOKE_S}
+    assert check_regression({"seed": 1, "scenarios": {"fig1_nav_udp": shorter}},
+                            baseline) == []
+
+
+def test_committed_baseline_events_and_metrics_repeat_exactly():
+    baseline = load_bench("benchmarks/perf/baseline.json")
+    names = ["fig1_nav_udp", "fig8_nav_tcp", "spoof_tcp"]
+    bench = run_benchmark(names=names, seed=baseline["seed"], repeats=1)
+    assert check_regression(bench, baseline, factor=1e9) == []
+    for name in names:
+        assert bench["scenarios"][name]["events"] == baseline["scenarios"][name]["events"]
+
+
 def test_cli_perf_regression_failure_is_diagnosable_from_stderr(tmp_path, capsys):
     out = tmp_path / "bench.json"
     baseline_path = tmp_path / "baseline.json"
