@@ -358,47 +358,23 @@ ORDER = [
 #: Hand-written trailer sections (not tied to a results/ table) that must
 #: survive regeneration.
 FOOTER = """\
-## perf: simulation backends
+## perf: one simulation path
 
-Not a paper artifact — the measurement record for the `vectorized`
-simulation backend (DESIGN.md §12).  Both backends are **bit-exact** (all
-golden traces, fault traces, campaign metrics and the differential fuzz
-tiers agree byte-for-byte), so these numbers are pure wall-clock; pick a
-backend with `repro perf --backend`, `repro run --…` via
-`RunSettings(backend=…)`, or ambiently with `use_backend("vectorized")`.
+Not a paper artifact — the measurement record for the simulation core.
+Every table above comes from one pure-python path with no runtime
+dependencies.  A numpy `vectorized` backend once ran beside it,
+bit-exact against it, and measured events/s ratios over the scalar
+core of ~1.07x on fig1_nav_udp, ~1.09x on fig8_nav_tcp, ~0.99x on
+spoof_tcp and ~1.23x on the 240-station dense_hotspot (min of 5
+repeats, seed 1).  Its one real win, per-sender hearer lists, moved into
+the scalar `Medium`, and the backend was deleted (DESIGN.md §12).
 
-Committed references under `benchmarks/perf/` (min of 5 repeats, seed 1,
-this container): `baseline.json` (scalar, regression gate for
-`repro perf --check-regression`) and `baseline_vectorized.json` (same
-scenarios under the vectorized backend, gate for the CI
-`backend-diff-smoke` job).  Representative events/s ratios, vectorized
-over scalar:
-
-| scenario | stations | speedup |
-|---|---|---|
-| fig1_nav_udp | 4 | ~1.07x (scheduler-bound; little to batch) |
-| fig8_nav_tcp | 4 | ~1.10x |
-| spoof_tcp | 4 | ~0.99x |
-| dense_hotspot | 240 | **~1.23x** |
-
-`dense_hotspot` (48 hotspot cells, Figure 23 ranges, one ACK-NAV-inflating
-AP) is the workload class the backend targets: the scalar medium pays an
-O(stations) threshold filter per transmitted frame, the vectorized one a
-precomputed hearer-table lookup.  This PR's original acceptance target was
-≥3x on a paper scenario; the measured ceiling for *bit-exact*
-vectorization is ~1.2–1.5x on this machine (short smoke runs peak near
-1.5x; at full baseline duration steady-state traffic dilutes the
-transmit-filter share to the ~1.23x above) — once the filter is batched
-away, per-event Python dispatch dominates, and batching events themselves
-would break the byte-identical-trace contract.  The honest numbers are
-committed rather than the target; DESIGN.md §12 records the profile
-evidence.
-
-Since the scalar `Medium` builds the same per-sender hearer lists
-(DESIGN.md §9), the transmit-filter gap above is closed on the scalar side:
-`python3 perfbench/run.py --workload dense_grid` measures
-`pairwise_p50_rel` 65.2 → 34.0 reference-kernel units (ten pairs, same
-outputs digest).
+With the hearer lists, `python3 perfbench/run.py --workload dense_grid`
+measures `pairwise_p50_rel` 65.2 → 34.0 reference-kernel units over the
+per-frame filter (ten pairs, same outputs digest; DESIGN.md §9).
+`benchmarks/perf/baseline.json` is the committed reference that
+`repro perf --check-regression` gates against (2x wall-time factor, exact
+events and metrics at the baseline's seed and durations).
 """
 
 

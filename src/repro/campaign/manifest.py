@@ -185,14 +185,16 @@ class Manifest:
         return Manifest._from_dict(data, path)
 
     @staticmethod
-    def load_or_recover(path: str | Path) -> "Manifest":
-        """Load ``path``; fall back to its ``.bak`` rotation if it is torn.
+    def load_latest(path: str | Path) -> "Manifest":
+        """Load ``path``, else its ``.bak`` rotation; never writes.
 
-        The backup is one save older than the primary, so recovery forgets at
-        most the single most recently completed point — it re-runs on resume,
-        deterministically, rather than wedging the whole campaign behind an
-        unreadable manifest.  A *missing* primary with no backup is still an
-        error (there is nothing to resume).
+        For readers that may race a live writer, such as fleet status polls.
+        Between a save's rotate-to-``.bak`` step and its publish step the
+        primary is briefly missing, and the backup is then the latest
+        durable state.  Writing it back from a reader would either roll the
+        manifest back past the writer's publish or race its rename.  A
+        missing or torn primary with no readable backup raises the
+        primary's :class:`ManifestError`.
         """
         path = Path(path)
         try:
@@ -202,9 +204,26 @@ class Manifest:
             if not backup.exists():
                 raise
             try:
-                recovered = Manifest.load(backup)
+                return Manifest.load(backup)
             except ManifestError:
                 raise exc from None
-            # Re-publish the good copy so later saves rotate sane content.
-            recovered.save(path)
-            return recovered
+
+    @staticmethod
+    def load_or_recover(path: str | Path) -> "Manifest":
+        """:meth:`load_latest`, re-publishing the backup if it was used.
+
+        For the manifest's owner (a resuming runner, a finished shard).  The
+        backup is one save older than the primary, so recovery forgets at
+        most the single most recently completed point — it re-runs on resume,
+        deterministically, rather than wedging the whole campaign behind an
+        unreadable manifest.  A *missing* primary with no backup is still an
+        error (there is nothing to resume).
+        """
+        path = Path(path)
+        try:
+            return Manifest.load(path)
+        except ManifestError:
+            recovered = Manifest.load_latest(path)
+        # Re-publish the good copy so later saves rotate sane content.
+        recovered.save(path)
+        return recovered

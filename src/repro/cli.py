@@ -266,7 +266,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.phy.channel import use_channel
-    from repro.sim.backend import BackendUnavailableError
     from repro.perf import (
         REGRESSION_FACTOR,
         attach_speedup,
@@ -302,9 +301,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
                 duration_s=args.duration,
                 progress=lambda message: print(message, file=sys.stderr),
                 telemetry=args.telemetry,
-                backend=args.backend,
             )
-    except (KeyError, ValueError, BackendUnavailableError) as exc:
+    except (KeyError, ValueError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
     if baseline is not None:
@@ -327,57 +325,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
                 print(f"REGRESSION {failure}", file=sys.stderr)
             return 1
         print(f"no regressions vs {args.check_regression}", file=sys.stderr)
-    return 0
-
-
-# ----------------------------------------------------------------- diff -----
-
-
-def _cmd_diff(args: argparse.Namespace) -> int:
-    import contextlib
-
-    from repro.perf.diff import diff_targets
-    from repro.phy.channel import use_channel
-    from repro.sim.backend import BackendUnavailableError, backend_names
-
-    if args.list_backends:
-        available = set(backend_names(available_only=True))
-        for name in backend_names():
-            note = "" if name in available else "  (unavailable: needs numpy)"
-            print(f"{name}{note}")
-        return 0
-    backends = tuple(args.backends)
-    if len(set(backends)) < 2:
-        print(
-            f"need two distinct backends to diff, got {list(backends)}",
-            file=sys.stderr,
-        )
-        return 2
-    channel_ctx = (
-        use_channel(args.channel) if args.channel else contextlib.nullcontext()
-    )
-    try:
-        with channel_ctx:
-            reports = diff_targets(
-                targets=args.targets or None,
-                backends=backends,
-                seed=args.seed,
-                duration_s=args.duration,
-                quick=not args.full,
-                progress=lambda message: print(message, file=sys.stderr),
-            )
-    except (KeyError, ValueError, BackendUnavailableError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    failures = [report for report in reports if not report.ok]
-    for report in failures:
-        print(f"DIVERGED {report.summary_line()}")
-        for problem in report.problems:
-            print(f"  {problem}")
-    if failures:
-        return 1
-    pair = " vs ".join(backends)
-    print(f"{len(reports)} target(s) identical across {pair}")
     return 0
 
 
@@ -1258,63 +1205,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="time the instrumented path (live metrics registry attached)",
     )
     p_perf.add_argument(
-        "--backend",
-        default=None,
-        help="simulation backend to time (repro diff --list-backends; "
-        "default: ambient, i.e. scalar)",
-    )
-    p_perf.add_argument(
         "--channel",
         default=None,
         help="ambient channel model for scenarios that do not pin one "
         "(pairwise or sinr; default: pairwise)",
     )
     p_perf.set_defaults(func=_cmd_perf)
-
-    p_diff = sub.add_parser(
-        "diff",
-        help="differential-test two simulation backends (byte-identical "
-        "traces, exact metrics, equal event counts)",
-    )
-    p_diff.add_argument(
-        "targets",
-        nargs="*",
-        help="perf scenarios and/or experiment ids (default: every perf scenario)",
-    )
-    p_diff.add_argument(
-        "--backends",
-        nargs=2,
-        metavar=("REF", "CANDIDATE"),
-        default=["scalar", "vectorized"],
-        help="backend pair to compare (default: scalar vectorized)",
-    )
-    p_diff.add_argument(
-        "--list-backends",
-        action="store_true",
-        help="list registered backends (and availability) and exit",
-    )
-    p_diff.add_argument(
-        "--seed", type=int, default=None,
-        help="scenario seed (default: the golden-trace seed)",
-    )
-    p_diff.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="simulated seconds per scenario (default: the golden-trace length)",
-    )
-    p_diff.add_argument(
-        "--full",
-        action="store_true",
-        help="run experiment targets at paper scale instead of quick mode",
-    )
-    p_diff.add_argument(
-        "--channel",
-        default=None,
-        help="ambient channel model for targets that do not pin one "
-        "(pairwise or sinr; default: pairwise)",
-    )
-    p_diff.set_defaults(func=_cmd_diff)
 
     p_detect = sub.add_parser(
         "detect",

@@ -7,8 +7,7 @@ and evaluates every frame with random access to the rest of the trace
 sliding windows.  The two implementations are deliberately **independent**
 — different algorithms, different state — which is what makes the
 equivalence gate in :mod:`repro.detect.diff` meaningful: a bug has to be
-made twice, in two shapes, to slip through, the same philosophy as the
-PR-6 scalar-vs-vectorized backend contract.
+made twice, in two shapes, to slip through.
 
 Semantics are those of the paper's detectors (NAV expectation rules of
 Section VII-A; the omniscient impersonation view behind misbehavior 2) plus

@@ -21,8 +21,7 @@ chunking-invariance property test in tests/test_streaming_detection.py).
 The correctness contract is *event-identity with the offline analyzers* on
 every trace: ``repro detect diff`` compares canonicalized event lines from
 both implementations on the committed golden traces and on fuzzed
-scenarios, exactly as the PR-6 backend gate compares scalar vs vectorized
-frame traces.
+scenarios.
 
 Live wiring: :class:`DetectionTap` wraps ``medium.transmit`` (the same seam
 :class:`~repro.stats.trace.FrameTracer` uses) so the pipeline runs *during*
@@ -519,7 +518,7 @@ def live_detection(
 ) -> Iterator[LiveDetectionSession]:
     """Ambient opt-in: scenarios built inside attach a streaming tap.
 
-    Mirrors :func:`repro.obs.capture` / :func:`repro.sim.backend.use_backend`
+    Mirrors :func:`repro.obs.capture` / :func:`repro.phy.channel.use_channel`
     — selection is ambient so experiment runners and campaign builders pick
     it up without signature changes (:class:`~repro.net.scenario.Scenario`
     checks :func:`current_live_detection` at construction time).

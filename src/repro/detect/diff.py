@@ -4,8 +4,7 @@ The streaming pipeline's license to exist is **event-identity with the
 offline analyzers** (the :mod:`repro.core.detection.offline` batch
 implementations) on every trace, plus the constant-memory promise that
 makes it deployable at production rates.  This module is the enforcement
-machinery, mirroring the PR-6 backend gate (:mod:`repro.perf.diff`) one
-layer up:
+machinery:
 
 * **Canonical event lines** — every
   :class:`~repro.core.detection.report.DetectionEvent` serialized as sorted
@@ -25,8 +24,8 @@ Three target kinds: the committed golden traces (``tests/golden/*.jsonl``,
 clean and fault-plan), live perf scenarios (a :class:`DetectionTap` feeding
 during simulation, compared against the offline pass over a simultaneously
 captured trace), and fuzzed scenarios (random topologies derived from case
-seeds, same recipe as the backend fuzzer).  ``repro detect diff`` (CLI) and
-tests/test_detect_diff.py drive all three.
+seeds, same recipe as ``tests/test_fuzz_determinism.py``).
+``repro detect diff`` (CLI) and tests/test_detect_diff.py drive all three.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ US_PER_S = 1_000_000.0
 #: small, odd, and large chunks — the boundary cases chunking bugs live at.
 REPLAY_CHUNKS = (1, 7, 64, 1024)
 
-#: The always-on fuzz subset (mirrors repro.perf.diff's QUICK_CASES).
+#: The always-on fuzz subset.
 QUICK_FUZZ_CASES = tuple(range(10))
 
 
@@ -401,7 +400,7 @@ def diff_scenario_live(
 def build_fuzz_case(case_seed: int) -> "Any":
     """One random-but-deterministic detection workload from a case seed.
 
-    Mirrors the backend fuzzer's recipe (random topology, transport mix,
+    Mirrors the determinism fuzzer's recipe (random topology, transport mix,
     greedy misbehavior kind, error model) with the detection-relevant axes
     emphasized: NAV inflation magnitudes around the validator tolerance,
     spoofers (impersonation events), and optional RTS flooders at varying

@@ -1,9 +1,9 @@
 """One module per table/figure of the paper's evaluation.
 
 Every module exposes ``run(settings: RunSettings | None = None) ->
-ExperimentResult`` (the deprecated ``run(quick=True)`` form still works and
-warns once); quick-mode settings shorten runs and sweeps for CI/benchmarks
-while the full mode regenerates the numbers recorded in EXPERIMENTS.md.
+ExperimentResult``; quick-mode settings (``RunSettings.quick()``) shorten
+runs and sweeps for CI/benchmarks while the full mode regenerates the
+numbers recorded in EXPERIMENTS.md.
 
 The package keeps a metadata registry: one :class:`ExperimentEntry` per
 artifact, carrying the paper figure/table it reproduces, topical tags and the

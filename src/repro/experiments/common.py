@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -26,7 +25,6 @@ from repro.stats.summary import ExperimentResult
 
 __all__ = [
     "RunSettings",
-    "resolve_settings",
     "experiment_api",
     "PHY_PROFILES",
     "profile_names",
@@ -69,11 +67,6 @@ class RunSettings:
     seeds: Sequence[int] = FULL_SEEDS
     mode: str = "full"
     telemetry: bool = False
-    #: Simulation backend name ("scalar", "vectorized") or None to inherit
-    #: the ambient selection (:func:`repro.sim.backend.use_backend`).  Every
-    #: scenario the experiment builds picks it up — runner signatures stay
-    #: unchanged because selection is ambient.
-    backend: str | None = None
     #: Run the streaming misbehavior detectors live during every simulation
     #: the experiment builds (:func:`repro.core.detection.streaming
     #: .live_detection`); the session roll-up lands on ``result.streaming``.
@@ -81,19 +74,15 @@ class RunSettings:
     #: record construction per transmission.
     streaming_detection: bool = False
     #: Channel model name ("pairwise", "sinr") or None to inherit the ambient
-    #: selection (:func:`repro.phy.channel.use_channel`).  Ambient like the
-    #: backend: every scenario the experiment builds picks it up, and runners
-    #: that pin topology knobs via ``ChannelConfig(ranges=...)`` (model left
-    #: None) still honor it.
+    #: selection (:func:`repro.phy.channel.use_channel`).  Every scenario
+    #: the experiment builds picks it up — runner signatures stay unchanged
+    #: because selection is ambient — and runners that pin topology knobs
+    #: via ``ChannelConfig(ranges=...)`` (model left None) still honor it.
     channel: str | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("full", "quick"):
             raise ValueError(f"mode must be 'full' or 'quick', got {self.mode!r}")
-        if self.backend is not None:
-            from repro.sim.backend import resolve_backend
-
-            resolve_backend(self.backend)  # fail fast on unknown/unavailable
         if self.channel is not None:
             from repro.phy.channel import CHANNEL_MODELS, channel_names
 
@@ -122,52 +111,15 @@ class RunSettings:
         return RunSettings.quick() if quick else RunSettings()
 
 
-#: One-shot latch for the ``run(quick=...)`` deprecation warning, so a CI run
-#: over 30 experiments prints it once rather than 30 times.
-_QUICK_SHIM_WARNED = False
-
-
-def resolve_settings(
-    settings: "RunSettings | bool | None" = None, quick: "bool | None" = None
-) -> RunSettings:
-    """Normalize the arguments of the public ``run()`` entrypoints.
-
-    Accepts the new form (``run()`` / ``run(settings)``) and the deprecated
-    one (``run(quick=True)``, or legacy positional ``run(True)`` — a bool in
-    the settings slot is treated as the old ``quick`` flag).  Passing both a
-    real ``RunSettings`` and ``quick`` is a contradiction and raises.
-    """
-    global _QUICK_SHIM_WARNED
-    if isinstance(settings, bool):  # legacy positional run(True)
-        if quick is not None:
-            raise TypeError("pass either settings or quick, not both")
-        settings, quick = None, settings
-    if quick is not None:
-        if settings is not None:
-            raise TypeError("pass either settings or quick, not both")
-        if not _QUICK_SHIM_WARNED:
-            _QUICK_SHIM_WARNED = True
-            warnings.warn(
-                "run(quick=...) is deprecated; pass run(RunSettings(...)) "
-                "or run(RunSettings.for_mode(quick))",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return RunSettings.for_mode(quick)
-    if settings is None:
-        return RunSettings()
-    return settings
-
-
 def experiment_api(
     fn: "Callable[[RunSettings], ExperimentResult]",
 ) -> "Callable[..., ExperimentResult]":
     """Wrap a ``fn(settings) -> ExperimentResult`` experiment body as the
     public ``run()`` entrypoint.
 
-    The wrapper resolves the settings-vs-quick calling conventions via
-    :func:`resolve_settings` and, when ``settings.telemetry`` is set, runs the
-    body inside an ambient :func:`repro.obs.capture` so every
+    ``run()`` with no argument means ``RunSettings()`` (the full sweep).
+    When ``settings.telemetry`` is set, the wrapper runs the body inside an
+    ambient :func:`repro.obs.capture` so every
     :class:`~repro.net.scenario.Scenario` the experiment builds reports into
     one registry; the snapshot lands on ``result.telemetry``.  The unwrapped
     body stays reachable as ``run.__wrapped__``.
@@ -194,25 +146,15 @@ def experiment_api(
         result.streaming = session.summary()
         return result
 
-    def _ambient_body(resolved: RunSettings) -> ExperimentResult:
+    @functools.wraps(fn)
+    def run(settings: RunSettings | None = None) -> ExperimentResult:
+        resolved = settings if settings is not None else RunSettings()
         if resolved.channel is None:
             return _body(resolved)
         from repro.phy.channel import use_channel
 
         with use_channel(resolved.channel):
             return _body(resolved)
-
-    @functools.wraps(fn)
-    def run(
-        settings: "RunSettings | bool | None" = None, quick: "bool | None" = None
-    ) -> ExperimentResult:
-        resolved = resolve_settings(settings, quick)
-        if resolved.backend is None:
-            return _ambient_body(resolved)
-        from repro.sim.backend import use_backend
-
-        with use_backend(resolved.backend):
-            return _ambient_body(resolved)
 
     return run
 

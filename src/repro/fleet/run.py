@@ -356,6 +356,8 @@ def fleet_status_document(out_dir: str | Path) -> dict[str, Any]:
 
     Combines ``fleet.json`` with live per-shard progress read from each
     shard's own campaign manifest, plus whether the merged artifacts exist.
+    Read-only (:meth:`Manifest.load_latest`): shards may be saving their
+    manifests while a status poll reads them.
     """
     out = Path(out_dir)
     state = FleetState.load(fleet_state_path(out))
@@ -372,7 +374,7 @@ def fleet_status_document(out_dir: str | Path) -> dict[str, Any]:
             "retries": 0,
         }
         try:
-            manifest = Manifest.load_or_recover(shard_dir(out, entry.shard) / "manifest.json")
+            manifest = Manifest.load_latest(shard_dir(out, entry.shard) / "manifest.json")
         except ManifestError:
             manifest = None
         if manifest is not None:
@@ -383,7 +385,7 @@ def fleet_status_document(out_dir: str | Path) -> dict[str, Any]:
     merged_manifest = None
     if state.merged:
         try:
-            merged_manifest = Manifest.load_or_recover(out / "manifest.json")
+            merged_manifest = Manifest.load_latest(out / "manifest.json")
         except ManifestError:
             pass
     return {

@@ -22,7 +22,6 @@ Section VII) are the optional ``nav_validator`` and ``ack_inspector``.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:
@@ -47,31 +46,6 @@ from repro.mac.stats import MacStats
 from repro.phy.medium import Radio
 from repro.phy.params import PhyParams
 from repro.sim.engine import Event, Simulator
-
-@lru_cache(maxsize=None)
-def dcf_transition_tables(
-    slot_time: float, difs: float, eifs: float, cw_max: int
-) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
-    """Slot-level DCF lookup tables for the ``vectorized`` backend.
-
-    Returns ``(difs_delay, eifs_delay, cw_next)``:
-
-    * ``difs_delay[slots]`` / ``eifs_delay[slots]`` — the access delay
-      ``ifs + slots * slot_time`` for every backoff count up to ``cw_max``.
-      Precomputing uses the *same expression* the scalar path evaluates per
-      access, so each entry is the identical float (no re-association).
-    * ``cw_next[cw]`` — the binary-exponential-backoff successor
-      ``min(2 * (cw + 1) - 1, cw_max)``, pure integer math.
-
-    Cached per ``(slot_time, difs, eifs, cw_max)``, so every MAC sharing one
-    PHY flavor shares one table set (~1024 floats each for 802.11b).  The
-    scalar backend keeps the inline arithmetic; ``tests/test_vectorized_phy.py``
-    pins table and arithmetic to each other over the full domain.
-    """
-    difs_delay = tuple(difs + slots * slot_time for slots in range(cw_max + 1))
-    eifs_delay = tuple(eifs + slots * slot_time for slots in range(cw_max + 1))
-    cw_next = tuple(min(2 * (cw + 1) - 1, cw_max) for cw in range(cw_max + 1))
-    return difs_delay, eifs_delay, cw_next
 
 
 # MAC states.
@@ -110,7 +84,6 @@ class DcfMac:
         cw_min: int | None = None,
         cw_max: int | None = None,
         eifs_enabled: bool = True,
-        dcf_tables: bool = False,
     ) -> None:
         self.sim = sim
         self.phy = phy
@@ -166,19 +139,6 @@ class DcfMac:
         self._cts_timeout_us = phy.cts_timeout()
         self._ack_timeout_us = phy.ack_timeout()
         self._randrange = rng.randrange  # randint(0, cw) == randrange(cw + 1)
-        # Vectorized-backend transition tables (None on the scalar backend).
-        # Entries are computed from the exact per-access expressions, so
-        # lookup and arithmetic agree to the bit; out-of-table indices
-        # (custom cw_min above cw_max, per-dst CW caps) fall back to the
-        # scalar arithmetic inline.
-        self._delay_tables: tuple[tuple[float, ...], tuple[float, ...]] | None = None
-        self._cw_next: tuple[int, ...] | None = None
-        if dcf_tables:
-            difs_delay, eifs_delay, cw_next = dcf_transition_tables(
-                self._slot_time, self._difs, self._eifs, self.cw_max
-            )
-            self._delay_tables = (difs_delay, eifs_delay)
-            self._cw_next = cw_next
 
         self._queue: deque[_Msdu] = deque()
         self._state = IDLE
@@ -337,19 +297,12 @@ class DcfMac:
             self._backoff_slots = self._randrange(self.cw + 1)
         slots = self._backoff_slots
         self._access_start = self.sim.now
-        tables = self._delay_tables
         if self._use_eifs:
             self._access_ifs = self._eifs
-            if tables is not None and slots < len(tables[1]):
-                delay = tables[1][slots]
-            else:
-                delay = self._eifs + slots * self._slot_time
+            delay = self._eifs + slots * self._slot_time
         else:
             self._access_ifs = self._difs
-            if tables is not None and slots < len(tables[0]):
-                delay = tables[0][slots]
-            else:
-                delay = self._difs + slots * self._slot_time
+            delay = self._difs + slots * self._slot_time
         self._access_event = self.sim.schedule(delay, self._access_granted)
 
     def _freeze_access(self) -> None:
@@ -482,11 +435,7 @@ class DcfMac:
         cw_cap = self.cw_max
         if self._queue and self._queue[0].dst in self.cw_max_to:
             cw_cap = self.cw_max_to[self._queue[0].dst]
-        cw_next = self._cw_next
-        if cw_next is not None and cw_cap == self.cw_max and self.cw < len(cw_next):
-            self.cw = cw_next[self.cw]
-        else:
-            self.cw = min(2 * (self.cw + 1) - 1, cw_cap)
+        self.cw = min(2 * (self.cw + 1) - 1, cw_cap)
         if drop:
             self.stats.drops += 1
             msdu = self._queue.popleft()

@@ -24,10 +24,9 @@ from repro.net.wired import WiredLink
 from repro.obs import MetricsRegistry, current_registry, sweep_scenario
 from repro.phy.channel import ChannelConfig, resolve_channel
 from repro.phy.error import BitErrorModel
-from repro.phy.medium import Medium, SinrMedium, VectorizedMedium, VectorizedSinrMedium
+from repro.phy.medium import Medium, SinrMedium
 from repro.phy.params import PhyParams, dot11b
 from repro.phy.propagation import PathLossModel
-from repro.sim.backend import SimBackend, resolve_backend
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 
@@ -52,59 +51,20 @@ class Scenario:
         seed: int = 0,
         rts_enabled: bool = True,
         capture_enabled: bool = True,
-        default_ber: float = 0.0,
-        ranges: tuple[float, float] | None = None,
-        rssi_jitter_db: float = 0.0,
         telemetry: "MetricsRegistry | bool | None" = None,
-        backend: "SimBackend | str | None" = None,
         channel: "ChannelConfig | str | None" = None,
     ) -> None:
         self.phy = phy if phy is not None else dot11b()
         self.sim = Simulator()
         self.streams = RngStreams(seed)
         self.rts_enabled = rts_enabled
-        #: Resolved simulation backend.  ``None`` inherits the ambient
-        #: selection (:func:`repro.sim.backend.use_backend`), so experiment
-        #: runners and campaign builders pick up ``--backend`` without
-        #: signature changes; an explicit name/``SimBackend`` overrides.
-        self.backend: SimBackend = resolve_backend(backend)
         #: Resolved channel configuration.  ``None`` inherits the ambient
         #: selection (:func:`repro.phy.channel.use_channel`); an explicit
         #: :class:`~repro.phy.channel.ChannelConfig` or model name overrides.
-        #: The legacy ``ranges=`` / ``default_ber=`` / ``rssi_jitter_db=``
-        #: kwargs are a deprecated shim mapped onto an equivalent config.
         cfg = resolve_channel(channel)
-        legacy: dict[str, Any] = {}
-        if ranges is not None:
-            legacy["ranges"] = (float(ranges[0]), float(ranges[1]))
-        if default_ber != 0.0:
-            legacy["default_ber"] = default_ber
-        if rssi_jitter_db != 0.0:
-            legacy["rssi_jitter_db"] = rssi_jitter_db
-        if legacy:
-            if channel is not None:
-                raise TypeError(
-                    "pass channel=ChannelConfig(...) or the deprecated "
-                    f"{sorted(legacy)} kwargs, not both"
-                )
-            import warnings
-            from dataclasses import replace as _replace
-
-            warnings.warn(
-                f"Scenario({', '.join(sorted(legacy))}=...) is deprecated; "
-                "pass channel=ChannelConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            cfg = _replace(cfg, **legacy)
         self.channel: ChannelConfig = cfg
         self.error_model = BitErrorModel(default_ber=cfg.default_ber)
-        medium_class = {
-            ("pairwise", False): Medium,
-            ("pairwise", True): VectorizedMedium,
-            ("sinr", False): SinrMedium,
-            ("sinr", True): VectorizedSinrMedium,
-        }[(cfg.model, self.backend.vector_phy)]
+        medium_class = {"pairwise": Medium, "sinr": SinrMedium}[cfg.model]
         medium_kwargs: dict[str, Any] = dict(
             error_model=self.error_model,
             pathloss=PathLossModel(exponent=cfg.path_loss_exponent),
@@ -114,8 +74,6 @@ class Scenario:
         if cfg.model == "sinr":
             medium_kwargs["noise_floor"] = cfg.noise_floor
             medium_kwargs["capture_margin"] = cfg.capture_margin
-        if self.backend.vector_phy:
-            medium_kwargs["rng_block"] = self.backend.rng_block
         self.medium = medium_class(
             self.sim,
             self.phy,
@@ -208,7 +166,6 @@ class Scenario:
             cw_min=cw_min,
             cw_max=cw_max,
             eifs_enabled=eifs_enabled,
-            dcf_tables=self.backend.dcf_tables,
         )
         if self.obs is not None:
             mac.obs = self.obs

@@ -5,15 +5,6 @@
 the bit-exactness methodology.
 """
 
-from repro.perf.diff import (
-    DEFAULT_BACKENDS,
-    BackendRun,
-    DiffReport,
-    diff_experiment,
-    diff_scenario,
-    diff_targets,
-    run_traced,
-)
 from repro.perf.harness import (
     REGRESSION_FACTOR,
     SCHEMA,
@@ -33,22 +24,15 @@ from repro.perf.scenarios import (
 )
 
 __all__ = [
-    "DEFAULT_BACKENDS",
     "REGRESSION_FACTOR",
     "SCENARIOS",
     "SCHEMA",
-    "BackendRun",
-    "DiffReport",
     "PerfScenario",
     "attach_speedup",
     "check_regression",
-    "diff_experiment",
-    "diff_scenario",
-    "diff_targets",
     "get_scenario",
     "load_bench",
     "run_benchmark",
-    "run_traced",
     "scenario_names",
     "time_scenario",
     "validate_bench",

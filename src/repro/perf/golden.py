@@ -43,50 +43,37 @@ GOLDEN_TRACE_RUNS: dict[str, tuple[int, float]] = {
     "grc_spoof": (2, 0.25),
     # SINR channel-model golden set (DESIGN.md §15): these scenarios pin
     # ``ChannelConfig(model="sinr")`` explicitly, so the committed traces
-    # cover the aggregate-interference decision path on both backends.  The
+    # cover the aggregate-interference decision path.  The
     # dense grid runs 20 ms — 120 stations make even that ~400 records.
     "hidden_node_sinr": (1, 0.25),
     "dense_hotspot_sinr": (1, 0.02),
 }
 
 
-def trace_filename(name: str, backend_suffix: str = "") -> str:
-    """Committed filename for one golden trace.
-
-    ``backend_suffix`` carves out a per-backend golden set: a backend that
-    registered :attr:`repro.sim.backend.SimBackend.trace_suffix` (i.e. one
-    that does *not* promise byte-identical replay of the reference) stores
-    and verifies its own files instead of the scalar ones.  The empty
-    suffix — the reference set, which ``vectorized`` also replays — keeps
-    the historical filenames.
-    """
+def trace_filename(name: str) -> str:
+    """Committed filename for one golden trace."""
     seed, duration_s = GOLDEN_TRACE_RUNS[name]
-    infix = f"_{backend_suffix}" if backend_suffix else ""
-    return f"trace_{name}{infix}_seed{seed}_{int(duration_s * 1000)}ms.jsonl"
+    return f"trace_{name}_seed{seed}_{int(duration_s * 1000)}ms.jsonl"
 
 
-def capture_trace(name: str, out_path: str | Path, backend: str | None = None) -> int:
+def capture_trace(name: str, out_path: str | Path) -> int:
     """Run one golden scenario with a tracer attached; write JSONL.
 
-    Returns the number of trace records written.  ``backend`` selects the
-    simulation backend for the run (None = ambient).
+    Returns the number of trace records written.
     """
-    from repro.sim.backend import use_backend
-
     seed, duration_s = GOLDEN_TRACE_RUNS[name]
-    with use_backend(backend):
-        built = get_scenario(name).build(seed)
-        tracer = FrameTracer(built.scenario.medium)
-        built.scenario.run(duration_s)
+    built = get_scenario(name).build(seed)
+    tracer = FrameTracer(built.scenario.medium)
+    built.scenario.run(duration_s)
     return tracer.to_jsonl(out_path)
 
 
-def capture_all_traces(out_dir: str | Path, backend: str | None = None) -> dict[str, int]:
+def capture_all_traces(out_dir: str | Path) -> dict[str, int]:
     """Capture every golden trace into ``out_dir``; returns record counts."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return {
-        name: capture_trace(name, out_dir / trace_filename(name), backend=backend)
+        name: capture_trace(name, out_dir / trace_filename(name))
         for name in GOLDEN_TRACE_RUNS
     }
 
@@ -96,7 +83,7 @@ def capture_all_traces(out_dir: str | Path, backend: str | None = None) -> dict[
 #: Fault-enabled golden points: ``key -> (scenario, seed, duration_s)``.
 #: Each pins one sim-plane fault model end to end — the model's dedicated
 #: RNG stream, its delivery/scheduling hooks *and* the unchanged base
-#: machinery around it — so a backend cannot be bit-exact on clean channels
+#: machinery around it — so a change cannot be bit-exact on clean channels
 #: while silently reordering draws under faults.
 GOLDEN_FAULT_RUNS: dict[str, tuple[str, int, float]] = {
     "ge_channel": ("fig1_nav_udp", 3, 0.25),
@@ -123,36 +110,27 @@ def fault_plan(key: str):
     )
 
 
-def fault_trace_filename(key: str, backend_suffix: str = "") -> str:
+def fault_trace_filename(key: str) -> str:
     scenario, seed, duration_s = GOLDEN_FAULT_RUNS[key]
-    infix = f"_{backend_suffix}" if backend_suffix else ""
-    return (
-        f"trace_fault_{key}_{scenario}{infix}_seed{seed}"
-        f"_{int(duration_s * 1000)}ms.jsonl"
-    )
+    return f"trace_fault_{key}_{scenario}_seed{seed}_{int(duration_s * 1000)}ms.jsonl"
 
 
-def capture_fault_trace(key: str, out_path: str | Path, backend: str | None = None) -> int:
+def capture_fault_trace(key: str, out_path: str | Path) -> int:
     """Run one fault golden point with a tracer attached; write JSONL."""
-    from repro.sim.backend import use_backend
-
     scenario, seed, duration_s = GOLDEN_FAULT_RUNS[key]
-    with use_backend(backend):
-        built = get_scenario(scenario).build(seed)
-        built.scenario.install_faults(fault_plan(key))
-        tracer = FrameTracer(built.scenario.medium)
-        built.scenario.run(duration_s)
+    built = get_scenario(scenario).build(seed)
+    built.scenario.install_faults(fault_plan(key))
+    tracer = FrameTracer(built.scenario.medium)
+    built.scenario.run(duration_s)
     return tracer.to_jsonl(out_path)
 
 
-def capture_all_fault_traces(
-    out_dir: str | Path, backend: str | None = None
-) -> dict[str, int]:
+def capture_all_fault_traces(out_dir: str | Path) -> dict[str, int]:
     """Capture every fault golden trace into ``out_dir``; record counts."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return {
-        key: capture_fault_trace(key, out_dir / fault_trace_filename(key), backend=backend)
+        key: capture_fault_trace(key, out_dir / fault_trace_filename(key))
         for key in GOLDEN_FAULT_RUNS
     }
 

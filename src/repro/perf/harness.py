@@ -57,20 +57,17 @@ def time_scenario(
     duration_s: float | None = None,
     clock: Callable[[], float] = time.perf_counter,
     telemetry: bool = False,
-    backend: str | None = None,
 ) -> dict[str, Any]:
     """Build and run one scenario ``repeats`` times; return its bench entry.
 
     Only the event loop (``Simulator.run``) is timed — scenario construction
-    (including any backend precomputation: reach tables, DCF transition
-    tables) is excluded, so the number tracks the per-seed inner-loop cost
-    that dominates ``run_all.py`` and campaign grids.  ``telemetry=True``
+    (and :meth:`~repro.net.scenario.Scenario.warm_caches`) is excluded, so
+    the number tracks the per-seed inner-loop cost that dominates
+    ``run_all.py`` and campaign grids.  ``telemetry=True``
     builds each run inside a live :func:`repro.obs.capture`, which is how
     the 2x regression gate measures the instrumented (hooks-on) code path.
-    ``backend`` selects a simulation backend for the build (None = ambient).
     """
     from repro.obs import MetricsRegistry, capture
-    from repro.sim.backend import use_backend
 
     spec = get_scenario(name)
     if repeats < 1:
@@ -83,8 +80,7 @@ def time_scenario(
     metrics: dict[str, float] = {}
     for _ in range(repeats):
         with capture(MetricsRegistry(enabled=telemetry)):
-            with use_backend(backend):
-                built = spec.build(seed)
+            built = spec.build(seed)
             built.scenario.warm_caches()
             sim = built.scenario.sim
             start = clock()
@@ -110,25 +106,19 @@ def run_benchmark(
     duration_s: float | None = None,
     progress: Callable[[str], None] | None = None,
     telemetry: bool = False,
-    backend: str | None = None,
 ) -> dict[str, Any]:
     """Time every requested scenario and assemble the BENCH_core document.
 
     ``telemetry=True`` times the instrumented code path (live metrics
     registry attached to every scenario) and records that in the document.
-    ``backend`` selects the simulation backend; the resolved name is
-    recorded in the document so a baseline file always says which backend
-    produced it.
     """
-    from repro.sim.backend import resolve_backend
-
     selected = list(names) if names else list(SCENARIOS)
     say = progress if progress is not None else lambda _m: None
     scenarios: dict[str, Any] = {}
     for name in selected:
         entry = time_scenario(
             name, seed=seed, repeats=repeats, duration_s=duration_s,
-            telemetry=telemetry, backend=backend,
+            telemetry=telemetry,
         )
         scenarios[name] = entry
         say(
@@ -141,7 +131,6 @@ def run_benchmark(
         "repeats": repeats,
         "python": platform.python_version(),
         "telemetry": telemetry,
-        "backend": resolve_backend(backend).name,
         "scenarios": scenarios,
     }
 

@@ -143,7 +143,7 @@ def _fig8_nav_tcp(seed: int) -> BuiltScenario:
 @_register(
     "dense_hotspot",
     "48 spatially separated hotspot cells (240 nodes) with the paper's "
-    "Figure 23 ranges — the dense-deployment stress the backends diverge on",
+    "Figure 23 ranges — the dense-deployment stress on the medium",
     duration_s=0.5,
 )
 def _dense_hotspot(seed: int) -> BuiltScenario:

@@ -13,19 +13,16 @@ receiver.  Two models ship today:
   plus-noise ratio clears the PHY's per-rate threshold.  Hidden terminals,
   asymmetric links and dense multi-AP hotspots become expressible.
 
-**The equivalence contract** (DESIGN.md §15) mirrors the backend seam: the
-``pairwise`` model must replay every committed golden trace byte-for-byte
-(including when selected through the deprecated ``Scenario(ranges=...)``
-kwargs), while ``sinr`` takes its own golden set, its own result-cache
-namespace (:attr:`ChannelConfig.cache_key` is folded into
-:func:`repro.runtime.cache.code_version_token`), and cross-backend
-``repro diff`` coverage — the interference sum must itself be bit-identical
-between the scalar and vectorized backends.
+**The equivalence contract** (DESIGN.md §15): the ``pairwise`` model must
+replay every committed golden trace byte-for-byte, while ``sinr`` takes its
+own golden set and its own result-cache namespace
+(:attr:`ChannelConfig.cache_key` is folded into
+:func:`repro.runtime.cache.code_version_token`).
 
-Selection is *ambient*, exactly like :mod:`repro.sim.backend`: experiment
-runners and the perf harness build scenarios deep inside helpers, so the
-active :class:`ChannelConfig` travels in a :class:`~contextvars.ContextVar`
-(:func:`use_channel`) and ``Scenario(channel=...)`` accepts an explicit
+Selection is *ambient*: experiment runners and the perf harness build
+scenarios deep inside helpers, so the active :class:`ChannelConfig`
+travels in a :class:`~contextvars.ContextVar` (:func:`use_channel`) and
+``Scenario(channel=...)`` accepts an explicit
 override.  A config whose ``model`` is ``None`` *inherits* the ambient
 model while pinning its other knobs — internal call sites write
 ``ChannelConfig(ranges=(55.0, 99.0))`` and still honor ``--channel sinr``.

@@ -67,18 +67,11 @@ class BitErrorModel:
     # same link gets lossier as a rate-adapting sender steps up.  Used by the
     # auto-rate extension; falls back to the rate-independent tables above.
     _rate_ber: dict[tuple[str, str], dict[float, float]] = field(default_factory=dict)
-    #: Bumped on every table mutation.  Consumers that flatten the tables
-    #: into per-link caches (``VectorizedMedium``'s corruption-plan cache)
-    #: key their validity on ``(id(model), _epoch, default_ber)`` so a
-    #: mid-run ``set_ber``/``set_data_fer``/``set_rate_profile`` can never
-    #: serve a stale probability.
-    _epoch: int = 0
 
     def set_ber(self, src: str, dst: str, ber: float) -> None:
         """Set the bit error rate of the directed link ``src -> dst``."""
         if not 0 <= ber <= 1:
             raise ValueError(f"BER must be in [0, 1], got {ber}")
-        self._epoch += 1
         self._link_ber[(src, dst)] = ber
 
     def set_ber_symmetric(self, a: str, b: str, ber: float) -> None:
@@ -90,7 +83,6 @@ class BitErrorModel:
         """Set a direct data-frame error rate for the link ``src -> dst``."""
         if not 0 <= fer <= 1:
             raise ValueError(f"FER must be in [0, 1], got {fer}")
-        self._epoch += 1
         self._link_fer[(src, dst)] = fer
 
     def set_rate_profile(
@@ -107,7 +99,6 @@ class BitErrorModel:
                 raise ValueError(f"rate must be positive, got {rate}")
             if not 0 <= ber <= 1:
                 raise ValueError(f"BER must be in [0, 1], got {ber}")
-        self._epoch += 1
         self._rate_ber[(src, dst)] = dict(ber_by_rate)
 
     def ber(self, src: str, dst: str, rate: float | None = None) -> float:
@@ -142,15 +133,8 @@ class BitErrorModel:
         rate: float | None = None,
     ) -> bool:
         """Roll whether a frame on ``src -> dst`` arrives corrupted."""
-        fer = self._link_fer.get((src, dst))
-        if fer is not None:
-            if not is_data:
-                return False
-            return rng.random() < fer
-        ber = self.ber(src, dst, rate)
-        if ber <= 0.0:
-            return False
-        return rng.random() < frame_error_rate(ber, size_bytes)
+        p = self.corruption_plan(src, dst, size_bytes, is_data, rate)
+        return p is not None and rng.random() < p
 
     def corruption_plan(
         self,
@@ -160,16 +144,14 @@ class BitErrorModel:
         is_data: bool,
         rate: float | None = None,
     ) -> float | None:
-        """The draw :meth:`is_corrupted` would make, as cacheable data.
+        """The draw :meth:`is_corrupted` makes, as plain data.
 
         Returns ``None`` when the frame is clean *without consuming a
         uniform* (no error configured, or a control frame on a
         ``set_data_fer`` link), otherwise the probability ``p`` such that the
         frame is corrupted iff the next uniform is ``< p``.  The distinction
-        matters for bit-exactness: a link with ``fer=0.0`` set explicitly
-        still consumes one draw per data frame (``p = 0.0``), exactly like
-        the scalar path.  ``tests/test_vectorized_phy.py`` pins plan and
-        roll to each other across the configuration space.
+        matters for the RNG stream: a link with ``fer=0.0`` set explicitly
+        still consumes one draw per data frame (``p = 0.0``).
         """
         fer = self._link_fer.get((src, dst))
         if fer is not None:

@@ -370,94 +370,6 @@ class Medium:
             receiver.mac.phy_receive(frame, corrupted, addr_ok, rssi_db)
 
 
-#: Sentinel distinguishing "no cached plan yet" from a cached ``None``
-#: (clean without a draw) in :class:`VectorizedMedium`'s plan cache.
-_NO_PLAN = object()
-
-
-class VectorizedMedium(Medium):
-    """:class:`Medium` with batch-precomputed hot paths (``vectorized`` backend).
-
-    Observable behavior is **bit-identical** to the base class — the golden
-    traces and :mod:`repro.perf.diff` enforce it.  It inherits ``transmit`` and
-    the per-sender hearer lists, and makes two substitutions:
-
-    * Per-frame corruption/address uniforms come from
-      :class:`repro.sim.rng.NumpyBlockUniform` (MT19937 state transplanted
-      into numpy; block refills replay the scalar stream exactly).  With an
-      RSSI-jitter callable the medium keeps the scalar draw-on-demand
-      wrapper, because jitter interleaves Gaussian draws on the same stream.
-    * ``_deliver`` replaces the table-walk in
-      :meth:`BitErrorModel.is_corrupted` with a flat **corruption-plan
-      cache** keyed ``(src, dst, size, is_data, rate)``, invalidated by the
-      error model's mutation epoch so mid-run ``set_ber``/``set_data_fer``
-      (and wholesale model replacement) stay correct.
-    """
-
-    def __init__(self, *args: Any, rng_block: int = 4096, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        if self.rssi_jitter is None:
-            from repro.sim.rng import NumpyBlockUniform
-
-            self._uniform = NumpyBlockUniform(self.rng, block=rng_block)
-        # (src, dst, size, is_data, rate) -> corruption probability or None.
-        self._plan: dict[tuple, Any] = {}
-        self._plan_key: tuple | None = None
-
-    def _deliver(self, tx: _Transmission, receiver: Radio, lock: _Lock) -> None:
-        # Mirror of Medium._deliver with the corruption roll cached flat.
-        frame = tx.frame
-        corrupted = lock.collided
-        if not corrupted and not self.error_model.trivial:
-            model = self.error_model
-            model_key = (id(model), model._epoch, model.default_ber)
-            if model_key != self._plan_key:
-                self._plan.clear()
-                self._plan_key = model_key
-            plan_key = (
-                tx.sender.name,
-                receiver.name,
-                frame.size_bytes,
-                frame.kind.name == "DATA",
-                getattr(frame, "rate", None),
-            )
-            plan = self._plan.get(plan_key, _NO_PLAN)
-            if plan is _NO_PLAN:
-                plan = self._plan[plan_key] = model.corruption_plan(*plan_key)
-            if plan is not None:
-                corrupted = self._uniform.random() < plan
-        addr_ok = True
-        if corrupted:
-            uniform = self._uniform
-            addr_ok = (
-                uniform.random() < self.addr_dst_survival
-                and uniform.random() < self.addr_src_survival
-            )
-        faults = self.faults
-        if faults is not None:
-            corrupted, addr_ok = faults.on_deliver(
-                tx, receiver, frame, corrupted, addr_ok
-            )
-        obs = self.obs
-        if obs is not None:
-            name = receiver.name
-            obs.inc(f"phy.{name}.rx_frames")
-            if corrupted:
-                obs.inc(f"phy.{name}.rx_corrupted")
-                if lock.collided:
-                    obs.inc(f"phy.{name}.rx_collisions")
-                else:
-                    obs.inc(f"phy.{name}.rx_fer_drops")
-        rss = lock.rss
-        rssi_db = self._rss_db.get(rss)
-        if rssi_db is None:
-            rssi_db = self._rss_db[rss] = rss_to_db(rss)
-        if self.rssi_jitter is not None:
-            rssi_db += self.rssi_jitter(self.rng)
-        if receiver.mac is not None:
-            receiver.mac.phy_receive(frame, corrupted, addr_ok, rssi_db)
-
-
 class SinrRadio(Radio):
     """Radio whose reception decisions come from an SINR margin.
 
@@ -473,9 +385,9 @@ class SinrRadio(Radio):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         # Power of every audible in-flight transmission, in arrival order.
-        # Plain insertion-ordered dict: the deterministic left-to-right
-        # interference sum must be identical across backends, which holds
-        # because both schedule ``_on_tx_start`` in hearer-list (attach) order.
+        # Plain insertion-ordered dict: the left-to-right interference sum
+        # is deterministic because ``_on_tx_start`` runs in hearer-list
+        # (attach) order.
         self._rss: dict[_Transmission, float] = {}
         super().__init__(*args, **kwargs)
 
@@ -518,8 +430,14 @@ class SinrRadio(Radio):
                 self.mac.phy_idle()
 
 
-class _SinrMixin:
-    """SINR decision logic shared by the scalar and vectorized media.
+class SinrMedium(Medium):
+    """:class:`Medium` with SINR-based reception (``channel model "sinr"``).
+
+    Carrier sense, corruption/FER rolls, address survival, fault hooks and
+    delivery are all inherited unchanged — the model only replaces *which
+    overlaps corrupt or capture*, via :class:`SinrRadio`.  Golden traces for
+    this model live in their own committed set (the pairwise set stays the
+    reference; DESIGN.md §15).
 
     Reception is gated on ``rss >= threshold * (noise_floor + interference)``
     where *interference* is the summed power of every other audible
@@ -569,9 +487,7 @@ class _SinrMixin:
         """Does ``tx`` clear its SINR margin at ``radio`` right now?
 
         The multiply form avoids a division, and the left-to-right python
-        sum over the insertion-ordered ``_rss`` dict is deterministic and
-        backend-identical (:func:`repro.phy.vectorized.sinr_array` is the
-        batch analysis twin, pinned element-exact in tests).
+        sum over the insertion-ordered ``_rss`` dict is deterministic.
         """
         interference = 0.0
         for other, power in radio._rss.items():
@@ -581,23 +497,3 @@ class _SinrMixin:
             self.noise_floor + interference
         )
 
-
-class SinrMedium(_SinrMixin, Medium):
-    """:class:`Medium` with SINR-based reception (``channel model "sinr"``).
-
-    Carrier sense, corruption/FER rolls, address survival, fault hooks and
-    delivery are all inherited unchanged — the model only replaces *which
-    overlaps corrupt or capture*, via :class:`SinrRadio`.  Golden traces for
-    this model live in their own committed set (the pairwise set stays the
-    reference; DESIGN.md §15).
-    """
-
-
-class VectorizedSinrMedium(_SinrMixin, VectorizedMedium):
-    """:class:`VectorizedMedium` with SINR-based reception.
-
-    Bit-identical to :class:`SinrMedium` — both share the base class's
-    hearer lists, so ``_on_tx_start`` arrival order (and with it the
-    interference-sum order) matches the scalar medium exactly; the
-    cross-backend differential harness enforces it on the SINR golden set.
-    """

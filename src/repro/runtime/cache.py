@@ -58,7 +58,7 @@ CODE_VERSION_SALT = "channel-sinr-3"
 
 @lru_cache(maxsize=1)
 def _source_token() -> str:
-    """Digest of salt + every ``repro`` source file (backend-independent)."""
+    """Digest of salt + every ``repro`` source file (channel-independent)."""
     import repro
 
     root = Path(repro.__file__).resolve().parent
@@ -82,22 +82,17 @@ def code_version_token() -> str:
     ``CODE_VERSION_SALT`` is folded in first, so an epoch bump invalidates
     every entry even with identical sources.
 
-    The ambient simulation backend's and channel model's ``cache_key`` values
-    are folded in last: a backend that is bit-exact against the reference (and
-    the reference ``pairwise`` channel) contributes an empty key, so scalar
-    and vectorized pairwise runs share entries interchangeably, while a
-    backend with its own golden set — or a channel model with different
-    interference semantics, like ``sinr`` — gets its own cache namespace.
-    Per the equivalence contracts in :mod:`repro.sim.backend` and
-    :mod:`repro.phy.channel`, results computed under different semantics may
-    never be served interchangeably.
+    The ambient channel model's ``cache_key`` is folded in last: the
+    reference ``pairwise`` channel contributes an empty key, while a channel
+    model with different interference semantics, like ``sinr``, gets its
+    own cache namespace.  Per the equivalence contract in
+    :mod:`repro.phy.channel`, results computed under different semantics
+    may never be served interchangeably.
     """
     from repro.phy.channel import current_channel
-    from repro.sim.backend import current_backend
 
     token = _source_token()
-    keys = [current_backend().cache_key, current_channel().cache_key]
-    extra = ":".join(k for k in keys if k)
+    extra = current_channel().cache_key
     if not extra:
         return token
     digest = hashlib.sha256(f"{token}:{extra}".encode())

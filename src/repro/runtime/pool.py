@@ -37,11 +37,14 @@ from concurrent.futures import (
 )
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobspec import JobSpec
 from repro.runtime.retry import ExecutionReport, JobTimeoutError, RetryPolicy
+
+if TYPE_CHECKING:
+    from repro.phy.channel import ChannelConfig
 
 #: Watchdog poll interval while futures are in flight with a timeout armed.
 _POLL_S = 0.05
@@ -95,39 +98,32 @@ def execution(
         _context = previous
 
 
-def _ambient_selection() -> tuple | None:
-    """Snapshot the ambient backend/channel for shipping to a worker.
+def _ambient_selection() -> ChannelConfig | None:
+    """Snapshot the ambient channel for shipping to a worker.
 
     ContextVars do not cross process boundaries: without this, a campaign
-    running under ``use_channel("sinr")`` (or a non-reference backend) with
-    ``--jobs N`` would silently compute pairwise results in the workers
-    while the parent caches them under the sinr namespace.  Returns None
-    when both selections are the defaults, keeping the common submit
-    payload unchanged.
+    running under ``use_channel("sinr")`` with ``--jobs N`` would silently
+    compute pairwise results in the workers while the parent caches them
+    under the sinr namespace.  Returns None for the default channel,
+    keeping the common submit payload unchanged.
     """
     from repro.phy.channel import DEFAULT_CHANNEL, current_channel
-    from repro.sim.backend import current_backend
 
-    backend = current_backend()
     channel = current_channel()
-    if backend.is_reference and channel == DEFAULT_CHANNEL:
-        return None
-    return (backend.name, channel)
+    return None if channel == DEFAULT_CHANNEL else channel
 
 
-def execute_job(spec: JobSpec, ambient: tuple | None = None) -> dict[str, float]:
+def execute_job(spec: JobSpec, ambient: ChannelConfig | None = None) -> dict[str, float]:
     """Worker entry point: run one seeded job (module-level, picklable).
 
-    ``ambient`` re-establishes the submitting process's backend/channel
-    selection (:func:`_ambient_selection`) inside the worker.
+    ``ambient`` re-establishes the submitting process's channel selection
+    (:func:`_ambient_selection`) inside the worker.
     """
     if ambient is None:
         return spec.run()
     from repro.phy.channel import use_channel
-    from repro.sim.backend import use_backend
 
-    backend_name, channel = ambient
-    with use_backend(backend_name), use_channel(channel):
+    with use_channel(ambient):
         return spec.run()
 
 

@@ -7,27 +7,7 @@ derived from a single root seed so experiments are reproducible and individual
 subsystems can be re-seeded independently.
 """
 
-from repro.sim.backend import (
-    BACKENDS,
-    BackendUnavailableError,
-    SimBackend,
-    backend_names,
-    current_backend,
-    resolve_backend,
-    use_backend,
-)
 from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RngStreams
 
-__all__ = [
-    "BACKENDS",
-    "BackendUnavailableError",
-    "Event",
-    "RngStreams",
-    "SimBackend",
-    "Simulator",
-    "backend_names",
-    "current_backend",
-    "resolve_backend",
-    "use_backend",
-]
+__all__ = ["Event", "RngStreams", "Simulator"]

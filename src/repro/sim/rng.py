@@ -41,58 +41,6 @@ class RngStreams:
         return RngStreams(int.from_bytes(digest[:8], "big"))
 
 
-class NumpyBlockUniform:
-    """Block uniform draws that replay a :class:`random.Random` stream exactly.
-
-    Drop-in for :class:`BatchedUniform` on the vectorized backend: instead of
-    calling ``rng.random()`` in a python loop, the wrapped stream's Mersenne
-    Twister state is transplanted into ``numpy.random.RandomState`` once, and
-    refills come from ``random_sample(block)``.  CPython and numpy share the
-    MT19937 generator *and* the 53-bit double recipe
-    (``((a >> 5) * 2**26 + (b >> 6)) / 2**53``), so the block is bit-identical
-    to the values ``rng.random()`` would have produced — the golden traces and
-    the cross-backend differential harness hold this down.
-
-    Like :class:`BatchedUniform`, the wrapper must be the stream's **only**
-    consumer: the python ``Random`` object is left untouched after the state
-    transplant, so interleaving direct draws would fork the stream.  Callers
-    that share the stream (the RSSI-jitter path) must keep using
-    ``BatchedUniform(rng, batch=1)``.
-
-    The buffer is converted with ``.tolist()`` at refill so consumers receive
-    plain python floats — ``numpy.float64`` must never leak into frame flags
-    or trace serialization.
-    """
-
-    __slots__ = ("block", "_state", "_buf", "_idx")
-
-    def __init__(self, rng: random.Random, block: int = 4096) -> None:
-        if block < 1:
-            raise ValueError(f"block must be >= 1, got {block}")
-        import numpy as np
-
-        self.block = block
-        version, internal, _gauss = rng.getstate()
-        if version != 3:  # pragma: no cover - CPython has used v3 since 2.3
-            raise RuntimeError(f"unsupported Random state version: {version}")
-        key, pos = internal[:624], internal[624]
-        state = np.random.RandomState()
-        state.set_state(("MT19937", np.array(key, dtype=np.uint32), pos))
-        self._state = state
-        self._buf: list[float] = []
-        self._idx = 0
-
-    def random(self) -> float:
-        """Next uniform in [0, 1), bit-identical to the scalar stream."""
-        idx = self._idx
-        buf = self._buf
-        if idx >= len(buf):
-            self._buf = buf = self._state.random_sample(self.block).tolist()
-            idx = 0
-        self._idx = idx + 1
-        return buf[idx]
-
-
 class BatchedUniform:
     """Amortized uniform draws from one :class:`random.Random` stream.
 

@@ -29,6 +29,7 @@ from repro.campaign import (
     spec_hash,
 )
 from repro.experiments import fig1_nav_udp
+from repro.experiments.common import RunSettings
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "campaigns"
 
@@ -178,7 +179,7 @@ def test_fig1_campaign_matches_serial_experiment(tmp_path):
         payload["params"]["alpha"]: payload["median"] for payload in results.values()
     }
 
-    serial = fig1_nav_udp.run(quick=True)
+    serial = fig1_nav_udp.run(RunSettings.quick())
     assert len(serial.rows) == len(by_alpha) == 5
     for row in serial.rows:
         med = by_alpha[row["alpha"]]
@@ -210,6 +211,23 @@ def test_torn_manifest_recovers_from_backup(tmp_path):
     assert recovered.total == 2
     # recovery re-publishes the primary so plain load works again
     assert Manifest.load(path).total == 2
+
+
+def test_load_latest_reads_the_backup_without_writing(tmp_path):
+    run_campaign(small_spec(), out_dir=tmp_path)
+    path = manifest_path(tmp_path)
+    intact = path.read_bytes()
+    torn = intact[: len(intact) // 2]
+    path.write_bytes(torn)
+    backup = Path(str(path) + BACKUP_SUFFIX)
+    backup_bytes = backup.read_bytes()
+
+    assert Manifest.load_latest(path).total == 2
+    assert path.read_bytes() == torn  # the reader left the primary alone
+    assert backup.read_bytes() == backup_bytes
+    backup.unlink()
+    with pytest.raises(ManifestError, match="unreadable manifest"):
+        Manifest.load_latest(path)
 
 
 def test_resume_after_torn_manifest_skips_done_points(tmp_path):

@@ -1,12 +1,10 @@
-"""The unified ChannelConfig API and its backward-compatibility contract.
+"""The unified ChannelConfig API.
 
 Three layers under test:
 
 * :class:`repro.phy.channel.ChannelConfig` itself — validation, cache
   namespacing, the picklable jitter callable;
-* the :class:`~repro.net.scenario.Scenario` integration — the deprecated
-  ``ranges=`` / ``default_ber=`` / ``rssi_jitter_db=`` kwargs must keep
-  producing byte-identical traces through the shim, and the ambient
+* the :class:`~repro.net.scenario.Scenario` integration — the ambient
   :func:`use_channel` selection must pick the right medium class;
 * the runtime plumbing — result-cache version token, process-pool ambient
   transport, ``RunSettings.channel`` validation, campaign spec validation.
@@ -14,7 +12,6 @@ Three layers under test:
 
 from __future__ import annotations
 
-import json
 import pickle
 import random
 
@@ -31,17 +28,6 @@ from repro.phy.channel import (
     use_channel,
 )
 from repro.phy.medium import Medium, SinrMedium
-from repro.stats.trace import FrameTracer
-
-
-def _trace_bytes(scenario: Scenario, duration_s: float = 0.1) -> bytes:
-    tracer = FrameTracer(scenario.medium)
-    src, _sink = scenario.udp_flow("S0", "R0")
-    src.start()
-    scenario.run(duration_s)
-    return "\n".join(
-        json.dumps(record.to_dict(), sort_keys=True) for record in tracer.records
-    ).encode()
 
 
 def _two_node_scenario(**kwargs) -> Scenario:
@@ -122,27 +108,6 @@ def test_default_scenario_stays_on_the_pairwise_medium(recwarn):
     assert not [w for w in recwarn.list if w.category is DeprecationWarning]
 
 
-def test_legacy_kwargs_warn_and_match_channel_config_byte_for_byte():
-    with pytest.warns(DeprecationWarning, match="ranges"):
-        legacy = _two_node_scenario(ranges=(55.0, 99.0), default_ber=1e-5)
-    explicit = _two_node_scenario(
-        channel=ChannelConfig(ranges=(55.0, 99.0), default_ber=1e-5)
-    )
-    assert _trace_bytes(legacy) == _trace_bytes(explicit)
-
-
-def test_legacy_jitter_kwarg_matches_channel_config_byte_for_byte():
-    with pytest.warns(DeprecationWarning):
-        legacy = _two_node_scenario(rssi_jitter_db=2.0)
-    explicit = _two_node_scenario(channel=ChannelConfig(rssi_jitter_db=2.0))
-    assert _trace_bytes(legacy) == _trace_bytes(explicit)
-
-
-def test_mixing_legacy_kwargs_with_channel_is_an_error():
-    with pytest.raises(TypeError, match="deprecated"):
-        Scenario(seed=1, ranges=(55.0, 99.0), channel=ChannelConfig())
-
-
 def test_ambient_selection_builds_the_sinr_medium():
     with use_channel("sinr"):
         s = _two_node_scenario()
@@ -160,16 +125,6 @@ def test_explicit_model_overrides_the_ambient_selection():
     with use_channel("sinr"):
         s = _two_node_scenario(channel=ChannelConfig(model="pairwise"))
         assert type(s.medium) is Medium
-
-
-def test_vectorized_backend_gets_the_vectorized_sinr_medium():
-    pytest.importorskip("numpy")
-    from repro.phy.medium import VectorizedSinrMedium
-    from repro.sim.backend import use_backend
-
-    with use_backend("vectorized"), use_channel("sinr"):
-        s = _two_node_scenario()
-        assert type(s.medium) is VectorizedSinrMedium
 
 
 # ------------------------------------------------------ runtime plumbing --
@@ -193,10 +148,8 @@ def test_pool_ships_the_ambient_channel_to_workers():
 
     assert _ambient_selection() is None  # reference defaults: no payload
     with use_channel("sinr"):
-        selection = _ambient_selection()
-        assert selection is not None
-        backend_name, channel = selection
-        assert channel.model == "sinr"
+        channel = _ambient_selection()
+        assert channel is not None and channel.model == "sinr"
 
 
 def test_run_settings_validate_the_channel_name():

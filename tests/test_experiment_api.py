@@ -1,20 +1,16 @@
-"""The unified experiment API: RunSettings, the shim, and the registry.
+"""The unified experiment API: RunSettings, the decorator, and the registry.
 
-Every experiment module exposes ``run(settings: RunSettings) ->
-ExperimentResult`` via the :func:`repro.experiments.common.experiment_api`
-decorator; the deprecated ``run(quick=True)`` form keeps working behind a
-once-only DeprecationWarning.  The experiment registry
+Every experiment module exposes ``run(settings: RunSettings | None = None)
+-> ExperimentResult`` via the :func:`repro.experiments.common.experiment_api`
+decorator.  The experiment registry
 (:class:`repro.experiments.ExperimentEntry`) binds ids to paper artifacts,
 runners, tags and campaign builders.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-import repro.experiments.common as common
 from repro.experiments import (
     ALL_EXPERIMENTS,
     REGISTRY,
@@ -22,11 +18,7 @@ from repro.experiments import (
     get,
     get_entry,
 )
-from repro.experiments.common import (
-    RunSettings,
-    experiment_api,
-    resolve_settings,
-)
+from repro.experiments.common import RunSettings, experiment_api
 from repro.stats.summary import ExperimentResult
 
 
@@ -64,7 +56,7 @@ def test_run_settings_replace_and_validation():
         RunSettings(mode="fast")
 
 
-# ---------------------------------------------------------------- the shim --
+# ------------------------------------------------------------- the wrapper --
 
 
 def test_run_accepts_settings_object():
@@ -75,32 +67,6 @@ def test_run_accepts_settings_object():
 
 def test_run_without_arguments_means_full():
     assert _toy_run().rows[0]["mode"] == "full"
-
-
-def test_quick_keyword_still_works_and_warns_once():
-    common._QUICK_SHIM_WARNED = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        first = _toy_run(quick=True)
-        second = _toy_run(quick=True)
-    assert first.rows[0]["mode"] == "quick"
-    assert second.rows[0]["mode"] == "quick"
-    deprecations = [w for w in caught if w.category is DeprecationWarning]
-    assert len(deprecations) == 1, "the shim must warn exactly once per process"
-    assert "RunSettings" in str(deprecations[0].message)
-
-
-def test_legacy_positional_bool_is_treated_as_quick():
-    common._QUICK_SHIM_WARNED = True  # silence; warn-once covered above
-    assert _toy_run(True).rows[0]["mode"] == "quick"
-    assert _toy_run(False).rows[0]["mode"] == "full"
-
-
-def test_settings_and_quick_together_is_an_error():
-    with pytest.raises(TypeError):
-        _toy_run(RunSettings(), quick=True)
-    with pytest.raises(TypeError):
-        resolve_settings(True, quick=False)
 
 
 def test_telemetry_setting_attaches_snapshot():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS, get
+from repro.experiments.common import RunSettings
 from repro.stats import ExperimentResult
 
 
@@ -26,7 +27,7 @@ def test_every_experiment_is_importable_and_callable():
 
 @pytest.mark.parametrize("experiment_id", ["table1", "table3", "fig21", "fig22"])
 def test_cheap_experiments_produce_wellformed_rows(experiment_id):
-    result = get(experiment_id)(quick=True)
+    result = get(experiment_id)(RunSettings.quick())
     assert isinstance(result, ExperimentResult)
     assert result.rows, experiment_id
     for row in result.rows:

@@ -167,6 +167,26 @@ def test_fleet_status_document(tmp_path, spec):
     json.dumps(doc)  # the whole document is JSON-serializable
 
 
+def test_fleet_status_reads_a_mid_save_shard_without_writing(tmp_path, spec):
+    """A shard caught between "rotate to .bak" and "publish" has only the
+    backup on disk.  A status read must report the backup's counts and
+    leave the shard directory as it found it: re-publishing the backup from
+    a reader would roll the manifest back or race the writer's rename."""
+    fleet_out = tmp_path / "fleet"
+    run_fleet(spec, fleet_out, n_shards=2, executor="local")
+    primary = shard_dir(fleet_out, 0) / "manifest.json"
+    backup = primary.with_name("manifest.json.bak")
+    primary.replace(backup)
+    before = sorted(p.name for p in primary.parent.iterdir())
+
+    doc = fleet_status_document(fleet_out)
+
+    shard = doc["shards"][0]
+    assert shard["done"] == shard["points"] > 0
+    assert not primary.exists()
+    assert sorted(p.name for p in primary.parent.iterdir()) == before
+
+
 # -------------------------------------------------------------------- CLI ---
 
 

@@ -1,12 +1,11 @@
-"""Fault-enabled golden traces, replayed byte-for-byte on every backend.
+"""Fault-enabled golden traces, replayed byte-for-byte.
 
 The clean-channel goldens (tests/test_golden_traces.py) cannot see a
-backend that is bit-exact on quiet media but reorders RNG draws the moment
+change that is bit-exact on quiet media but reorders RNG draws the moment
 a fault model hooks into delivery or scheduling.  These captures pin the
 two sim-plane fault models that ride the hot paths — the Gilbert–Elliott
 bursty channel (a per-link delivery hook with its own stream) and the
-periodic jammer (a MAC-less radio transmitting undecodable energy) — under
-both the scalar reference and the vectorized backend.
+periodic jammer (a MAC-less radio transmitting undecodable energy).
 """
 
 from __future__ import annotations
@@ -22,19 +21,15 @@ from repro.perf.golden import (
     fault_plan,
     fault_trace_filename,
 )
-from repro.sim.backend import backend_names
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-BACKENDS = backend_names(available_only=True)
 
-
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("key", sorted(GOLDEN_FAULT_RUNS))
-def test_fault_trace_replays_byte_for_byte(key, backend, tmp_path):
+def test_fault_trace_replays_byte_for_byte(key, tmp_path):
     golden_path = GOLDEN_DIR / fault_trace_filename(key)
     replay_path = tmp_path / fault_trace_filename(key)
-    records = capture_fault_trace(key, replay_path, backend=backend)
+    records = capture_fault_trace(key, replay_path)
     assert records > 100, f"{key}: suspiciously short trace ({records} records)"
     golden = golden_path.read_bytes()
     replay = replay_path.read_bytes()
@@ -43,11 +38,11 @@ def test_fault_trace_replays_byte_for_byte(key, backend, tmp_path):
         r_lines = replay.decode().splitlines()
         for i, (g, r) in enumerate(zip(g_lines, r_lines)):
             assert g == r, (
-                f"{key} on {backend}: first divergence at trace record {i}:\n"
+                f"{key}: first divergence at trace record {i}:\n"
                 f"  golden: {g}\n  replay: {r}"
             )
         pytest.fail(
-            f"{key} on {backend}: traces differ in length "
+            f"{key}: traces differ in length "
             f"({len(g_lines)} golden vs {len(r_lines)} replay)"
         )
 
@@ -91,5 +86,3 @@ def test_fault_plan_registry_is_consistent():
         assert not plan.empty, f"{key}: committed fault plan is empty"
     with pytest.raises(KeyError):
         fault_plan("nonsense")
-    # Per-backend filenames must not collide with the reference set.
-    assert fault_trace_filename("jammer", "alt") != fault_trace_filename("jammer")

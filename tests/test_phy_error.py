@@ -143,3 +143,69 @@ def test_zero_ber_link_skips_the_rng_even_when_not_trivial():
     model = BitErrorModel()
     model.set_ber("a", "b", 0.5)
     assert not model.is_corrupted("x", "y", 1024, True, _NoDrawRng())
+
+
+# -------------------------------------------- corruption plan <-> roll -----
+
+
+link_configs = st.sampled_from(
+    [
+        ("none", None),
+        ("default_ber", 1e-4),
+        ("link_ber", 0.0),
+        ("link_ber", 2e-4),
+        ("link_ber", 1.0),
+        ("data_fer", 0.0),  # explicit 0.0 must still consume one uniform
+        ("data_fer", 0.5),
+        ("rate_profile", {2.0: 1e-5, 11.0: 5e-3}),
+    ]
+)
+
+
+def _expected_plan(kind, value, size, is_data, rate):
+    """The paper's loss rules, written out independently of the model."""
+    if kind == "data_fer":
+        return value if is_data else None
+    if kind == "rate_profile":
+        ber = value[rate] if rate in value else value[min(value)]
+    else:
+        ber = 0.0 if kind == "none" else value
+    return None if ber <= 0.0 else frame_error_rate(ber, size)
+
+
+@given(
+    config=link_configs,
+    size=st.integers(min_value=0, max_value=4096),
+    is_data=st.booleans(),
+    rate=st.sampled_from([None, 2.0, 11.0]),
+    roll_seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_corruption_plan_is_the_roll_is_corrupted_makes(
+    config, size, is_data, rate, roll_seed
+):
+    """plan + one conditional draw == is_corrupted, including draw *count*.
+
+    A roll that consumed a uniform where the plan says none is needed (or
+    vice versa) would desynchronize every later corruption roll in the run.
+    The final assertion — both generators produce the same next value —
+    pins the consumed-draw count, not just the verdict.
+    """
+    kind, value = config
+    model = BitErrorModel()
+    if kind == "default_ber":
+        model = BitErrorModel(default_ber=value)
+    elif kind == "link_ber":
+        model.set_ber("S", "R", value)
+    elif kind == "data_fer":
+        model.set_data_fer("S", "R", value)
+    elif kind == "rate_profile":
+        model.set_rate_profile("S", "R", value)
+
+    plan = model.corruption_plan("S", "R", size, is_data, rate)
+    assert plan == _expected_plan(kind, value, size, is_data, rate)
+    roll_rng = random.Random(roll_seed)
+    plan_rng = random.Random(roll_seed)
+    verdict = model.is_corrupted("S", "R", size, is_data, roll_rng, rate)
+    plan_verdict = False if plan is None else plan_rng.random() < plan
+    assert plan_verdict == verdict
+    assert roll_rng.random() == plan_rng.random(), "draw counts diverged"

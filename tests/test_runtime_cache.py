@@ -376,7 +376,7 @@ def test_code_version_salt_is_folded_into_the_token():
     from repro.runtime import cache as cache_mod
 
     baseline = cache_mod.code_version_token()
-    # The memoized part is the source digest; the backend key is live.
+    # The memoized part is the source digest; the channel key is live.
     cache_mod._source_token.cache_clear()
     try:
         with mock.patch.object(cache_mod, "CODE_VERSION_SALT", "different-epoch"):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.greedy import GreedyConfig
 from repro.mac.frames import FrameKind
 from repro.net.scenario import Scenario
+from repro.phy.channel import ChannelConfig
 from repro.phy.params import dot11a
 
 
@@ -80,7 +81,7 @@ def test_detectors_share_the_scenario_report():
 
 
 def test_ranges_configure_medium():
-    s = Scenario(ranges=(55.0, 99.0))
+    s = Scenario(channel=ChannelConfig(ranges=(55.0, 99.0)))
     assert s.medium.rx_threshold > s.medium.cs_threshold > 0
 
 

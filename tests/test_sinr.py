@@ -62,24 +62,6 @@ def test_sinr_threshold_matches_the_rate_ratio():
 
 
 @given(
-    rss=st.lists(finite, min_size=1, max_size=8),
-    interference=st.lists(finite, min_size=1, max_size=8),
-    noise_floor=st.floats(min_value=1e-12, max_value=1e-3, allow_nan=False),
-)
-def test_sinr_array_is_exact_against_scalar_division(rss, interference, noise_floor):
-    """IEEE-754 division is exact between numpy and CPython — the vectorized
-    diagnostic must agree bit-for-bit with the scalar arithmetic."""
-    pytest.importorskip("numpy")
-    from repro.phy.vectorized import sinr_array
-
-    n = min(len(rss), len(interference))
-    rss, interference = rss[:n], interference[:n]
-    out = sinr_array(rss, interference, noise_floor)
-    for i in range(n):
-        assert out[i] == rss[i] / (noise_floor + interference[i])
-
-
-@given(
     rss=finite,
     threshold=st.floats(min_value=1.0, max_value=1e4, allow_nan=False),
     noise_floor=st.floats(min_value=1e-12, max_value=1e-3, allow_nan=False),
