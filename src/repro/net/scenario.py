@@ -392,8 +392,8 @@ class Scenario:
         Purely a cache warm — the same tables are built lazily on first
         transmit otherwise, with identical contents (no RNG is involved), so
         running this changes wall time, never behavior.  The perf harness
-        calls it so timed regions measure the event loop, not one-time
-        O(nodes^2) topology setup.
+        calls it so timed regions measure the event loop, not the one-time
+        hearer-list build (O(nodes x hearers) through the medium's grid).
         """
         medium = self.medium
         for radio in medium.radios:

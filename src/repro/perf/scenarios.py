@@ -152,10 +152,11 @@ def _dense_hotspot(seed: int) -> BuiltScenario:
     Cells are spaced 250 m apart with the paper's 55 m communication /
     99 m interference ranges (Figure 23), so each sender has 239 other
     radios but only the 4 in its own cell can hear it.  The medium's
-    hearer lists filter those once per sender (a distance prune, then the
-    exact carrier-sense threshold), so per-frame fan-out stays at the cell
-    size; the one-time O(nodes^2) build is largest here, and the scenario
-    stands in for the dense-deployment campaigns the ROADMAP targets.
+    hearer lists filter those once per sender (a grid lookup, a distance
+    prune, then the exact carrier-sense threshold), so per-frame fan-out
+    stays at the cell size and the one-time build looks at each sender's
+    own cell only; the scenario stands in for the dense-deployment
+    campaigns the ROADMAP targets.
     Cell 0's AP inflates the NAV of its MAC ACKs (the no-RTS variant of the
     paper's receiver misbehavior), keeping the greedy machinery on the
     timed path.

@@ -223,23 +223,33 @@ class Medium:
         # directly from ``rng``), fall back to draw-on-demand (batch=1) so
         # the interleaving of uniform and Gaussian draws is untouched.
         self._uniform = BatchedUniform(rng, batch=256 if rssi_jitter is None else 1)
+        self._names: set[str] = set()
         # sender -> [(on_tx_start, on_tx_end, rss, delay, decodable), ...]:
         # one entry per receiver inside carrier-sense range, in attach order.
         # Positions and the path-loss model are fixed once traffic starts, so
         # a sender's list is built on its first frame and only rebuilt after
         # the topology (``_attach``) or the thresholds (``configure_ranges``)
-        # change.
+        # change.  Each build looks only at the radios in the ``_grid`` cells
+        # its range reaches, so building every list costs O(radios x hearers).
         self._hearers: dict[Radio, list[tuple]] = {}
+        # (edge, {cell: [attach index, ...]}): a uniform grid of square cells
+        # over the radios, built with the first hearer list and dropped with
+        # ``_hearers``.  The edge is half the widest carrier-sense reach; with
+        # no ranges it is infinite and one cell holds every radio.
+        self._grid: tuple[float, dict[tuple[int, int], list[int]]] | None = None
         # rss (linear) -> dB, memoized: each link contributes one value.
         self._rss_db: dict[float, float] = {}
 
     # -- topology ------------------------------------------------------------
 
     def _attach(self, radio: Radio) -> None:
-        if any(r.name == radio.name for r in self.radios):
+        if radio.name in self._names:
             raise ValueError(f"duplicate radio name: {radio.name}")
+        self._names.add(radio.name)
         self.radios.append(radio)
-        self._hearers.clear()  # topology changed: rebuild every hearer list
+        # Topology changed: rebuild the grid and every hearer list.
+        self._hearers.clear()
+        self._grid = None
 
     def configure_ranges(
         self, comm_range_m: float, interference_range_m: float, tx_power: float = 1.0
@@ -254,6 +264,7 @@ class Medium:
             tx_power, interference_range_m
         )
         self._hearers.clear()
+        self._grid = None
 
     def _captures(self, strong: float, weak: float) -> bool:
         if not self.capture_enabled:
@@ -263,6 +274,31 @@ class Medium:
         return strong / weak >= self.phy.capture_threshold
 
     # -- transmission ----------------------------------------------------------
+
+    def _sense_limit(self, tx_power: float) -> float:
+        """Distance beyond which nothing sent at ``tx_power`` is sensed.
+
+        The slack absorbs rounding in the range's pow and in the distance, so
+        the hearer-list prune never drops a hearer (``tests/test_medium.py``
+        pins this at the boundary).
+        """
+        if self.cs_threshold <= 0:
+            return math.inf
+        limit = self.pathloss.range_for_threshold(tx_power, self.cs_threshold)
+        return limit * (1.0 + _PRUNE_SLACK)
+
+    def _build_grid(self) -> tuple[float, dict[tuple[int, int], list[int]]]:
+        """Bucket the radios' attach indices into cells; see ``_grid``."""
+        limits = [self._sense_limit(r.tx_power) for r in self.radios]
+        widest = max(limits, default=0.0)
+        edge = widest / 2 if 0.0 < widest < math.inf else math.inf
+        cells: dict[tuple[int, int], list[int]] = {}
+        for index, radio in enumerate(self.radios):
+            x, y = radio.position
+            cell = (math.floor(x / edge), math.floor(y / edge))
+            cells.setdefault(cell, []).append(index)
+        self._grid = (edge, cells)
+        return self._grid
 
     def _hearers_from(self, sender: Radio) -> list[tuple]:
         """Cached hearer list for ``sender``; see ``_hearers`` in ``__init__``."""
@@ -275,16 +311,29 @@ class Medium:
         tx_power = sender.tx_power
         position = sender.position
         x, y = position
-        # Cheap prune ahead of the exact rule: no receiver beyond the
-        # carrier-sense range can reach ``cs_threshold``.  The slack absorbs
-        # rounding in the range's pow and in the distance, so the prune never
-        # drops a hearer (``tests/test_medium.py`` pins this at the boundary).
-        limit_sq = math.inf
-        if cs_threshold > 0:
-            limit = self.pathloss.range_for_threshold(tx_power, cs_threshold)
-            limit_sq = (limit * (1.0 + _PRUNE_SLACK)) ** 2
+        # Candidates: the radios in the cells within ``reach`` of the sender's
+        # cell, back in attach order.  No radio within the limit lies further
+        # away than that, and no sender's limit spans more than two cell
+        # edges, so at most 5x5 cells are visited.
+        limit = self._sense_limit(tx_power)
+        edge, cells = self._grid or self._build_grid()
+        reach = math.ceil(limit / edge) if edge < math.inf else 0
+        cx = math.floor(x / edge)
+        cy = math.floor(y / edge)
+        candidates = []
+        for gx in range(cx - reach, cx + reach + 1):
+            for gy in range(cy - reach, cy + reach + 1):
+                cell = cells.get((gx, gy))
+                if cell is not None:
+                    candidates.extend(cell)
+        candidates.sort()
+        # Cheap prune ahead of the exact rule: no receiver beyond the limit
+        # can reach ``cs_threshold``.
+        limit_sq = limit**2
+        radios = self.radios
         hearers = []
-        for receiver in self.radios:
+        for index in candidates:
+            receiver = radios[index]
             if receiver is sender:
                 continue
             rx, ry = receiver.position

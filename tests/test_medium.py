@@ -194,6 +194,15 @@ def test_duplicate_radio_names_rejected():
         Radio(medium, "r0", (1, 1))
 
 
+def test_bare_medium_rejects_duplicate_radio_name():
+    medium = Medium(Simulator(), dot11b(), RngStreams(3).stream("m"))
+    Radio(medium, "a")
+    Radio(medium, "b", (5.0, 0.0))
+    with pytest.raises(ValueError, match="duplicate radio name: a"):
+        Radio(medium, "a", (1.0, 1.0))
+    assert [r.name for r in medium.radios] == ["a", "b"]
+
+
 def test_transmit_while_transmitting_rejected():
     sim, medium, (a, b) = make_medium([(0, 0), (5, 0)])
     a.transmit(data_frame(), 957.0)
@@ -249,13 +258,29 @@ def cached_hearers(medium, sender):
     return entries
 
 
-coordinate = st.floats(min_value=-300.0, max_value=300.0, allow_nan=False)
+near = st.floats(min_value=-300.0, max_value=300.0, allow_nan=False)
+far = st.floats(min_value=-5000.0, max_value=5000.0, allow_nan=False)
+
+
+def on_circle_around(center, radii):
+    """Points exactly on a circle of one of ``radii`` around ``center``."""
+    return st.tuples(st.sampled_from(radii), st.floats(min_value=0.0, max_value=6.3)).map(
+        lambda t: (center[0] + t[0] * math.cos(t[1]), center[1] + t[0] * math.sin(t[1]))
+    )
 
 
 @st.composite
 def hearer_topologies(draw):
-    """Random radios around one at the origin, some pinned exactly onto its
-    communication or interference range circle (where rounding decides)."""
+    """Up to 40 radios: up to 10 around one at the origin, some pinned exactly
+    onto its communication or interference range circle (where rounding
+    decides), and up to 20 more over +-5 km, with mixed transmit powers so
+    every sender reaches a different distance.
+
+    ``borders`` places more radios once the medium's grid exists: each is
+    ``(i, j, radius, angle, power)`` and lands at the cell corner
+    ``(i, j) * edge``, or on a range circle around that corner, sending at
+    the power of an earlier radio (so the grid keeps its edge).
+    """
     ranges = draw(
         st.none()
         | st.tuples(
@@ -265,31 +290,46 @@ def hearer_topologies(draw):
         ).map(lambda t: (t[0], t[0] + t[1], t[2]))
     )
     comm, interference, range_power = (55.0, 99.0, 1.0) if ranges is None else ranges
-    on_circle = st.tuples(
-        st.sampled_from([comm, interference]), st.floats(min_value=0.0, max_value=6.3)
-    ).map(lambda t: (t[0] * math.cos(t[1]), t[0] * math.sin(t[1])))
     tx_power = st.just(range_power) | st.floats(min_value=0.01, max_value=100.0)
+    position = (
+        st.tuples(near, near)
+        | on_circle_around((0.0, 0.0), [comm, interference])
+        | st.just((0.0, 0.0))
+    )
     radios = [((0.0, 0.0), draw(tx_power))] + draw(
+        st.lists(st.tuples(position, tx_power), max_size=9)
+    )
+    radios += draw(st.lists(st.tuples(st.tuples(far, far), tx_power), max_size=20))
+    cell = st.integers(min_value=-4, max_value=4)
+    borders = draw(
         st.lists(
             st.tuples(
-                st.tuples(coordinate, coordinate) | on_circle | st.just((0.0, 0.0)),
-                tx_power,
+                cell,
+                cell,
+                st.sampled_from([0.0, comm, interference]),
+                st.floats(min_value=0.0, max_value=6.3),
+                st.integers(min_value=0, max_value=len(radios) - 1),
             ),
-            max_size=9,
+            max_size=10,
         )
     )
     pathloss = PathLossModel(
         exponent=draw(st.floats(min_value=1.5, max_value=6.0)),
         reference_distance=draw(st.sampled_from([0.5, 1.0, 5.0])),
     )
-    return ranges, radios, pathloss, draw(st.booleans())
+    return ranges, radios, borders, pathloss, draw(st.booleans())
+
+
+def assert_hearers_match_brute_force(medium):
+    for sender in medium.radios:
+        assert cached_hearers(medium, sender) == brute_force_hearers(medium, sender)
 
 
 @MEDIA
 @settings(max_examples=150, deadline=None)
 @given(topology=hearer_topologies())
 def test_hearer_lists_match_brute_force_filter(medium_cls, topology):
-    ranges, radios, pathloss, propagation_delay = topology
+    ranges, radios, borders, pathloss, propagation_delay = topology
     sim, medium, _ = make_medium(
         [], medium_cls, pathloss=pathloss, propagation_delay=propagation_delay
     )
@@ -297,8 +337,38 @@ def test_hearer_lists_match_brute_force_filter(medium_cls, topology):
         medium.radio_class(medium, f"r{i}", position, tx_power)
     if ranges is not None:
         medium.configure_ranges(*ranges)
-    for sender in medium.radios:
-        assert cached_hearers(medium, sender) == brute_force_hearers(medium, sender)
+    assert_hearers_match_brute_force(medium)
+    edge = medium._grid[0]
+    # With no ranges the grid is one infinite cell: use unit corners.
+    corner = edge if edge < math.inf else 1.0
+    for k, (i, j, radius, angle, power) in enumerate(borders):
+        position = (
+            i * corner + radius * math.cos(angle),
+            j * corner + radius * math.sin(angle),
+        )
+        medium.radio_class(medium, f"b{k}", position, radios[power][1])
+    assert_hearers_match_brute_force(medium)
+    assert medium._grid[0] == edge  # the late radios sat on this grid's borders
+
+
+@MEDIA
+def test_hearer_lists_rebuilt_after_late_attach_and_new_ranges(medium_cls):
+    # A row of radios 30 m apart spans many grid cells (half of 99 m each).
+    positions = [(-150.0 + 30.0 * i, 5.0 * (i % 3)) for i in range(11)]
+    sim, medium, radios = make_medium(positions, medium_cls)
+    medium.configure_ranges(55.0, 99.0)
+    assert_hearers_match_brute_force(medium)
+    before = {r: len(medium._hearers_from(r)) for r in radios}
+    # A louder radio widens the grid's cells.
+    medium.radio_class(medium, "loud", (160.0, 0.0), 50.0)
+    assert_hearers_match_brute_force(medium)
+    # Shrinking the ranges shortens every list; growing them lengthens it.
+    medium.configure_ranges(20.0, 35.0)
+    assert_hearers_match_brute_force(medium)
+    assert all(len(medium._hearers_from(r)) < before[r] for r in radios)
+    medium.configure_ranges(100.0, 400.0)
+    assert_hearers_match_brute_force(medium)
+    assert all(len(medium._hearers_from(r)) == len(positions) for r in radios)
 
 
 def frame_outcome(sim, sender, receiver, seq):
