@@ -268,7 +268,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     from repro.phy.channel import use_channel
     from repro.perf import (
         REGRESSION_FACTOR,
-        attach_speedup,
         check_regression,
         load_bench,
         run_benchmark,
@@ -282,10 +281,9 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             print(name)
         return 0
     baseline = None
-    baseline_path = args.check_regression or args.compare
-    if baseline_path:
+    if args.check_regression:
         try:
-            baseline = load_bench(baseline_path)
+            baseline = load_bench(args.check_regression)
         except (OSError, ValueError) as exc:
             print(f"cannot load baseline: {exc}", file=sys.stderr)
             return 2
@@ -305,8 +303,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
-    if baseline is not None:
-        bench = attach_speedup(bench, baseline)
     problems = validate_bench(bench)
     if problems:
         for problem in problems:
@@ -1182,11 +1178,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_perf.add_argument(
         "-o", "--output", help="write the BENCH_core document here (default: stdout)"
-    )
-    p_perf.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        help="attach a speedup section versus this reference document",
     )
     p_perf.add_argument(
         "--check-regression",

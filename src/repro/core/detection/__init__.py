@@ -4,7 +4,8 @@ The scheme can run at any node; the more nodes run it, the higher the
 likelihood of detection.  Components:
 
 * :class:`NavValidator` — detects and corrects inflated NAV using overheard
-  exchange state (exact expectation) or the 1500-byte MTU bound.
+  exchange state (exact expectation) or the 1500-byte MTU bound.  It is
+  also the NAV detector of the streaming pipeline below.
 * :class:`RssiSpoofDetector` — flags MAC ACKs whose RSSI deviates from the
   claimed receiver's median RSSI; the sender ignores flagged ACKs so MAC
   retransmission happens as it should.
@@ -33,15 +34,11 @@ from repro.core.detection.monitor import MisbehaviorMonitor, OffenderVerdict
 from repro.core.detection.offline import analyze_trace
 from repro.core.detection.streaming import (
     DetectionTap,
-    LiveDetectionSession,
     StreamingDetectionPipeline,
     StreamingDetector,
     StreamingImpersonationDetector,
-    StreamingNavDetector,
     StreamingRtsFloodDetector,
-    current_live_detection,
     default_pipeline,
-    live_detection,
 )
 
 __all__ = [
@@ -57,13 +54,9 @@ __all__ = [
     "OffenderVerdict",
     "analyze_trace",
     "DetectionTap",
-    "LiveDetectionSession",
     "StreamingDetectionPipeline",
     "StreamingDetector",
     "StreamingImpersonationDetector",
-    "StreamingNavDetector",
     "StreamingRtsFloodDetector",
-    "current_live_detection",
     "default_pipeline",
-    "live_detection",
 ]

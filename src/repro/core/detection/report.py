@@ -1,9 +1,11 @@
-"""Shared detection bookkeeping for all GRC detectors."""
+"""Shared detection bookkeeping for all GRC detectors, and the streaming
+detector contract (:class:`StreamingDetector`)."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -50,3 +52,40 @@ class DetectionReport:
 
     def __bool__(self) -> bool:
         return bool(self.events)
+
+
+class StreamingDetector:
+    """One incremental detector: feed events in, get detections out.
+
+    Subclasses implement :meth:`feed` (and the state protocol); the base
+    class pins down the contract:
+
+    * ``feed(record)`` must be **chunking-invariant**: the emitted event
+      sequence depends only on the records fed so far, never on call
+      boundaries.
+    * ``snapshot()`` returns plain JSON-able data; ``restore(state)`` on a
+      fresh instance resumes the stream with identical future output.
+    * ``state_size()`` (retained items) must never exceed ``bound()`` —
+      the constant-memory promise the diff harness asserts.
+    """
+
+    #: Detector label used in emitted events (e.g. ``"nav"``).
+    name: str = "streaming"
+
+    def feed(self, record: Any) -> list[DetectionEvent]:
+        raise NotImplementedError
+
+    def snapshot(self) -> dict[str, Any]:
+        return {}
+
+    def restore(self, state: dict[str, Any]) -> None:
+        if state:
+            raise ValueError(f"{type(self).__name__} expected empty state")
+
+    def state_size(self) -> int:
+        """Number of retained state items (window entries, table rows)."""
+        return 0
+
+    def bound(self) -> int:
+        """Hard upper bound on :meth:`state_size` — the memory contract."""
+        return 0

@@ -1,15 +1,15 @@
 """Streaming (online) misbehavior detection over frame-trace events.
 
-The GRC detectors in :mod:`nav <repro.core.detection.nav>` / :mod:`spoof
-<repro.core.detection.spoof>` / :mod:`fake <repro.core.detection.fake>` live
-inside the MAC and see receptions; the *offline* analysis path
+The in-node GRC detectors of :mod:`spoof <repro.core.detection.spoof>` and
+:mod:`fake <repro.core.detection.fake>` live inside the MAC and answer it
+synchronously; the *offline* analysis path
 (:mod:`repro.core.detection.offline`) sees a complete
 :class:`~repro.stats.trace.TraceRecord` list after the run.  Neither scales
-to the ROADMAP north-star of watching production traffic continuously: the
-offline pass retains the full trace, and a full trace grows without bound.
+to watching production traffic continuously: the offline pass retains the
+full trace, and a full trace grows without bound.
 
-This module rebuilds trace-level detection as a **streaming pipeline**:
-each :class:`StreamingDetector` consumes one :class:`TraceRecord` at a time,
+This module runs trace-level detection as a **streaming pipeline**: each
+:class:`StreamingDetector` consumes one :class:`TraceRecord` at a time,
 emits zero or more :class:`~repro.core.detection.report.DetectionEvent`\\ s,
 and keeps only bounded sliding-window state — ``state_size()`` never exceeds
 ``bound()``, which the differential harness (:mod:`repro.detect.diff`)
@@ -17,6 +17,9 @@ asserts as a memory high-water mark.  Detector state is snapshottable to
 plain JSON-able data, so a monitor can checkpoint/restore mid-stream and a
 trace can be replayed in arbitrary chunks with identical output (the
 chunking-invariance property test in tests/test_streaming_detection.py).
+The NAV detector is the in-node
+:class:`~repro.core.detection.nav.NavValidator` itself, fed trace records
+instead of overheard frames.
 
 The correctness contract is *event-identity with the offline analyzers* on
 every trace: ``repro detect diff`` compares canonicalized event lines from
@@ -25,33 +28,30 @@ scenarios.
 
 Live wiring: :class:`DetectionTap` wraps ``medium.transmit`` (the same seam
 :class:`~repro.stats.trace.FrameTracer` uses) so the pipeline runs *during*
-simulation without retaining records; :func:`live_detection` is the ambient
-opt-in — every :class:`~repro.net.scenario.Scenario` built inside the
-context attaches a tap, mirroring how :func:`repro.obs.capture` attaches
-telemetry.
+simulation without retaining records;
+:meth:`~repro.net.scenario.Scenario.attach_streaming_detection` attaches
+one to a scenario.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable
 
-from repro.core.detection.report import DetectionEvent, DetectionReport
-from repro.mac.frames import max_cts_nav, rts_duration
+from repro.core.detection.nav import NavValidator
+from repro.core.detection.report import (
+    DetectionEvent,
+    DetectionReport,
+    StreamingDetector,
+)
 from repro.phy.params import PhyParams, dot11b
 
 __all__ = [
     "StreamingDetector",
-    "StreamingNavDetector",
     "StreamingImpersonationDetector",
     "StreamingRtsFloodDetector",
     "StreamingDetectionPipeline",
     "DetectionTap",
-    "LiveDetectionSession",
-    "live_detection",
-    "current_live_detection",
     "default_pipeline",
 ]
 
@@ -61,149 +61,14 @@ __all__ = [
 TRACE_OBSERVER = "monitor"
 
 
-class StreamingDetector:
-    """One incremental detector: feed events in, get detections out.
-
-    Subclasses implement :meth:`feed` (and the state protocol); the base
-    class pins down the contract:
-
-    * ``feed(record)`` must be **chunking-invariant**: the emitted event
-      sequence depends only on the records fed so far, never on call
-      boundaries.
-    * ``snapshot()`` returns plain JSON-able data; ``restore(state)`` on a
-      fresh instance resumes the stream with identical future output.
-    * ``state_size()`` (retained items) must never exceed ``bound()`` —
-      the constant-memory promise the diff harness asserts.
-    """
-
-    #: Detector label used in emitted events (e.g. ``"nav"``).
-    name: str = "streaming"
-
-    def feed(self, record: Any) -> list[DetectionEvent]:
-        raise NotImplementedError
-
-    def snapshot(self) -> dict[str, Any]:
-        return {}
-
-    def restore(self, state: dict[str, Any]) -> None:
-        if state:
-            raise ValueError(f"{type(self).__name__} expected empty state")
-
-    def state_size(self) -> int:
-        """Number of retained state items (window entries, table rows)."""
-        return 0
-
-    def bound(self) -> int:
-        """Hard upper bound on :meth:`state_size` — the memory contract."""
-        return 0
-
-
-class StreamingNavDetector(StreamingDetector):
-    """Trace-level NAV-inflation detection (the paper's Section VII-A rule).
-
-    Mirrors :class:`~repro.core.detection.nav.NavValidator` but consumes the
-    transmission stream instead of one station's receptions: every frame's
-    claimed NAV is checked against the kind-specific expectation, with CTS
-    expectations derived from the most recent overheard RTS of the exchange.
-
-    State is one ``responder -> (expected CTS NAV, expiry)`` entry per
-    in-flight RTS/CTS exchange.  Expired entries are purged on every feed;
-    purging is output-neutral because an expired entry and an absent one
-    both fall back to the MTU bound — which is what keeps the table bounded
-    by the number of exchanges that can overlap one maximum NAV interval.
-    """
-
-    name = "nav"
-
-    def __init__(
-        self,
-        phy: PhyParams | None = None,
-        observer: str = TRACE_OBSERVER,
-        mtu_bytes: int = 1500,
-        tolerance_us: float = 5.0,
-        max_tracked: int = 4096,
-    ) -> None:
-        self.phy = phy if phy is not None else dot11b()
-        self.observer = observer
-        self.mtu_bytes = mtu_bytes
-        self.tolerance_us = tolerance_us
-        self.max_tracked = max_tracked
-        self._expected_cts: dict[str, tuple[float, float]] = {}
-        # Cache the two per-PHY constants; they are pure functions of phy.
-        self._rts_expected = rts_duration(self.phy, mtu_bytes)
-        self._cts_fallback = max_cts_nav(self.phy, mtu_bytes)
-
-    def feed(self, record: Any) -> list[DetectionEvent]:
-        now = record.time_us
-        kind = record.kind
-        if kind == "RTS":
-            self._purge(now)
-            claimed = min(record.nav_us, self._rts_expected)
-            expected_cts = max(0.0, claimed - self.phy.sifs - self.phy.cts_time)
-            self._expected_cts[record.dst] = (
-                expected_cts,
-                now + claimed + self.tolerance_us,
-            )
-            expected = self._rts_expected
-        elif kind == "CTS":
-            entry = self._expected_cts.get(record.src)
-            if entry is not None and now <= entry[1]:
-                expected = entry[0]
-            else:
-                if entry is not None:
-                    del self._expected_cts[record.src]
-                expected = self._cts_fallback
-        elif kind == "DATA":
-            expected = self.phy.sifs + self.phy.ack_time
-        else:  # ACK: zero without fragmentation
-            expected = 0.0
-        if record.nav_us > expected + self.tolerance_us:
-            return [
-                DetectionEvent(
-                    now,
-                    self.name,
-                    self.observer,
-                    record.src,
-                    f"{kind} NAV {record.nav_us:.0f}us > expected {expected:.0f}us",
-                )
-            ]
-        return []
-
-    def _purge(self, now: float) -> None:
-        if self._expected_cts:
-            expired = [r for r, (_, exp) in self._expected_cts.items() if exp < now]
-            for responder in expired:
-                del self._expected_cts[responder]
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "expected_cts": {
-                r: [expected, expires]
-                for r, (expected, expires) in self._expected_cts.items()
-            }
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self._expected_cts = {
-            r: (float(expected), float(expires))
-            for r, (expected, expires) in state.get("expected_cts", {}).items()
-        }
-
-    def state_size(self) -> int:
-        return len(self._expected_cts)
-
-    def bound(self) -> int:
-        return self.max_tracked
-
-
 class StreamingImpersonationDetector(StreamingDetector):
     """Frames whose claimed source differs from the transmitting radio.
 
     The streaming counterpart of
-    :meth:`repro.stats.trace.FrameTracer.impersonations` — the omniscient
-    view of misbehavior 2 (spoofed ACKs), usable wherever the monitor can
-    attribute transmissions to radios (simulation, or a testbed sniffer
-    with per-antenna attribution).  Stateless.
+    :func:`~repro.core.detection.offline.offline_impersonation_events` —
+    the omniscient view of misbehavior 2 (spoofed ACKs), usable wherever
+    the monitor can attribute transmissions to radios (simulation, or a
+    testbed sniffer with per-antenna attribution).  Stateless.
     """
 
     name = "impersonation"
@@ -417,7 +282,11 @@ def default_pipeline(
     """The standard trace-level detector set (NAV + impersonation + flood)."""
     return StreamingDetectionPipeline(
         [
-            StreamingNavDetector(phy, tolerance_us=nav_tolerance_us),
+            NavValidator(
+                phy if phy is not None else dot11b(),
+                TRACE_OBSERVER,
+                tolerance_us=nav_tolerance_us,
+            ),
             StreamingImpersonationDetector(),
             StreamingRtsFloodDetector(
                 threshold=rts_flood_threshold, window_us=rts_flood_window_us
@@ -464,69 +333,3 @@ class DetectionTap:
 
     def detach(self) -> None:
         self._medium.transmit = self._original_transmit
-
-
-# ------------------------------------------------- ambient live detection --
-
-
-class LiveDetectionSession:
-    """Collects the pipelines of every scenario built inside the context."""
-
-    def __init__(
-        self, pipeline_factory: "Callable[[PhyParams], StreamingDetectionPipeline] | None" = None
-    ) -> None:
-        self._factory = pipeline_factory
-        self.pipelines: list[StreamingDetectionPipeline] = []
-
-    def make_pipeline(self, phy: PhyParams) -> StreamingDetectionPipeline:
-        pipeline = (
-            self._factory(phy) if self._factory is not None else default_pipeline(phy)
-        )
-        self.pipelines.append(pipeline)
-        return pipeline
-
-    def total_events(self) -> int:
-        return sum(len(p.events) for p in self.pipelines)
-
-    def summary(self) -> dict[str, Any]:
-        """Flat roll-up for attaching to experiment results."""
-        by_detector: dict[str, int] = {}
-        for pipeline in self.pipelines:
-            for event in pipeline.events:
-                by_detector[event.detector] = by_detector.get(event.detector, 0) + 1
-        return {
-            "scenarios": len(self.pipelines),
-            "events": self.total_events(),
-            "by_detector": dict(sorted(by_detector.items())),
-            "high_water": max((p.high_water for p in self.pipelines), default=0),
-        }
-
-
-_live_detection: ContextVar[LiveDetectionSession | None] = ContextVar(
-    "repro_live_detection", default=None
-)
-
-
-def current_live_detection() -> LiveDetectionSession | None:
-    """The ambient live-detection session, or None when not inside one."""
-    return _live_detection.get()
-
-
-@contextmanager
-def live_detection(
-    session: LiveDetectionSession | None = None,
-) -> Iterator[LiveDetectionSession]:
-    """Ambient opt-in: scenarios built inside attach a streaming tap.
-
-    Mirrors :func:`repro.obs.capture` / :func:`repro.phy.channel.use_channel`
-    — selection is ambient so experiment runners and campaign builders pick
-    it up without signature changes (:class:`~repro.net.scenario.Scenario`
-    checks :func:`current_live_detection` at construction time).
-    """
-    if session is None:
-        session = LiveDetectionSession()
-    token = _live_detection.set(session)
-    try:
-        yield session
-    finally:
-        _live_detection.reset(token)

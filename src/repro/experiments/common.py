@@ -67,12 +67,6 @@ class RunSettings:
     seeds: Sequence[int] = FULL_SEEDS
     mode: str = "full"
     telemetry: bool = False
-    #: Run the streaming misbehavior detectors live during every simulation
-    #: the experiment builds (:func:`repro.core.detection.streaming
-    #: .live_detection`); the session roll-up lands on ``result.streaming``.
-    #: Off by default: the tap only observes, but attaching it costs one
-    #: record construction per transmission.
-    streaming_detection: bool = False
     #: Channel model name ("pairwise", "sinr") or None to inherit the ambient
     #: selection (:func:`repro.phy.channel.use_channel`).  Every scenario
     #: the experiment builds picks it up — runner signatures stay unchanged
@@ -125,7 +119,7 @@ def experiment_api(
     body stays reachable as ``run.__wrapped__``.
     """
 
-    def _telemetry_body(resolved: RunSettings) -> ExperimentResult:
+    def _body(resolved: RunSettings) -> ExperimentResult:
         if not resolved.telemetry:
             return fn(resolved)
         from repro.obs import MetricsRegistry, capture
@@ -134,16 +128,6 @@ def experiment_api(
         with capture(registry):
             result = fn(resolved)
         result.telemetry = registry.snapshot(experiment=fn.__module__.rsplit(".", 1)[-1])
-        return result
-
-    def _body(resolved: RunSettings) -> ExperimentResult:
-        if not resolved.streaming_detection:
-            return _telemetry_body(resolved)
-        from repro.core.detection.streaming import live_detection
-
-        with live_detection() as session:
-            result = _telemetry_body(resolved)
-        result.streaming = session.summary()
         return result
 
     @functools.wraps(fn)

@@ -27,7 +27,6 @@ from repro.fleet.client import (
     cancel_job,
     fetch_results,
     get_json,
-    poll_job,
     submit_job,
     wait_for_job,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "load_spec_document",
     "merge_fleet",
     "plan_shards",
-    "poll_job",
     "register_executor",
     "run_fleet",
     "run_fleet_async",

@@ -213,16 +213,6 @@ def wait_for_job(
         time.sleep(poll_s)
 
 
-def poll_job(
-    base_url: str,
-    job_id: str,
-    timeout_s: float = 300.0,
-    poll_s: float = 0.2,
-) -> dict[str, Any]:
-    """Backward-compatible alias for :func:`wait_for_job`."""
-    return wait_for_job(base_url, job_id, timeout_s=timeout_s, poll_s=poll_s)
-
-
 def fetch_results(base_url: str, job_id: str, timeout_s: float = 30.0) -> str:
     """The merged results.csv text of a finished job."""
     return _request(

@@ -15,7 +15,6 @@ from repro.core.detection import (
     NavValidator,
     RssiSpoofDetector,
 )
-from repro.core.detection.streaming import current_live_detection
 from repro.core.greedy import GreedyConfig, GreedyReceiverPolicy
 from repro.mac.dcf import DcfMac
 from repro.mac.policy import ReceiverPolicy
@@ -112,15 +111,10 @@ class Scenario:
         #: scenario runs the exact pre-fault code paths.
         self.fault_injector: Any = None
         #: Live streaming-detection pipeline
-        #: (:mod:`repro.core.detection.streaming`) or None.  Opt-in: either
-        #: ambient via :func:`~repro.core.detection.streaming.live_detection`
-        #: (checked here, mirroring the telemetry capture()) or explicit via
+        #: (:mod:`repro.core.detection.streaming`) or None.  Opt-in via
         #: :meth:`attach_streaming_detection`.
         self.streaming_pipeline: Any = None
         self._detection_tap: Any = None
-        session = current_live_detection()
-        if session is not None:
-            self.attach_streaming_detection(session.make_pipeline(self.phy))
 
     # ------------------------------------------------------------- nodes ----
 

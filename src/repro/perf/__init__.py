@@ -8,7 +8,6 @@ the bit-exactness methodology.
 from repro.perf.harness import (
     REGRESSION_FACTOR,
     SCHEMA,
-    attach_speedup,
     check_regression,
     load_bench,
     run_benchmark,
@@ -28,7 +27,6 @@ __all__ = [
     "SCENARIOS",
     "SCHEMA",
     "PerfScenario",
-    "attach_speedup",
     "check_regression",
     "get_scenario",
     "load_bench",

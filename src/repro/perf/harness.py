@@ -19,8 +19,7 @@ Schema (``bench-core/1``)::
           "events_per_s": ..,      # events / wall_s
           "metrics": {..}          # per-flow goodputs (determinism probe)
         }, ...
-      },
-      "speedup": {"fig1_nav_udp": 1.7, ...}   # only with a comparison file
+      }
     }
 
 ``wall_s`` is the *minimum* over repeats: scheduling noise only ever adds
@@ -133,27 +132,6 @@ def run_benchmark(
         "telemetry": telemetry,
         "scenarios": scenarios,
     }
-
-
-def attach_speedup(bench: Mapping[str, Any], baseline: Mapping[str, Any]) -> dict[str, Any]:
-    """Return ``bench`` with a ``speedup`` section versus ``baseline``.
-
-    ``speedup[name] = baseline_wall / bench_wall`` — above 1.0 means the
-    current core is faster than the reference measurement.
-    """
-    out = dict(bench)
-    speedup = {}
-    base_scenarios = baseline.get("scenarios", {})
-    for name, entry in bench.get("scenarios", {}).items():
-        base = base_scenarios.get(name)
-        if base and entry["wall_s"] > 0:
-            speedup[name] = base["wall_s"] / entry["wall_s"]
-    out["speedup"] = speedup
-    out["baseline_wall_s"] = {
-        name: base_scenarios[name]["wall_s"]
-        for name in speedup
-    }
-    return out
 
 
 def check_regression(

@@ -136,12 +136,6 @@ class FrameTracer:
             out.append(r)
         return out
 
-    def impersonations(self) -> list[TraceRecord]:
-        """Frames whose claimed source differs from the transmitting radio —
-        exactly the spoofed ACKs of misbehavior 2 (visible only to an
-        omniscient tracer, which is why real detection needs RSSI)."""
-        return [r for r in self.records if r.src != r.sender]
-
     def airtime_by_sender(self) -> dict[str, float]:
         """Total microseconds of airtime each radio consumed."""
         totals: dict[str, float] = {}

@@ -1,4 +1,10 @@
-"""Unit tests for the GRC NAV validator."""
+"""Unit tests for the GRC NAV validator.
+
+Every case runs both entry points of :class:`NavValidator`: the in-node
+``observe_and_validate`` on each :class:`Frame`, and the streaming ``feed``
+on the equivalent :class:`TraceRecord`.  They must flag the same frames with
+the same events, reach the same corrected NAV and hold the same state.
+"""
 
 import pytest
 
@@ -11,13 +17,48 @@ from repro.mac.frames import (
     rts_duration,
 )
 from repro.phy.params import MAX_NAV_US, dot11b
+from repro.stats.trace import TraceRecord
 
 PHY = dot11b()
 
 
+class BothEntryPoints:
+    """Two validators fed the same frames, one per entry point."""
+
+    def __init__(self, report, **kwargs):
+        self.in_node = NavValidator(PHY, "observer", report, **kwargs)
+        self.stream = NavValidator(PHY, "observer", **kwargs)
+        self.report = report
+
+    @property
+    def corrections(self):
+        return self.in_node.corrections
+
+    def observe_and_validate(self, frame, now, rssi_db):
+        before = len(self.report.events)
+        corrected = self.in_node.observe_and_validate(frame, now, rssi_db)
+        assert self.in_node.state_size() <= self.in_node.bound()
+        record = TraceRecord(
+            time_us=now, sender=frame.src, kind=frame.kind.value, src=frame.src,
+            dst=frame.dst, nav_us=frame.duration, size_bytes=frame.size_bytes,
+            rate_mbps=None, airtime_us=0.0,
+        )
+        events = self.stream.feed(record)
+        assert events == self.report.events[before:]
+        # A NAV event's detail ends with the corrected value, rounded to 1 us.
+        streamed = (
+            float(events[0].detail.rsplit(" ", 1)[1].removesuffix("us"))
+            if events
+            else frame.duration
+        )
+        assert streamed == pytest.approx(corrected, abs=0.5)
+        assert self.stream.snapshot() == self.in_node.snapshot()
+        return corrected
+
+
 def make_validator(**kwargs):
     report = DetectionReport()
-    return NavValidator(PHY, "observer", report, **kwargs), report
+    return BothEntryPoints(report, **kwargs), report
 
 
 def test_honest_frames_pass_unchanged():

@@ -9,7 +9,6 @@ import pytest
 from repro.cli import main
 from repro.perf import (
     SCHEMA,
-    attach_speedup,
     check_regression,
     load_bench,
     run_benchmark,
@@ -84,8 +83,6 @@ def test_attach_speedup_and_check_regression():
     wall = bench["scenarios"]["fig1_nav_udp"]["wall_s"]
     fast_baseline = {"scenarios": {"fig1_nav_udp": {"wall_s": wall / 10.0}}}
     slow_baseline = {"scenarios": {"fig1_nav_udp": {"wall_s": wall * 10.0}}}
-    with_speedup = attach_speedup(bench, slow_baseline)
-    assert with_speedup["speedup"]["fig1_nav_udp"] == pytest.approx(10.0)
     # >2x slower than the (artificially fast) baseline -> regression.
     assert check_regression(bench, fast_baseline)
     assert check_regression(bench, slow_baseline) == []
@@ -259,10 +256,9 @@ def test_cli_perf_check_regression_exit_codes(tmp_path):
         "-o",
         str(tmp_path / "gated.json"),
     ]
-    # Generous baseline: passes (exit 0) and attaches a speedup section.
+    # Generous baseline: passes (exit 0) and writes the measured document.
     assert main(common + ["--check-regression", baseline_file(measured * 100)]) == 0
-    gated = load_bench(tmp_path / "gated.json")
-    assert "speedup" in gated
+    assert validate_bench(load_bench(tmp_path / "gated.json")) == []
     # Hopeless baseline: the current run is >2x slower -> exit 1.
     assert main(common + ["--check-regression", baseline_file(measured / 100)]) == 1
     # Unreadable baseline -> usage error.

@@ -10,19 +10,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.detection.nav import NavValidator
 from repro.core.detection.streaming import (
+    TRACE_OBSERVER,
     DetectionTap,
-    LiveDetectionSession,
     StreamingDetectionPipeline,
-    StreamingNavDetector,
     StreamingRtsFloodDetector,
-    current_live_detection,
     default_pipeline,
-    live_detection,
 )
 from repro.detect.diff import canonical_event_lines
 from repro.net.scenario import Scenario
 from repro.perf.golden import GOLDEN_TRACE_RUNS, trace_filename
+from repro.phy.params import dot11b
 from repro.stats.trace import FrameTracer, TraceRecord, load_trace_jsonl
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -84,7 +83,7 @@ def test_snapshot_restore_round_trips_mid_stream(nav_records):
 
 def test_restore_rejects_detector_count_mismatch():
     pipeline = default_pipeline()
-    lone = StreamingDetectionPipeline([StreamingNavDetector()])
+    lone = StreamingDetectionPipeline([NavValidator(dot11b(), TRACE_OBSERVER)])
     with pytest.raises(ValueError, match="detector states"):
         lone.restore(pipeline.snapshot())
 
@@ -96,7 +95,7 @@ def test_memory_high_water_stays_within_bound(nav_records):
 
 
 def test_nav_detector_purges_expired_exchanges():
-    detector = StreamingNavDetector()
+    detector = NavValidator(dot11b(), TRACE_OBSERVER)
     for i in range(50):
         detector.feed(
             TraceRecord(
@@ -189,41 +188,3 @@ def test_tap_detach_restores_transmit():
     assert scenario.medium.transmit != original
     tap.detach()
     assert scenario.medium.transmit == original
-
-
-def test_ambient_live_detection_attaches_to_every_scenario():
-    assert current_live_detection() is None
-    with live_detection() as session:
-        assert current_live_detection() is session
-        a = Scenario(seed=1)
-        b = Scenario(seed=2)
-        assert a.streaming_pipeline in session.pipelines
-        assert b.streaming_pipeline in session.pipelines
-        assert len(session.pipelines) == 2
-    assert current_live_detection() is None
-    outside = Scenario(seed=3)
-    assert outside.streaming_pipeline is None
-
-
-def test_session_summary_rolls_up_by_detector():
-    session = LiveDetectionSession()
-    with live_detection(session):
-        scenario = _golden_scenario()
-    scenario.run(0.1)
-    summary = session.summary()
-    assert summary["scenarios"] == 1
-    assert summary["events"] == session.total_events() > 0
-    assert summary["by_detector"]["nav"] > 0
-    assert summary["high_water"] > 0
-
-
-def test_run_settings_streaming_detection_attaches_summary():
-    from repro.experiments import fig1_nav_udp
-    from repro.experiments.common import RunSettings
-
-    settings_ = RunSettings.quick().replace(
-        duration_s=0.1, seeds=(1,), streaming_detection=True
-    )
-    result = fig1_nav_udp.run(settings_)
-    assert result.streaming["scenarios"] >= 1
-    assert result.streaming["by_detector"].get("nav", 0) > 0

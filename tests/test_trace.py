@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.detection.offline import offline_impersonation_events
 from repro.core.greedy import GreedyConfig
 from repro.mac.frames import FrameKind
 from repro.net.scenario import Scenario
@@ -68,9 +69,9 @@ def test_tracer_sees_impersonations():
     snd, _rcv = s.tcp_flow("NS", "NR")
     snd.start()
     s.run(1.0)
-    fakes = tracer.impersonations()
+    fakes = offline_impersonation_events(tracer.records)
     assert fakes
-    assert all(r.sender == "GR" and r.src == "NR" for r in fakes)
+    assert all(e.offender == "GR" and e.detail == "ACK claims src NR" for e in fakes)
 
 
 def test_tracer_airtime_accounting():
