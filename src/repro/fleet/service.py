@@ -776,7 +776,12 @@ class ServiceThread:
             for task in asyncio.all_tasks(loop):
                 task.cancel()
 
-        loop.call_soon_threadsafe(_cancel_all)
+        try:
+            loop.call_soon_threadsafe(_cancel_all)
+        except RuntimeError:
+            # The loop closed after the liveness check (``_run`` closes it
+            # right after a graceful drain): the thread is already stopping.
+            pass
         self._thread.join(timeout=30)
 
     def __enter__(self) -> "ServiceThread":

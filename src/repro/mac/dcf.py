@@ -160,6 +160,18 @@ class DcfMac:
         #: dead — it neither transmits, receives nor reacts to the medium.
         self._offline = False
 
+    def _unlink(self) -> None:
+        """Drop the upper-layer callbacks and the policy's link back here.
+
+        The callbacks are bound methods of the node (or transport closures
+        over it) that point back at this MAC, so they close cycles.
+        ``stats`` stays readable.
+        """
+        self.on_deliver = None
+        self.on_msdu_sent = None
+        self.on_msdu_dropped = None
+        self.policy.mac = None
+
     # ------------------------------------------------------------------ API --
 
     def send(self, payload: Any, dst: str, size_bytes: int) -> bool:

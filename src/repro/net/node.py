@@ -49,6 +49,11 @@ class Node:
         """Route packets for ``dst`` down a wired link."""
         self._wired_routes[dst] = link
 
+    def _unlink(self) -> None:
+        """Drop the agents and wired links, which point back at this node."""
+        self._agents.clear()
+        self._wired_routes.clear()
+
     # --------------------------------------------------------- forwarding ---
 
     def send_packet(self, packet: Packet) -> None:

@@ -403,3 +403,30 @@ class Scenario:
         self.sim.run(until=self.sim.now + duration_s * US_PER_S)
         if self.obs is not None:
             sweep_scenario(self.obs, self)
+
+    # ----------------------------------------------------------- lifetime ---
+
+    def __del__(self) -> None:
+        """Unlink the components, so reference counting frees the topology.
+
+        The components point back at each other (radio <-> medium, radio <->
+        MAC, MAC -> node callbacks, node <-> agents and wired links, queued
+        events -> their owners' bound methods), but nothing points at the
+        scenario, so this runs the moment its last reference goes.  Cutting
+        those edges here frees the whole topology at once instead of leaving
+        it to the cyclic collector.  Results stay readable through retained
+        children: ``MacStats``, sinks, ``report``, tracer records,
+        ``sim.now`` and ``sim.events_processed``, ``medium.frames_sent``.
+        Running a dropped scenario's children is unsupported.  This may run
+        at interpreter shutdown, so it imports nothing and never raises.
+        """
+        try:
+            sim, medium, macs, nodes = self.sim, self.medium, self.macs, self.nodes
+        except AttributeError:
+            return  # __init__ raised, so nothing was linked yet
+        sim._drop_pending()
+        medium._unlink()
+        for mac in macs.values():
+            mac._unlink()
+        for node in nodes.values():
+            node._unlink()

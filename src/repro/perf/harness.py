@@ -1,9 +1,11 @@
 """Reproducible microbenchmark harness for the simulation core.
 
 Times the registered :mod:`repro.perf.scenarios` and writes a
-``BENCH_core.json`` document — the repo's wall-clock trajectory for the
-*inner* (per-seed) simulation loop, complementing ``BENCH_parallel.json``
-(outer-loop fan-out, PR 1) and the campaign manifests (PR 2).
+``BENCH_core.json`` document: raw wall seconds of the *inner* (per-seed)
+simulation loop, plus the event counts and metrics that
+``--check-regression`` compares exactly against a committed baseline.  The
+perf trajectory of record is the end-to-end benchmark's,
+``results/BENCH_perfbench.json``.
 
 Schema (``bench-core/1``)::
 
@@ -85,8 +87,10 @@ def time_scenario(
             start = clock()
             built.scenario.run(sim_s)
             runs.append(clock() - start)
-        events = sim.events_processed
-        metrics = built.metrics(sim_s * US_PER_S)
+            events = sim.events_processed
+            metrics = built.metrics(sim_s * US_PER_S)
+        # Free this repeat's topology before the next build.
+        del built, sim
     wall = min(runs)
     return {
         "sim_duration_s": sim_s,

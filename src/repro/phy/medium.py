@@ -92,6 +92,16 @@ class Radio:
         self._lock: Optional[_Lock] = None
         medium._attach(self)
 
+    def _unlink(self) -> None:
+        """Drop the links back to the medium and the MAC.
+
+        In-flight transmissions point at their senders, so ``_energy`` (and
+        ``SinrRadio._rss``) tie radios into cycles with each other too.
+        """
+        self.medium = None
+        self.mac = None
+        self._energy.clear()
+
     # -- transmit path -----------------------------------------------------
 
     def transmit(self, frame: Any, duration: float) -> None:
@@ -224,6 +234,9 @@ class Medium:
         # the interleaving of uniform and Gaussian draws is untouched.
         self._uniform = BatchedUniform(rng, batch=256 if rssi_jitter is None else 1)
         self._names: set[str] = set()
+        # (on_tx_start, on_tx_end) per radio, in attach order: bound once,
+        # shared by every hearer list the radio appears in.
+        self._callbacks: list[tuple] = []
         # sender -> [(on_tx_start, on_tx_end, rss, delay, decodable), ...]:
         # one entry per receiver inside carrier-sense range, in attach order.
         # Positions and the path-loss model are fixed once traffic starts, so
@@ -247,6 +260,7 @@ class Medium:
             raise ValueError(f"duplicate radio name: {radio.name}")
         self._names.add(radio.name)
         self.radios.append(radio)
+        self._callbacks.append((radio._on_tx_start, radio._on_tx_end))
         # Topology changed: rebuild the grid and every hearer list.
         self._hearers.clear()
         self._grid = None
@@ -272,6 +286,18 @@ class Medium:
         if weak <= 0:
             return True
         return strong / weak >= self.phy.capture_threshold
+
+    def _unlink(self) -> None:
+        """Break every cycle through the medium, for an owner going away.
+
+        Unlinks each radio and removes an instance ``transmit`` wrap
+        (:class:`~repro.stats.trace.FrameTracer`, the detection tap), whose
+        owner points back at the medium.  ``radios`` and ``frames_sent``
+        stay readable.
+        """
+        self.__dict__.pop("transmit", None)
+        for radio in self.radios:
+            radio._unlink()
 
     # -- transmission ----------------------------------------------------------
 
@@ -331,6 +357,7 @@ class Medium:
         # can reach ``cs_threshold``.
         limit_sq = limit**2
         radios = self.radios
+        callbacks = self._callbacks
         hearers = []
         for index in candidates:
             receiver = radios[index]
@@ -346,9 +373,9 @@ class Medium:
             if rss < cs_threshold:
                 continue  # out of interference range: hears nothing
             delay = d / SPEED_OF_LIGHT_M_PER_US if self.propagation_delay else 0.0
+            on_tx_start, on_tx_end = callbacks[index]
             hearers.append(
-                (receiver._on_tx_start, receiver._on_tx_end, rss, delay,
-                 rss >= rx_threshold)
+                (on_tx_start, on_tx_end, rss, delay, rss >= rx_threshold)
             )
         self._hearers[sender] = hearers
         return hearers
@@ -439,6 +466,10 @@ class SinrRadio(Radio):
         # (attach) order.
         self._rss: dict[_Transmission, float] = {}
         super().__init__(*args, **kwargs)
+
+    def _unlink(self) -> None:
+        super()._unlink()
+        self._rss.clear()
 
     def _on_tx_start(self, tx: _Transmission, rss: float, decodable: bool) -> None:
         was_busy = self.transmitting or bool(self._energy)

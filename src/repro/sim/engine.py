@@ -184,6 +184,22 @@ class Simulator:
         if self.track_heap and len(self._heap) > self.heap_high_water:
             self.heap_high_water = len(self._heap)
 
+    def _drop_pending(self) -> None:
+        """Forget every scheduled callback, for an owner that is going away.
+
+        A queued callback is a bound method of the component that scheduled
+        it, and a handle's ``fn`` points back at its owner too, so the heap
+        keeps the owner's components in reference cycles.  Clears the heap
+        and every queued handle's ``fn``; :attr:`now` and the counters stay
+        readable, and :attr:`pending_events` reads 0.
+        """
+        for entry in self._heap:
+            payload = entry[2]
+            if payload[0].__class__ is int:  # (gen, Event): unhook the handle
+                payload[1].fn = None
+        self._heap.clear()
+        self._live = 0
+
     # -------------------------------------------------------------- cancel --
 
     def cancel(self, event: Event | None) -> None:

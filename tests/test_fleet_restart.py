@@ -23,6 +23,7 @@ a genuine torn-mid-write crash.
 
 from __future__ import annotations
 
+import asyncio
 import signal
 import socket
 import subprocess
@@ -88,6 +89,30 @@ def _wait_status(url: str, job: str, states: set[str], timeout_s: float = 60.0) 
         if time.monotonic() >= deadline:
             raise AssertionError(f"job {job} stuck in {status!r}, wanted {states}")
         time.sleep(0.05)
+
+
+class _ParkedThread(threading.Thread):
+    """Alive until joined: pins the window where ``stop()`` saw it alive."""
+
+    def __init__(self) -> None:
+        self.release = threading.Event()
+        super().__init__(target=self.release.wait, daemon=True)
+
+    def join(self, timeout: float | None = None) -> None:
+        self.release.set()
+        super().join(timeout)
+
+
+def test_stop_after_the_loop_closed_does_not_raise(tmp_path):
+    # The race graceful shutdown can hit: ``_run`` closes the loop right
+    # after the drain, while ``stop()`` still sees the thread alive.
+    service = ServiceThread(tmp_path / "root")
+    service._loop = asyncio.new_event_loop()
+    service._loop.close()
+    service._thread = _ParkedThread()
+    service._thread.start()
+    service.stop()
+    assert not service._thread.is_alive()
 
 
 def test_graceful_shutdown_then_restart_converges(tmp_path):

@@ -1,6 +1,7 @@
-"""Tests for the run_all / make_experiments_md harness scripts."""
+"""Tests for the run_all / make_experiments_md / record_perfbench harness scripts."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -130,3 +131,47 @@ def test_commentary_covers_every_artifact():
     assert set(make_md.ORDER) == set(make_md.COMMENTARY)
     for paper, verdict in make_md.COMMENTARY.values():
         assert paper.strip() and verdict.strip()
+
+
+# --------------------------------------------------- perf trajectory ----
+
+
+def test_committed_perf_trajectory_is_valid():
+    record = load_script("record_perfbench")
+    doc = json.loads(record.TRAJECTORY.read_text())
+    assert record.validate(doc) == []
+    entries = doc["entries"]
+    backfilled = {e["label"].split()[1] for e in entries if e["backfilled"]}
+    assert {"12", "13", "15", "16", "17"} <= backfilled
+    assert any(not e["backfilled"] for e in entries)
+
+
+def test_perf_trajectory_validation_rejects_bad_entries():
+    record = load_script("record_perfbench")
+    runs = [
+        {
+            "metrics": {
+                m["name"]: {"value": float(v)} for m in record.benchmark()["end_to_end"]
+            },
+            "outputs_digest": f"d{v}",
+            "failed": 0,
+        }
+        for v in (3, 1, 2)
+    ]
+    entry = record.make_entry("abc1234", "f" * 40, "t", "dense_grid", [7, 8, 9], 40.0, runs)
+    assert entry["metrics"]["op_p50_rel"] == {"median": 2.0, "q1": 1.5, "q3": 2.5}
+    doc = {"schema": record.SCHEMA, "entries": [entry]}
+    assert record.validate(doc) == []
+    broken = json.loads(json.dumps(doc))
+    del broken["entries"][0]["outputs_digest"]["9"]
+    del broken["entries"][0]["metrics"]["setup_s"]
+    broken["entries"][0]["workload"] = "nope"
+    broken["entries"][0]["src_tree"] = None
+    problems = record.validate(broken)
+    assert len(problems) == 4, problems
+    assert record.validate({"schema": "other", "entries": [entry]})
+
+
+def test_record_perfbench_parses_seed_ranges():
+    record = load_script("record_perfbench")
+    assert record.parse_seeds("1-3,7") == [1, 2, 3, 7]
