@@ -7,7 +7,6 @@ sender's disadvantage comes from backoff alone (EIFS off) versus backoff
 plus EIFS (standard).
 """
 
-from repro.experiments.common import run_fake_inherent_loss
 from repro.core.greedy import GreedyConfig
 from repro.net.scenario import Scenario
 

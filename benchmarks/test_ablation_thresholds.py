@@ -5,11 +5,11 @@ verifies the operating point inside the full pipeline: a too-loose threshold
 stops flagging spoofed ACKs and the victim's goodput collapses again.
 """
 
-from repro.experiments.common import run_spoof_tcp_pairs
+from repro.campaign.builders import spoof_tcp_pairs
 
 
 def run_with_threshold(threshold_db, seed=1, duration=2.5):
-    return run_spoof_tcp_pairs(
+    return spoof_tcp_pairs(
         seed,
         duration,
         ber=2e-4,

@@ -8,10 +8,7 @@ for the victim (its sender never falls back to a decodable rate).
 Run:  python examples/autorate_interactions.py
 """
 
-from repro.experiments.ext_autorate import (
-    run_fake_ack_autorate,
-    run_spoof_autorate,
-)
+from repro.experiments.ext_autorate import fake_ack_autorate, spoof_autorate
 
 DURATION_S = 3.0
 SEED = 1
@@ -19,8 +16,8 @@ SEED = 1
 
 def main() -> None:
     print("Fake ACKs under ARF (marginal 11 Mbps link, clean at 2 Mbps)\n")
-    honest = run_fake_ack_autorate(SEED, DURATION_S, greedy=False, autorate=True)
-    faking = run_fake_ack_autorate(SEED, DURATION_S, greedy=True, autorate=True)
+    honest = fake_ack_autorate(SEED, DURATION_S, greedy=False, autorate=True)
+    faking = fake_ack_autorate(SEED, DURATION_S, greedy=True, autorate=True)
     print(
         f"  honest client : {honest['goodput_R1']:.2f} Mbps "
         f"(ARF settles at {honest['gs_rate_final']:g} Mbps)"
@@ -32,8 +29,8 @@ def main() -> None:
     print("  -> faking ACKs BACKFIRES under auto-rate, as the paper predicts.\n")
 
     print("ACK spoofing under ARF\n")
-    clean = run_spoof_autorate(SEED, DURATION_S, spoof=False, autorate=True)
-    spoofed = run_spoof_autorate(SEED, DURATION_S, spoof=True, autorate=True)
+    clean = spoof_autorate(SEED, DURATION_S, spoof=False, autorate=True)
+    spoofed = spoof_autorate(SEED, DURATION_S, spoof=True, autorate=True)
     print(
         f"  victim, no attacker : {clean['goodput_NR']:.2f} Mbps "
         f"(sender adapts to {clean['ns_rate_final']:g} Mbps)"

@@ -29,7 +29,7 @@ def _apply_profile(s: Scenario, src: str, dst: str) -> None:
     s.error_model.set_rate_profile(src, dst, MARGINAL_LINK)
 
 
-def run_fake_ack_autorate(
+def fake_ack_autorate(
     seed: int, duration_s: float, greedy: bool, autorate: bool
 ) -> dict[str, float]:
     """Two pairs on marginal links; R1 fakes ACKs (or not); senders fixed at
@@ -65,7 +65,7 @@ def run_fake_ack_autorate(
     return out
 
 
-def run_spoof_autorate(
+def spoof_autorate(
     seed: int, duration_s: float, spoof: bool, autorate: bool
 ) -> dict[str, float]:
     """Spoofing under ARF: the victim's sender keeps hearing (spoofed) ACKs
@@ -126,7 +126,7 @@ def run(settings: RunSettings) -> ExperimentResult:
     for case, greedy, autorate in fake_cases:
         med = median_over_seeds(
             seed_job(
-                run_fake_ack_autorate,
+                fake_ack_autorate,
                 duration_s=duration,
                 greedy=greedy,
                 autorate=autorate,
@@ -149,7 +149,7 @@ def run(settings: RunSettings) -> ExperimentResult:
     for case, spoof, autorate in spoof_cases:
         med = median_over_seeds(
             seed_job(
-                run_spoof_autorate,
+                spoof_autorate,
                 duration_s=duration,
                 spoof=spoof,
                 autorate=autorate,

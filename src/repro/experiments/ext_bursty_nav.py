@@ -16,10 +16,8 @@ bit-identical to the pre-fault simulator.
 
 from __future__ import annotations
 
-from repro.core.greedy import GreedyConfig
-from repro.experiments.common import RunSettings, US_PER_S, experiment_api, seed_job
-from repro.faults import FaultPlan, GilbertElliottConfig
-from repro.net.scenario import Scenario
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
 
 #: Burst shape: mean fade length 1/p_bad_to_good = 5 frames, mean clean run
@@ -29,56 +27,6 @@ P_BAD_TO_GOOD = 1.0 / 5.0
 FER_BAD = 0.8
 #: The matched memoryless channel: same average FER on every frame.
 AVG_FER = FER_BAD * P_GOOD_TO_BAD / (P_GOOD_TO_BAD + P_BAD_TO_GOOD)
-
-
-def run_bursty_nav(
-    seed: int,
-    duration_s: float,
-    nav_inflation_us: float = 0.0,
-    p_good_to_bad: float = 0.0,
-    p_bad_to_good: float = 1.0,
-    fer_good: float = 0.0,
-    fer_bad: float = 0.0,
-) -> dict[str, float]:
-    """Two pairs, R1's receiver greedy (NAV inflation) when
-    ``nav_inflation_us > 0``, over a Gilbert–Elliott channel.  All-zero FERs
-    skip fault installation entirely (the clean baseline)."""
-    s = Scenario(seed=seed)
-    s.add_wireless_node("S0")
-    s.add_wireless_node("S1")
-    s.add_wireless_node("R0")
-    greedy = None
-    if nav_inflation_us > 0:
-        greedy = GreedyConfig.nav_inflator(float(nav_inflation_us))
-    s.add_wireless_node("R1", greedy=greedy)
-    if fer_good > 0 or fer_bad > 0:
-        s.install_faults(
-            FaultPlan(
-                channel=GilbertElliottConfig(
-                    p_good_to_bad=p_good_to_bad,
-                    p_bad_to_good=p_bad_to_good,
-                    fer_good=fer_good,
-                    fer_bad=fer_bad,
-                )
-            )
-        )
-    f0, k0 = s.udp_flow("S0", "R0")
-    f1, k1 = s.udp_flow("S1", "R1")
-    f0.start()
-    f1.start()
-    s.run(duration_s)
-    us = duration_s * US_PER_S
-    out = {
-        "goodput_R0": k0.goodput_mbps(us),
-        "goodput_R1": k1.goodput_mbps(us),
-        "corrupted_frames": 0.0,
-    }
-    if s.fault_injector is not None:
-        out["corrupted_frames"] = float(
-            s.fault_injector.counters().get("channel_corrupted_frames", 0)
-        )
-    return out
-
 
 #: The three channel regimes, all sharing the same *average* FER (except the
 #: clean baseline): burstiness is the only variable.
@@ -122,7 +70,7 @@ def run(settings: RunSettings) -> ExperimentResult:
         for nav_inflation_us in (0.0, 31_000.0):
             med = median_over_seeds(
                 seed_job(
-                    run_bursty_nav,
+                    builders.bursty_nav,
                     duration_s=settings.duration_s,
                     nav_inflation_us=nav_inflation_us,
                     **kwargs,

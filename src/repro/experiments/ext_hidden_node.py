@@ -18,8 +18,8 @@ the handshake cheap enough for the recovery to be the classic ~3-4x.
 
 from __future__ import annotations
 
+from repro.campaign import builders
 from repro.experiments.common import RunSettings, experiment_api, seed_job
-from repro.experiments.common import run_hidden_node
 from repro.stats import ExperimentResult, median_over_seeds
 
 #: Channel models compared; "sinr" is the one this topology exists for.
@@ -52,7 +52,7 @@ def run(settings: RunSettings) -> ExperimentResult:
         for rts in (False, True):
             med = median_over_seeds(
                 seed_job(
-                    run_hidden_node,
+                    builders.hidden_node,
                     duration_s=settings.duration_s,
                     rts=rts,
                     channel=channel,

@@ -20,60 +20,9 @@ dedicated ``faults.jammer`` stream.
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, US_PER_S, experiment_api, seed_job
-from repro.faults import CrashConfig, FaultPlan, JammerConfig
-from repro.net.scenario import Scenario
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
-
-#: Jam burst cadence; the duty cycle scales the burst length within it.
-JAM_PERIOD_US = 20_000.0
-
-
-def run_jammer_crash(
-    seed: int,
-    duration_s: float,
-    duty_pct: float = 0.0,
-    crash: bool = False,
-    jitter_us: float = 1_000.0,
-) -> dict[str, float]:
-    """Two UDP pairs; a jammer at ``duty_pct``% airtime; optionally S0
-    crashes at 40% of the run and reboots 20% later."""
-    s = Scenario(seed=seed, rts_enabled=False)
-    s.add_wireless_node("S0")
-    s.add_wireless_node("S1")
-    s.add_wireless_node("R0")
-    s.add_wireless_node("R1")
-    jammer = None
-    if duty_pct > 0:
-        jammer = JammerConfig(
-            period_us=JAM_PERIOD_US,
-            burst_us=JAM_PERIOD_US * duty_pct / 100.0,
-            jitter_us=jitter_us,
-        )
-    crashes = ()
-    if crash:
-        crashes = (
-            CrashConfig("S0", at_s=duration_s * 0.4, reboot_after_s=duration_s * 0.2),
-        )
-    plan = FaultPlan(jammer=jammer, crashes=crashes)
-    if not plan.empty:
-        s.install_faults(plan)
-    f0, k0 = s.udp_flow("S0", "R0")
-    f1, k1 = s.udp_flow("S1", "R1")
-    f0.start()
-    f1.start()
-    s.run(duration_s)
-    us = duration_s * US_PER_S
-    stats = s.macs["S0"].stats
-    out = {
-        "goodput_R0": k0.goodput_mbps(us),
-        "goodput_R1": k1.goodput_mbps(us),
-        "jam_bursts": 0.0,
-        "s0_crash_dropped": float(stats.crash_dropped_msdus),
-    }
-    if s.fault_injector is not None:
-        out["jam_bursts"] = float(s.fault_injector.counters().get("jammer_bursts", 0))
-    return out
 
 
 @experiment_api
@@ -100,7 +49,7 @@ def run(settings: RunSettings) -> ExperimentResult:
         for crash in (False, True):
             med = median_over_seeds(
                 seed_job(
-                    run_jammer_crash,
+                    builders.jammer_crash,
                     duration_s=settings.duration_s,
                     duty_pct=duty_pct,
                     crash=crash,

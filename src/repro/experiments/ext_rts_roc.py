@@ -26,88 +26,19 @@ mirroring Figure 22's shape rather than saturating at (1, 0).
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, US_PER_S, experiment_api
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api
 from repro.stats import ExperimentResult
 
 #: Detection-threshold sweep (excess unanswered RTS per window).  The quick
 #: variant keeps every other point; both include the regime boundaries.
 THRESHOLDS = (1, 2, 4, 8, 16, 32)
 
-#: Flood period giving ~window_us/period_us = 10 flood RTS per window —
-#: squarely between the low and high ends of the threshold sweep.
-FLOOD_PERIOD_US = 10_000.0
-
-
-def run_rts_flood_roc(
-    seed: int,
-    duration_s: float,
-    threshold: int = 12,
-    flood: bool = True,
-    period_us: float = FLOOD_PERIOD_US,
-    nav_us: float = 30_000.0,
-    window_us: float = 100_000.0,
-    n_pairs: int = 2,
-) -> dict[str, float]:
-    """One operating point: honest UDP pairs, optional flooder, live detector.
-
-    Returns plain floats (campaign-builder contract): whether the flooder
-    was flagged, how many honest senders were, the raw detection count and
-    the victims' total goodput (the DoS the attack actually causes).
-    """
-    from repro.core.detection.streaming import (
-        StreamingDetectionPipeline,
-        StreamingRtsFloodDetector,
-    )
-    from repro.faults import FaultPlan, RtsFloodConfig
-    from repro.net.scenario import Scenario
-
-    s = Scenario(seed=seed)
-    for i in range(n_pairs):
-        s.add_wireless_node(f"S{i}")
-    for i in range(n_pairs):
-        s.add_wireless_node(f"R{i}")
-    pipeline = s.attach_streaming_detection(
-        StreamingDetectionPipeline(
-            [
-                StreamingRtsFloodDetector(
-                    threshold=int(threshold), window_us=float(window_us)
-                )
-            ]
-        )
-    )
-    if flood:
-        s.install_faults(
-            FaultPlan(
-                rts_flood=RtsFloodConfig(
-                    period_us=float(period_us), nav_us=float(nav_us)
-                )
-            )
-        )
-    sinks = []
-    for i in range(n_pairs):
-        src, sink = s.udp_flow(f"S{i}", f"R{i}")
-        src.start()
-        sinks.append(sink)
-    s.run(duration_s)
-    us = duration_s * US_PER_S
-    offenders = pipeline.report.offenders("rts-flood")
-    flooder_name = RtsFloodConfig().name
-    honest_flagged = sum(
-        1 for i in range(n_pairs) if offenders.get(f"S{i}", 0) > 0
-    )
-    return {
-        "flooder_flagged": 1.0 if offenders.get(flooder_name, 0) > 0 else 0.0,
-        "honest_flagged": float(honest_flagged),
-        "detections": float(pipeline.report.count("rts-flood")),
-        "goodput_total": sum(sink.goodput_mbps(us) for sink in sinks),
-    }
-
 
 @experiment_api
 def run(settings: RunSettings) -> ExperimentResult:
     """True/false positive rates of the flood detector vs its threshold."""
     thresholds = THRESHOLDS[::2] if settings.is_quick else THRESHOLDS
-    n_pairs = 2
     result = ExperimentResult(
         name="Extension: RTS-flood detector ROC",
         description=(
@@ -125,16 +56,14 @@ def run(settings: RunSettings) -> ExperimentResult:
     )
     for threshold in thresholds:
         flooded = [
-            run_rts_flood_roc(
-                seed, settings.duration_s, threshold=threshold,
-                flood=True, n_pairs=n_pairs,
+            builders.rts_flood_roc(
+                seed, settings.duration_s, threshold=threshold, flood=True
             )
             for seed in settings.seeds
         ]
         clean = [
-            run_rts_flood_roc(
-                seed, settings.duration_s, threshold=threshold,
-                flood=False, n_pairs=n_pairs,
+            builders.rts_flood_roc(
+                seed, settings.duration_s, threshold=threshold, flood=False
             )
             for seed in settings.seeds
         ]
@@ -143,7 +72,7 @@ def run(settings: RunSettings) -> ExperimentResult:
             threshold=float(threshold),
             true_positive=sum(r["flooder_flagged"] for r in flooded) / n,
             false_positive=sum(r["honest_flagged"] for r in clean)
-            / (n * n_pairs),
+            / (n * builders.RTS_FLOOD_PAIRS),
             detections=sum(r["detections"] for r in flooded) / n,
             goodput_flooded=sum(r["goodput_total"] for r in flooded) / n,
         )

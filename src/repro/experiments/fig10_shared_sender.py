@@ -10,7 +10,8 @@ Three sub-experiments: (a) TCP with 2 receivers, (b) TCP with 8 receivers,
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_nav_shared_sender, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.mac.frames import FrameKind
 from repro.stats import ExperimentResult, median_over_seeds
 
@@ -46,7 +47,7 @@ def run(settings: RunSettings) -> ExperimentResult:
         for nav_ms in nav_values:
             med = median_over_seeds(
                 seed_job(
-                    run_nav_shared_sender,
+                    builders.nav_shared_sender,
                     duration_s=duration_s,
                     transport=transport,
                     nav_inflation_us=nav_ms * 1000.0,

@@ -8,7 +8,8 @@ few frames and suffers on its own link as well.  Both 802.11b and 802.11a.
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_spoof_tcp_pairs, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.phy.params import dot11a
 from repro.stats import ExperimentResult, median_over_seeds
 
@@ -35,7 +36,7 @@ def run(settings: RunSettings) -> ExperimentResult:
             for case, gp in (("no GR", 0.0), ("w R2 GR", 100.0)):
                 med = median_over_seeds(
                     seed_job(
-                        run_spoof_tcp_pairs,
+                        builders.spoof_tcp_pairs,
                         duration_s=settings.duration_s,
                         ber=ber,
                         phy=phy,

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_spoof_tcp_pairs, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
 
 FULL_GP = (0.0, 20.0, 40.0, 60.0, 80.0, 100.0)
@@ -28,7 +29,7 @@ def run(settings: RunSettings) -> ExperimentResult:
         for gp in gps:
             med = median_over_seeds(
                 seed_job(
-                    run_spoof_tcp_pairs,
+                    builders.spoof_tcp_pairs,
                     duration_s=settings.duration_s,
                     ber=ber,
                     spoof_percentage=gp,

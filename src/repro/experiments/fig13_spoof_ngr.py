@@ -7,7 +7,8 @@ drops below the honest baseline.
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_spoof_tcp_pairs, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
 
 BER = 2e-4
@@ -31,7 +32,7 @@ def run(settings: RunSettings) -> ExperimentResult:
         for n_greedy in (0, 1, 2):
             med = median_over_seeds(
                 seed_job(
-                    run_spoof_tcp_pairs,
+                    builders.spoof_tcp_pairs,
                     duration_s=settings.duration_s,
                     ber=BER,
                     spoof_percentage=gp if n_greedy else 0.0,

@@ -6,7 +6,8 @@ Head-of-line blocking at a shared AP shrinks the spoofer's edge.
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_spoof_tcp_pairs, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
 
 BER = 2e-4
@@ -31,7 +32,7 @@ def run(settings: RunSettings) -> ExperimentResult:
         for n_pairs in pair_counts:
             med = median_over_seeds(
                 seed_job(
-                    run_spoof_tcp_pairs,
+                    builders.spoof_tcp_pairs,
                     duration_s=settings.duration_s,
                     ber=BER,
                     n_pairs=n_pairs,

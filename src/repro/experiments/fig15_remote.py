@@ -8,7 +8,8 @@ victim's loss buys it.
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_remote_tcp, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
 
 FULL_DELAYS_MS = (2, 10, 50, 100, 200, 400)
@@ -35,7 +36,7 @@ def run(settings: RunSettings) -> ExperimentResult:
         for case, gp in (("no GR", 0.0), ("w R2 GR", 100.0)):
             med = median_over_seeds(
                 seed_job(
-                    run_remote_tcp,
+                    builders.remote_tcp,
                     duration_s=duration_s,
                     wired_delay_us=delay_ms * 1000.0,
                     ber=BER,

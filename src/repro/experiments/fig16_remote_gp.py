@@ -6,7 +6,8 @@ frames already buys the greedy receiver a large relative gain.
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_remote_tcp, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
 
 FULL_GP = (0.0, 20.0, 40.0, 60.0, 80.0, 100.0)
@@ -34,7 +35,7 @@ def run(settings: RunSettings) -> ExperimentResult:
         for gp in gps:
             med = median_over_seeds(
                 seed_job(
-                    run_remote_tcp,
+                    builders.remote_tcp,
                     duration_s=duration_s,
                     wired_delay_us=delay_ms * 1000.0,
                     ber=BER,

@@ -7,7 +7,8 @@ under TCP because no congestion control amplifies the losses.
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_spoof_udp_shared_ap, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
 
 FULL_BERS = (0.0, 1e-4, 2e-4, 4.4e-4, 8e-4, 14e-4)
@@ -30,7 +31,7 @@ def run(settings: RunSettings) -> ExperimentResult:
         for case, greedy in (("no GR", False), ("w R2 GR", True)):
             med = median_over_seeds(
                 seed_job(
-                    run_spoof_udp_shared_ap,
+                    builders.spoof_udp_shared_ap,
                     duration_s=settings.duration_s,
                     ber=ber,
                     greedy=greedy,

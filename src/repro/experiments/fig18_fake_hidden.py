@@ -9,7 +9,8 @@ everyone collides more.
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_fake_hidden_terminals, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
 
 FULL_GP = (0.0, 25.0, 50.0, 75.0, 100.0)
@@ -33,7 +34,7 @@ def run(settings: RunSettings) -> ExperimentResult:
             gp_r1 = gp if case == "both greedy" else 0.0
             med = median_over_seeds(
                 seed_job(
-                    run_fake_hidden_terminals,
+                    builders.fake_hidden_terminals,
                     duration_s=settings.duration_s,
                     fake_percentages=(gp_r1, gp),
                 ),

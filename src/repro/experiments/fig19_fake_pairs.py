@@ -7,7 +7,8 @@ loss rate (more corrupted frames means more fake-ACK opportunities).
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_fake_inherent_loss, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
 
 FULL_PAIRS = (2, 4, 6, 8)
@@ -35,7 +36,7 @@ def run(settings: RunSettings) -> ExperimentResult:
             flags = [False] * (n_pairs - 1) + [True]
             med = median_over_seeds(
                 seed_job(
-                    run_fake_inherent_loss,
+                    builders.fake_inherent_loss,
                     duration_s=settings.duration_s,
                     data_fer=0.0,
                     greedy_flags=flags,

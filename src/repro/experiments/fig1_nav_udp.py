@@ -6,7 +6,8 @@ lets the greedy receiver's flow starve the competing flow completely.
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_nav_pairs, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.mac.frames import FrameKind
 from repro.stats import ExperimentResult, median_over_seeds
 
@@ -29,7 +30,7 @@ def run(settings: RunSettings) -> ExperimentResult:
     for alpha in alphas:
         med = median_over_seeds(
             seed_job(
-                run_nav_pairs,
+                builders.nav_pairs,
                 duration_s=settings.duration_s,
                 transport="udp",
                 nav_inflation_us=alpha * 100.0,

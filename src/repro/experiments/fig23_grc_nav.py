@@ -9,7 +9,8 @@ receiver a bounded residual edge; out of range the inflation never mattered.
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_grc_nav_distance, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
 
 FULL_DISTANCES = (10, 20, 30, 40, 45, 50, 55, 60, 70, 90, 110)
@@ -48,7 +49,7 @@ def run(settings: RunSettings) -> ExperimentResult:
             for d in distances:
                 med = median_over_seeds(
                     seed_job(
-                        run_grc_nav_distance,
+                        builders.grc_nav_distance,
                         duration_s=settings.duration_s,
                         pair_distance_m=float(d),
                         transport=transport,

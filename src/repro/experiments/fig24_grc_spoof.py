@@ -6,7 +6,8 @@ retransmits), both flows track the no-greedy-receiver goodput curves.
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_spoof_tcp_pairs, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
 
 FULL_BERS = (0.0, 1e-4, 2e-4, 4.4e-4, 8e-4, 14e-4)
@@ -34,7 +35,7 @@ def run(settings: RunSettings) -> ExperimentResult:
         for case, gp, grc in cases:
             med = median_over_seeds(
                 seed_job(
-                    run_spoof_tcp_pairs,
+                    builders.spoof_tcp_pairs,
                     duration_s=settings.duration_s,
                     ber=ber,
                     spoof_percentage=gp,

@@ -9,7 +9,8 @@ beyond 28 slots).
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_nav_pairs, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.mac.frames import FrameKind
 from repro.stats import ExperimentResult, median_over_seeds
 
@@ -34,7 +35,7 @@ def run(settings: RunSettings) -> ExperimentResult:
     for v in slots:
         med = median_over_seeds(
             seed_job(
-                run_nav_pairs,
+                builders.nav_pairs,
                 duration_s=settings.duration_s,
                 transport="udp",
                 nav_inflation_us=v * SLOT_US,

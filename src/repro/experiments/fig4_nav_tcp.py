@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.experiments.common import RunSettings, experiment_api, run_nav_pairs, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.mac.frames import FrameKind
 from repro.phy.params import PhyParams
 from repro.stats import ExperimentResult, median_over_seeds
@@ -42,7 +43,7 @@ def sweep(
         for nav_ms in nav_values:
             med = median_over_seeds(
                 seed_job(
-                    run_nav_pairs,
+                    builders.nav_pairs,
                     duration_s=settings.duration_s,
                     transport="tcp",
                     phy=phy,

@@ -6,7 +6,8 @@ greedy receiver to dominate the medium.
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_nav_pairs, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.mac.frames import FrameKind
 from repro.stats import ExperimentResult, median, median_over_seeds
 
@@ -30,7 +31,7 @@ def run(settings: RunSettings) -> ExperimentResult:
     for nav_ms in nav_values:
         med = median_over_seeds(
             seed_job(
-                run_nav_pairs,
+                builders.nav_pairs,
                 duration_s=settings.duration_s,
                 transport="tcp",
                 nav_inflation_us=nav_ms * 1000.0,

@@ -7,7 +7,8 @@ is already ~2 Mbps.
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_nav_pairs, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.mac.frames import FrameKind
 from repro.stats import ExperimentResult, median_over_seeds
 
@@ -33,7 +34,7 @@ def run(settings: RunSettings) -> ExperimentResult:
         for gp in gps:
             med = median_over_seeds(
                 seed_job(
-                    run_nav_pairs,
+                    builders.nav_pairs,
                     duration_s=settings.duration_s,
                     transport="tcp",
                     nav_inflation_us=nav_ms * 1000.0,

@@ -6,10 +6,7 @@ the other and keep re-grabbing it.
 
 from __future__ import annotations
 
-# The per-seed runner is the shared campaign builder: one definition serves
-# this figure, `repro campaign` specs (examples/campaigns/fig8_nav_ngr.toml)
-# and the parallel engine alike.
-from repro.campaign.builders import nav_pairs_sorted as seed_run
+from repro.campaign import builders
 from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
 
@@ -43,7 +40,7 @@ def run(settings: RunSettings) -> ExperimentResult:
         for n_greedy in (0, 1, 2):
             med = median_over_seeds(
                 seed_job(
-                    seed_run,
+                    builders.nav_pairs_sorted,
                     duration_s=settings.duration_s,
                     nav_ms=nav_ms,
                     n_greedy=n_greedy,

@@ -7,7 +7,8 @@ finding: with more than one greedy receiver, only one of them survives —
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_nav_pairs, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.mac.frames import FrameKind
 from repro.stats import ExperimentResult, median_over_seeds
 
@@ -20,7 +21,7 @@ NAV_US = 31_000.0
 def seed_run(seed: int, duration_s: float, n_greedy: int) -> dict[str, float]:
     """One seeded point, ranked per-seed so the single survivor stays
     visible (module-level so the parallel engine can address it)."""
-    out = run_nav_pairs(
+    out = builders.nav_pairs(
         seed,
         duration_s,
         transport="tcp",

@@ -7,13 +7,8 @@ blocking at a shared sender dampens (but does not remove) the effect.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    experiment_api,
-    RunSettings,
-    run_nav_pairs,
-    run_nav_shared_sender,
-    seed_job,
-)
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.mac.frames import FrameKind
 from repro.stats import ExperimentResult, median_over_seeds
 
@@ -36,7 +31,7 @@ def run(settings: RunSettings) -> ExperimentResult:
     for nav_ms in nav_values:
         shared = median_over_seeds(
             seed_job(
-                run_nav_shared_sender,
+                builders.nav_shared_sender,
                 duration_s=settings.duration_s,
                 transport="tcp",
                 nav_inflation_us=nav_ms * 1000.0,
@@ -47,7 +42,7 @@ def run(settings: RunSettings) -> ExperimentResult:
         )
         separate = median_over_seeds(
             seed_job(
-                run_nav_pairs,
+                builders.nav_pairs,
                 duration_s=settings.duration_s,
                 transport="tcp",
                 nav_inflation_us=nav_ms * 1000.0,

@@ -7,7 +7,8 @@ CW_min while the honest sender's explodes; with two fakers both stay low.
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_fake_hidden_terminals, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.phy.params import dot11a
 from repro.stats import ExperimentResult, median_over_seeds
 
@@ -32,7 +33,7 @@ def run(settings: RunSettings) -> ExperimentResult:
         ):
             med = median_over_seeds(
                 seed_job(
-                    run_fake_hidden_terminals,
+                    builders.fake_hidden_terminals,
                     duration_s=settings.duration_s,
                     fake_percentages=gps,
                     phy=phy,

@@ -8,7 +8,8 @@ at its victim's expense, and for two greedy receivers modestly for both
 
 from __future__ import annotations
 
-from repro.experiments.common import RunSettings, experiment_api, run_fake_inherent_loss, seed_job
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
 
 FULL_FERS = (0.2, 0.5, 0.8)
@@ -35,7 +36,7 @@ def run(settings: RunSettings) -> ExperimentResult:
         ):
             med = median_over_seeds(
                 seed_job(
-                    run_fake_inherent_loss,
+                    builders.fake_inherent_loss,
                     duration_s=settings.duration_s,
                     data_fer=fer,
                     greedy_flags=flags,

@@ -147,58 +147,7 @@ def _fig8_nav_tcp(seed: int) -> BuiltScenario:
     duration_s=0.5,
 )
 def _dense_hotspot(seed: int) -> BuiltScenario:
-    """A grid of independent hotspot cells, one AP + 4 uplink clients each.
-
-    Cells are spaced 250 m apart with the paper's 55 m communication /
-    99 m interference ranges (Figure 23), so each sender has 239 other
-    radios but only the 4 in its own cell can hear it.  The medium's
-    hearer lists filter those once per sender (a grid lookup, a distance
-    prune, then the exact carrier-sense threshold), so per-frame fan-out
-    stays at the cell size and the one-time build looks at each sender's
-    own cell only; the scenario stands in for the dense-deployment
-    campaigns the ROADMAP targets.
-    Cell 0's AP inflates the NAV of its MAC ACKs (the no-RTS variant of the
-    paper's receiver misbehavior), keeping the greedy machinery on the
-    timed path.
-    """
-    cells, clients, spacing = 48, 4, 250.0
-    s = Scenario(
-        seed=seed,
-        channel=ChannelConfig(ranges=(55.0, 99.0)),
-        rts_enabled=False,
-    )
-    sinks = []
-    side = math.ceil(math.sqrt(cells))
-    for c in range(cells):
-        cx, cy = (c % side) * spacing, (c // side) * spacing
-        ap = f"AP{c}"
-        greedy = None
-        if c == 0:
-            greedy = GreedyConfig.nav_inflator(600.0, frozenset({FrameKind.ACK}))
-        s.add_wireless_node(ap, position=(cx, cy), greedy=greedy)
-        for k in range(clients):
-            angle = 2.0 * math.pi * k / clients
-            name = f"C{c}_{k}"
-            s.add_wireless_node(
-                name,
-                position=(
-                    cx + 12.0 * math.cos(angle),
-                    cy + 12.0 * math.sin(angle),
-                ),
-            )
-            src, sink = s.udp_flow(name, ap, rate_bps=1.2e6, packet_size=400)
-            src.start()
-            sinks.append(sink)
-
-    def metrics(duration_us: float) -> Dict[str, float]:
-        goodputs = [sink.goodput_mbps(duration_us) for sink in sinks]
-        return {
-            "goodput_total": sum(goodputs),
-            "goodput_cell0": sum(goodputs[:clients]),
-            "goodput_min": min(goodputs),
-        }
-
-    return BuiltScenario(s, metrics)
+    return build_hotspot_grid(seed, cells=48, spacing_m=250.0, channel=None)
 
 
 @_register(
@@ -242,30 +191,39 @@ def _hidden_node_sinr(seed: int) -> BuiltScenario:
     return BuiltScenario(s, metrics)
 
 
-def build_dense_hotspot_sinr(
+def build_hotspot_grid(
     seed: int,
     cells: int = 24,
     clients: int = 4,
     spacing_m: float = 72.0,
     channel: str | None = "sinr",
 ) -> BuiltScenario:
-    """Assemble the coupled multi-AP hotspot grid on the SINR medium.
+    """Assemble a square grid of hotspot cells, one AP + ``clients`` uplink
+    clients each, with the paper's 55 m communication / 99 m interference
+    ranges (Figure 23).  Cell 0's AP inflates the NAV of its MAC ACKs (the
+    no-RTS variant of the paper's receiver misbehavior), keeping the greedy
+    machinery on the timed path.  The spacing decides what the grid stresses:
 
-    Unlike ``dense_hotspot`` (250 m spacing — cells are isolated and the
-    scenario stresses the hearer-list build), the 72 m spacing here overlaps the
-    cells: adjacent cells carrier-sense each other while diagonal and more
-    distant cells (>= 101 m) stay mutually hidden, so uplink frames arrive
-    at each AP with live interference from transmitters one to two cells
-    away.  Those interferers sit in the band where a single pairwise power
-    ratio still clears the 10x capture threshold but the *aggregate*
-    interference sum does not clear the per-rate SINR margin — the regime
-    where the two channel models genuinely diverge (measurably different
-    per-cell goodput for equal seeds).  Cell 0's AP keeps the paper's ACK
-    NAV inflation so greedy-receiver machinery stays on the timed path.
+    * 250 m (``dense_hotspot``, 48 cells, ambient channel): the cells are
+      isolated, so each sender has every other radio in the grid but only
+      the ones in its own cell can hear it.  The medium's hearer lists
+      filter those once per sender (a grid lookup, a distance prune, then
+      the exact carrier-sense threshold), so per-frame fan-out stays at the
+      cell size and the one-time build looks at each sender's own cell
+      only — the dense-deployment stress on the medium.
+    * 72 m (``dense_hotspot_sinr``, 24 cells, SINR medium): the cells
+      overlap.  Adjacent cells carrier-sense each other while diagonal and
+      more distant cells (>= 101 m) stay mutually hidden, so uplink frames
+      arrive at each AP with live interference from transmitters one to two
+      cells away.  Those interferers sit in the band where a single pairwise
+      power ratio still clears the 10x capture threshold but the *aggregate*
+      interference sum does not clear the per-rate SINR margin — the regime
+      where the two channel models genuinely diverge (measurably different
+      per-cell goodput for equal seeds).
 
-    Shared by the ``dense_hotspot_sinr`` perf scenario and the campaign
-    builder of the same name; ``channel`` is a plain model name so campaign
-    job specs stay cache-addressable.
+    Shared by both perf scenarios and the ``dense_hotspot_sinr`` campaign
+    builder; ``channel`` is a plain model name (None inherits the ambient
+    selection) so campaign job specs stay cache-addressable.
     """
     s = Scenario(
         seed=seed,
@@ -313,7 +271,7 @@ def build_dense_hotspot_sinr(
     duration_s=0.5,
 )
 def _dense_hotspot_sinr(seed: int) -> BuiltScenario:
-    return build_dense_hotspot_sinr(seed)
+    return build_hotspot_grid(seed)
 
 
 @_register(

@@ -1,6 +1,6 @@
 """Named PHY profiles: the single lookup shared by every plain-data caller.
 
-``experiments/common.py`` (runner kwargs) and ``campaign/spec.py`` (TOML
+``campaign/builders.py`` (scenario kwargs) and ``campaign/spec.py`` (TOML
 specs) both accept a PHY by name; this module is the one place those names
 are defined so the two paths can never drift apart
 (tests/test_experiment_api.py pins the equivalence).

@@ -4,8 +4,8 @@ A :class:`JobSpec` names a seed-parameterised runner by *module path* plus
 keyword arguments instead of capturing a closure, so it can cross a process
 boundary and serve as a stable on-disk cache key.  Runners must be
 module-level callables taking ``seed`` as a keyword argument — exactly the
-shape of the scenario runners in :mod:`repro.experiments.common` and
-:mod:`repro.testbed.emulation`.
+shape of the scenario builders in :mod:`repro.campaign.builders` and the
+runners in :mod:`repro.testbed.emulation`.
 """
 
 from __future__ import annotations

@@ -165,6 +165,82 @@ def test_crash_stop_recovers_running_job_as_interrupted(tmp_path):
         restarted.stop()
 
 
+# ---------------------------------------------------------- replay fences ----
+
+
+def _retired_builder(seed: int, duration_s: float) -> dict[str, float]:
+    return {"x": float(seed)}
+
+
+def _journal_unfinished_job(root: Path, job_id: str, doc: dict, **overrides) -> None:
+    """Journal an admitted-but-unfinished job exactly as ``submit`` does."""
+    from repro.campaign.spec import spec_hash
+    from repro.fleet import JobJournal
+    from repro.fleet import journal as jl
+    from repro.runtime import code_version_token
+
+    fields = {
+        "spec": doc,
+        "spec_hash": spec_hash(spec_from_dict(doc)),
+        "code_version": code_version_token(),
+        "priority": 0,
+        "n_shards": 1,
+        "jobs": 1,
+        "quick": False,
+    }
+    fields.update(overrides)
+    journal = JobJournal(root)
+    journal.append(job_id, jl.SUBMITTED, **fields)
+    journal.append(job_id, jl.QUEUED)
+
+
+def _recover_with_one_fenced_job(root: Path, fenced: str, error: str) -> None:
+    from repro.fleet import FleetService
+
+    service = FleetService(root)
+    assert service.recover() == {"restored": 0, "requeued": 1, "failed": 1}
+    assert service._jobs[fenced].record.status == "failed"
+    assert error in service._jobs[fenced].record.error
+    assert service._jobs["0002-rst_quick"].record.status == "queued"
+    assert service._waiting == ["0002-rst_quick"]
+    # A second recovery on the same root replays the fenced job as a
+    # terminal record and requeues the sibling again.
+    again = FleetService(root)
+    assert again.recover() == {"restored": 1, "requeued": 1, "failed": 0}
+    assert again._jobs[fenced].record.status == "failed"
+    assert again._waiting == ["0002-rst_quick"]
+
+
+def test_recover_fails_a_job_whose_builder_is_no_longer_registered(tmp_path):
+    from repro.campaign.builders import BUILDERS, register
+
+    root = tmp_path / "root"
+    retired = {
+        "campaign": {"name": "retired", "builder": "retired_builder",
+                     "seeds": [1], "duration_s": 0.1},
+    }
+    register("retired_builder")(_retired_builder)
+    try:
+        _journal_unfinished_job(root, "0001-retired", retired)
+    finally:
+        del BUILDERS["retired_builder"]
+    _journal_unfinished_job(root, "0002-rst_quick", QUICK_DOC)
+    _recover_with_one_fenced_job(
+        root, "0001-retired", "journaled spec no longer validates"
+    )
+
+
+def test_recover_fails_a_job_admitted_under_another_code_version(tmp_path):
+    root = tmp_path / "root"
+    _journal_unfinished_job(
+        root, "0001-rst_quick", QUICK_DOC, code_version="older-simulator"
+    )
+    _journal_unfinished_job(root, "0002-rst_quick", QUICK_DOC)
+    _recover_with_one_fenced_job(
+        root, "0001-rst_quick", "different simulator code version"
+    )
+
+
 # --------------------------------------------------------------- SIGKILL ----
 
 

@@ -12,7 +12,7 @@ Three regimes, determined by who can hear what:
 
 import pytest
 
-from repro.experiments.common import run_grc_nav_distance
+from repro.campaign.builders import grc_nav_distance
 from repro.mac.frames import max_cts_nav, rts_duration, cts_duration_from_rts
 from repro.phy.params import dot11b
 
@@ -30,18 +30,18 @@ def test_mtu_bound_overshoot_matches_paper_figure():
 
 
 def test_close_range_grc_restores_fairness():
-    out = run_grc_nav_distance(1, 1.5, pair_distance_m=20.0, grc=True)
+    out = grc_nav_distance(1, 1.5, pair_distance_m=20.0, grc=True)
     assert out["nav_detections"] > 0
     assert out["goodput_R1"] > 0.4 * out["goodput_R2"]
 
 
 def test_close_range_without_grc_starves():
-    out = run_grc_nav_distance(1, 1.5, pair_distance_m=20.0, grc=False)
+    out = grc_nav_distance(1, 1.5, pair_distance_m=20.0, grc=False)
     assert out["goodput_R2"] > 5 * max(out["goodput_R1"], 1e-3)
 
 
 def test_out_of_range_attack_is_harmless():
-    out = run_grc_nav_distance(1, 1.5, pair_distance_m=120.0, grc=False)
+    out = grc_nav_distance(1, 1.5, pair_distance_m=120.0, grc=False)
     # Both pairs run independently at full single-cell rate.
     assert out["goodput_R1"] > 2.5
     assert out["goodput_R2"] > 2.5
@@ -51,13 +51,13 @@ def test_interference_band_hurts_without_decoding():
     """Between communication (55 m) and interference (99 m) range, the pairs
     sense each other's energy but cannot decode NAVs at all: no starvation,
     but also no detections."""
-    out = run_grc_nav_distance(1, 1.5, pair_distance_m=80.0, grc=True)
+    out = grc_nav_distance(1, 1.5, pair_distance_m=80.0, grc=True)
     assert out["nav_detections"] == 0
     assert out["goodput_R1"] > 0.5
 
 
 def test_honest_pairs_fair_at_any_distance():
     for d in (20.0, 60.0, 120.0):
-        out = run_grc_nav_distance(1, 1.0, pair_distance_m=d, grc=False, nav_inflation_us=0.0)
+        out = grc_nav_distance(1, 1.0, pair_distance_m=d, grc=False, nav_inflation_us=0.0)
         ratio = out["goodput_R1"] / max(out["goodput_R2"], 1e-9)
         assert 0.4 < ratio < 2.5, d

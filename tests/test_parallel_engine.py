@@ -14,13 +14,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.experiments.common import (
-    run_fake_inherent_loss,
-    run_grc_nav_distance,
-    run_nav_pairs,
-    run_spoof_tcp_pairs,
-    seed_job,
+from repro.campaign.builders import (
+    fake_inherent_loss,
+    grc_nav_distance,
+    nav_pairs,
+    spoof_tcp_pairs,
 )
+from repro.experiments.common import seed_job
 from repro.runtime import JobSpec, execution, map_over_seeds, runner_path
 from repro.stats import median_over_seeds
 
@@ -31,22 +31,22 @@ DURATION_S = 0.4  # short: 4 runners x 2 modes x 4 seeds must stay CI-friendly
 #: NAV inflation on pairs, TCP ACK spoofing, fake ACKs, and GRC NAV defense.
 FAMILY_JOBS = {
     "nav-pairs": seed_job(
-        run_nav_pairs,
+        nav_pairs,
         duration_s=DURATION_S,
         transport="udp",
         nav_inflation_us=10_000.0,
     ),
     "spoof-tcp": seed_job(
-        run_spoof_tcp_pairs, duration_s=DURATION_S, ber=2e-4
+        spoof_tcp_pairs, duration_s=DURATION_S, ber=2e-4
     ),
     "fake-ack": seed_job(
-        run_fake_inherent_loss,
+        fake_inherent_loss,
         duration_s=DURATION_S,
         data_fer=0.5,
         greedy_flags=(False, True),
     ),
     "grc-nav": seed_job(
-        run_grc_nav_distance, duration_s=DURATION_S, pair_distance_m=20.0
+        grc_nav_distance, duration_s=DURATION_S, pair_distance_m=20.0
     ),
 }
 
@@ -105,7 +105,7 @@ def test_results_keyed_by_seed_not_completion_order():
 
 
 def test_injected_executor_with_jobspec():
-    job = seed_job(run_nav_pairs, duration_s=0.2, transport="udp")
+    job = seed_job(nav_pairs, duration_s=0.2, transport="udp")
     with ThreadPoolExecutor(max_workers=2) as pool:
         threaded = map_over_seeds(job, (1, 2), executor=pool)
     assert threaded == map_over_seeds(job, (1, 2))
@@ -127,19 +127,19 @@ def test_seed_job_rejects_lambdas_and_locals():
 
 def test_seed_job_rejects_seed_kwarg():
     with pytest.raises(ValueError, match="seed"):
-        seed_job(run_nav_pairs, seed=1, duration_s=0.1)
+        seed_job(nav_pairs, seed=1, duration_s=0.1)
 
 
 def test_jobspec_roundtrips_through_its_path():
-    job = seed_job(run_nav_pairs, duration_s=0.1)
-    assert job.runner == runner_path(run_nav_pairs)
-    assert job.resolve() is run_nav_pairs
+    job = seed_job(nav_pairs, duration_s=0.1)
+    assert job.runner == runner_path(nav_pairs)
+    assert job.resolve() is nav_pairs
     assert JobSpec.of(job.runner, duration_s=0.1) == job
 
 
 def test_jobspec_requires_seed_to_run():
     with pytest.raises(ValueError, match="no seed"):
-        seed_job(run_nav_pairs, duration_s=0.1).run()
+        seed_job(nav_pairs, duration_s=0.1).run()
 
 
 def test_jobspec_rejects_opaque_kwargs_at_construction():
@@ -147,8 +147,8 @@ def test_jobspec_rejects_opaque_kwargs_at_construction():
         pass
 
     with pytest.raises(TypeError, match="'phy'.*not cache-key stable"):
-        JobSpec.of(runner_path(run_nav_pairs), duration_s=0.1, phy=Opaque())
+        JobSpec.of(runner_path(nav_pairs), duration_s=0.1, phy=Opaque())
     with pytest.raises(TypeError, match="'phy'"):
-        seed_job(run_nav_pairs, duration_s=0.1, phy=Opaque())
+        seed_job(nav_pairs, duration_s=0.1, phy=Opaque())
     # plain data (including nested containers) is still fine
-    seed_job(run_nav_pairs, duration_s=0.1, inflate_frames=("CTS", "ACK"))
+    seed_job(nav_pairs, duration_s=0.1, inflate_frames=("CTS", "ACK"))

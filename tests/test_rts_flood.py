@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.ext_rts_roc import run_rts_flood_roc
+from repro.campaign.builders import rts_flood_roc
 from repro.faults import FaultPlan, RtsFloodConfig
 from repro.net.scenario import Scenario
 from repro.phy.channel import ChannelConfig
@@ -115,10 +115,10 @@ def test_roc_operating_point_is_pinned(threshold):
     expected_tp, expected_det, expected_fp, expected_clean_det = ROC_PINNED[
         threshold
     ]
-    flooded = run_rts_flood_roc(
+    flooded = rts_flood_roc(
         ROC_SEED, ROC_DURATION_S, threshold=threshold, flood=True
     )
-    clean = run_rts_flood_roc(
+    clean = rts_flood_roc(
         ROC_SEED, ROC_DURATION_S, threshold=threshold, flood=False
     )
     failures = []
@@ -163,10 +163,12 @@ def test_ext_rts_roc_quick_end_to_end():
 
 
 def test_campaign_builder_matches_runner():
-    from repro.campaign import get_builder
+    """A campaign point's JobSpec round trip (module path + plain kwargs)
+    runs exactly what a direct call does."""
+    from repro.runtime import seed_job
 
-    builder = get_builder("rts_flood_roc")
-    assert builder(5, 0.2, threshold=4, flood=True) == run_rts_flood_roc(
+    job = seed_job(rts_flood_roc, duration_s=0.2, threshold=4, flood=True)
+    assert job.with_seed(5).run() == rts_flood_roc(
         5, 0.2, threshold=4, flood=True
     )
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.common import run_nav_pairs
+from repro.campaign.builders import nav_pairs
 from repro.mac.frames import FrameKind
 from repro.phy.params import dot11a
 from repro.runtime import (
@@ -25,7 +25,7 @@ RESULT = {"goodput_R0": 1.25, "goodput_R1": 0.5}
 def make_spec(**overrides):
     kwargs = {"duration_s": 0.3, "transport": "udp", "nav_inflation_us": 600.0}
     kwargs.update(overrides)
-    return seed_job(run_nav_pairs, **kwargs).with_seed(1)
+    return seed_job(nav_pairs, **kwargs).with_seed(1)
 
 
 def test_hit_on_identical_spec(tmp_path):
@@ -74,7 +74,7 @@ def test_corrupted_entry_warns_and_recomputes(tmp_path):
     assert cache.errors == 1
     # The engine falls back to recomputation and repairs the entry.
     cache.path_for(spec).write_text("{ not json !!")
-    job = seed_job(run_nav_pairs, **dict(spec.kwargs))
+    job = seed_job(nav_pairs, **dict(spec.kwargs))
     with pytest.warns(RuntimeWarning, match="corrupted cache entry"):
         results = map_over_seeds(job, [1], cache=cache)
     assert results[1] == cache.get(spec)  # repaired: clean hit, real result
@@ -135,7 +135,7 @@ def test_cache_dir_deleted_mid_run_recomputes(tmp_path):
 
     cache_dir = tmp_path / "cache"
     cache = ResultCache(cache_dir)
-    job = seed_job(run_nav_pairs, duration_s=0.2, transport="udp")
+    job = seed_job(nav_pairs, duration_s=0.2, transport="udp")
     first = map_over_seeds(job, (1,), cache=cache)
     shutil.rmtree(cache_dir)  # the rug-pull: someone rm -rf'd the cache
     second = map_over_seeds(job, (1,), cache=cache)  # recomputes, re-stores
@@ -155,7 +155,7 @@ def test_checksums_roundtrip_via_result_checksum(tmp_path):
 
 def test_map_over_seeds_uses_cache(tmp_path):
     cache = ResultCache(tmp_path)
-    job = seed_job(run_nav_pairs, duration_s=0.2, transport="udp")
+    job = seed_job(nav_pairs, duration_s=0.2, transport="udp")
     first = map_over_seeds(job, (1, 2), cache=cache)
     assert cache.stats()["stores"] == 2
     second = map_over_seeds(job, (1, 2), cache=cache)
@@ -328,7 +328,7 @@ def test_map_over_seeds_waits_for_a_concurrent_claimant(tmp_path):
 
     winner = ResultCache(tmp_path)
     loser = ResultCache(tmp_path)
-    job = seed_job(run_nav_pairs, duration_s=0.2, transport="udp")
+    job = seed_job(nav_pairs, duration_s=0.2, transport="udp")
     spec = job.with_seed(1)
     claim = winner.try_claim(spec)
     assert claim is not None
@@ -356,7 +356,7 @@ def test_map_over_seeds_recomputes_after_claimant_crash(tmp_path):
     import sys
 
     cache = ResultCache(tmp_path)
-    job = seed_job(run_nav_pairs, duration_s=0.2, transport="udp")
+    job = seed_job(nav_pairs, duration_s=0.2, transport="udp")
     spec = job.with_seed(1)
     proc = subprocess.Popen([sys.executable, "-c", "pass"])
     proc.wait()

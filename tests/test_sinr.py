@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.experiments.common import run_hidden_node
+from repro.campaign.builders import hidden_node
 from repro.net.scenario import Scenario
 from repro.phy.channel import ChannelConfig, use_channel
 from repro.phy.params import dot11a, dot11b
@@ -131,8 +131,8 @@ def test_ambient_pairwise_replays_every_committed_golden(tmp_path):
 
 
 def test_hidden_triangle_collapses_without_rts_and_recovers_with_it():
-    off = run_hidden_node(1, 0.3, rts=False)
-    on = run_hidden_node(1, 0.3, rts=True)
+    off = hidden_node(1, 0.3, rts=False)
+    on = hidden_node(1, 0.3, rts=True)
     assert off["rts_S0"] == off["rts_S1"] == 0.0
     assert on["rts_S0"] > 0 and on["rts_S1"] > 0
     # The acceptance shape: severalfold total-goodput recovery.
