@@ -446,12 +446,8 @@ def write_reports(out_dir: str | Path, manifest: Manifest) -> tuple[Path, Path]:
     out = Path(out_dir)
     results = load_point_results(out, manifest)
     columns, rows = aggregate(manifest, results)
-
-    csv_lines = [",".join(columns)]
-    for row in rows:
-        csv_lines.append(",".join(_csv_cell(row.get(column)) for column in columns))
     csv_path = out / "results.csv"
-    atomic_write_text(csv_path, "\n".join(csv_lines) + "\n")
+    atomic_write_text(csv_path, results_csv(columns, rows))
 
     json_path = out / "results.json"
     atomic_write_text(
@@ -472,6 +468,13 @@ def write_reports(out_dir: str | Path, manifest: Manifest) -> tuple[Path, Path]:
         ),
     )
     return csv_path, json_path
+
+
+def results_csv(columns: list[str], rows: list[dict[str, Any]]) -> str:
+    """The ``results.csv`` text of an :func:`aggregate` table."""
+    lines = [",".join(columns)]
+    lines += [",".join(_csv_cell(row.get(column)) for column in columns) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _csv_cell(value: Any) -> str:

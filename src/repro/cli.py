@@ -30,6 +30,16 @@ from repro.experiments import entries, get_entry
 US = 1_000_000.0
 
 
+def _emit(document: str, output: str | None, end: str = "") -> None:
+    """Write ``document`` to the ``-o`` file, or print it (plus ``end``)."""
+    if output:
+        with open(output, "w") as handle:
+            handle.write(document)
+        print(f"wrote {output}")
+    else:
+        print(document, end=end)
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     from repro.stats.summary import format_table
 
@@ -55,11 +65,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.common import RunSettings
     from repro.runtime import ResultCache, execution
 
-    try:
-        entry = get_entry(args.experiment)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    entry = get_entry(args.experiment)
     settings = RunSettings.for_mode(args.quick).replace(
         telemetry=args.telemetry, channel=args.channel
     )
@@ -73,12 +79,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     text = result.to_json(indent=2) if args.format == "json" else result.to_text()
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text)
+    _emit(text, args.output, end="\n")
     if args.telemetry and args.format != "json" and result.telemetry is not None:
         snap = result.telemetry
         print(
@@ -109,7 +110,7 @@ def _build_demo(kind: str, grc: bool, seed: int):
         f2, attacker = s.udp_flow("GS", "GR")
         f1.start()
         f2.start()
-        return s, victim, attacker, "udp"
+        return s, victim, attacker
     if kind == "spoof":
         s = Scenario(seed=seed)
         s.add_wireless_node("NS", position=(0, 0))
@@ -125,31 +126,26 @@ def _build_demo(kind: str, grc: bool, seed: int):
         snd2, attacker = s.tcp_flow("GS", "GR")
         snd1.start()
         snd2.start()
-        return s, victim, attacker, "tcp"
-    if kind == "fake":
-        s = Scenario(seed=seed, rts_enabled=False)
-        s.add_wireless_node("S1")
-        s.add_wireless_node("S2")
-        s.add_wireless_node("R1")
-        s.add_wireless_node("R2", greedy=GreedyConfig.ack_faker())
-        s.error_model.set_data_fer("S1", "R1", 0.5)
-        s.error_model.set_data_fer("S2", "R2", 0.5)
-        f1, victim = s.udp_flow("S1", "R1")
-        f2, attacker = s.udp_flow("S2", "R2")
-        f1.start()
-        f2.start()
-        return s, victim, attacker, "udp"
-    raise ValueError(f"unknown demo {kind!r}")
+        return s, victim, attacker
+    # kind == "fake" (argparse choices rule out anything else)
+    s = Scenario(seed=seed, rts_enabled=False)
+    s.add_wireless_node("S1")
+    s.add_wireless_node("S2")
+    s.add_wireless_node("R1")
+    s.add_wireless_node("R2", greedy=GreedyConfig.ack_faker())
+    s.error_model.set_data_fer("S1", "R1", 0.5)
+    s.error_model.set_data_fer("S2", "R2", 0.5)
+    f1, victim = s.udp_flow("S1", "R1")
+    f2, attacker = s.udp_flow("S2", "R2")
+    f1.start()
+    f2.start()
+    return s, victim, attacker
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.stats.trace import attach_goodput_series, sparkline
 
-    try:
-        s, victim, attacker, _transport = _build_demo(args.kind, args.grc, args.seed)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    s, victim, attacker = _build_demo(args.kind, args.grc, args.seed)
     victim_series = attach_goodput_series(s.sim, victim)
     attacker_series = attach_goodput_series(s.sim, attacker)
     duration = args.duration
@@ -191,7 +187,13 @@ def _capture_target(args: argparse.Namespace):
         )
     from repro.experiments.common import RunSettings
 
-    entry = get_entry(args.target)  # KeyError lists the known experiment ids
+    try:
+        entry = get_entry(args.target)
+    except KeyError as exc:
+        raise KeyError(
+            f"{exc.args[0]}\ntarget must be a perf scenario (repro perf --list) "
+            "or an experiment id (repro list)"
+        ) from None
     settings = RunSettings.for_mode(args.quick).replace(telemetry=True)
     return entry.runner(settings).telemetry
 
@@ -200,23 +202,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.obs import validate_snapshot
     from repro.stats.summary import format_table
 
-    try:
-        snapshot = _capture_target(args)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        print(
-            "target must be a perf scenario (repro perf --list) or an "
-            "experiment id (repro list)",
-            file=sys.stderr,
-        )
-        return 2
+    snapshot = _capture_target(args)
     problems = validate_snapshot(snapshot)
     if problems:
         for problem in problems:
             print(f"invalid snapshot: {problem}", file=sys.stderr)
         return 2
     if args.format == "json":
-        text = snapshot.to_json(indent=2)
+        text = snapshot.to_json(indent=2) + "\n"
     else:
         header = (
             f"== telemetry {args.target} ==\n"
@@ -226,13 +219,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         text = header + format_table(
             ["layer", "station", "metric", "kind", "value"],
             [list(row) for row in snapshot.rows()],
-        ).rstrip("\n")
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.output}")
-    else:
-        print(text)
+        )
+    _emit(text, args.output)
     return 0
 
 
@@ -240,11 +228,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.perf.scenarios import get_scenario
     from repro.stats.trace import FrameTracer
 
-    try:
-        spec = get_scenario(args.target)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    spec = get_scenario(args.target)
     built = spec.build(args.seed)
     tracer = FrameTracer(built.scenario.medium)
     duration = args.duration if args.duration is not None else spec.duration_s
@@ -285,24 +269,19 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         try:
             baseline = load_bench(args.check_regression)
         except (OSError, ValueError) as exc:
-            print(f"cannot load baseline: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"cannot load baseline: {exc}") from None
     channel_ctx = (
         use_channel(args.channel) if args.channel else contextlib.nullcontext()
     )
-    try:
-        with channel_ctx:
-            bench = run_benchmark(
-                names=args.scenarios or None,
-                seed=args.seed,
-                repeats=args.repeats,
-                duration_s=args.duration,
-                progress=lambda message: print(message, file=sys.stderr),
-                telemetry=args.telemetry,
-            )
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
+    with channel_ctx:
+        bench = run_benchmark(
+            names=args.scenarios or None,
+            seed=args.seed,
+            repeats=args.repeats,
+            duration_s=args.duration,
+            progress=lambda message: print(message, file=sys.stderr),
+            telemetry=args.telemetry,
+        )
     problems = validate_bench(bench)
     if problems:
         for problem in problems:
@@ -335,17 +314,13 @@ def _cmd_detect_diff(args: argparse.Namespace) -> int:
         if args.fuzz_cases is not None
         else QUICK_FUZZ_CASES
     )
-    try:
-        reports = diff_detection(
-            targets=args.targets or None,
-            golden_dir=args.golden_dir,
-            fuzz_cases=fuzz_cases,
-            fuzz_duration_s=args.fuzz_duration,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
+    reports = diff_detection(
+        targets=args.targets or None,
+        golden_dir=args.golden_dir,
+        fuzz_cases=fuzz_cases,
+        fuzz_duration_s=args.fuzz_duration,
+        progress=lambda message: print(message, file=sys.stderr),
+    )
     failures = [report for report in reports if not report.ok]
     for report in failures:
         print(f"DIVERGED {report.summary_line()}")
@@ -389,31 +364,20 @@ def _retry_policy(args: argparse.Namespace):
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    from repro.campaign import (
-        FAILED,
-        CampaignError,
-        ManifestError,
-        SpecError,
-        load_spec,
-        run_campaign,
-    )
+    from repro.campaign import FAILED, load_spec, run_campaign
 
-    try:
-        spec = load_spec(args.spec, quick=args.quick)
-        summary = run_campaign(
-            spec,
-            out_dir=args.out,
-            jobs=args.jobs,
-            resume=args.resume,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            progress=print if args.verbose else None,
-            telemetry=args.telemetry,
-            retry=_retry_policy(args),
-        )
-    except (SpecError, CampaignError, ManifestError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    spec = load_spec(args.spec, quick=args.quick)
+    summary = run_campaign(
+        spec,
+        out_dir=args.out,
+        jobs=args.jobs,
+        resume=args.resume,
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_cache,
+        progress=print if args.verbose else None,
+        telemetry=args.telemetry,
+        retry=_retry_policy(args),
+    )
     manifest = summary.manifest
     mode = " (quick)" if args.quick else ""
     print(
@@ -445,50 +409,38 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.campaign import DONE, Manifest, ManifestError, SpecError, manifest_path
+    from repro.campaign import DONE, Manifest, manifest_path
     from repro.stats.summary import format_table
 
-    try:
-        out = _campaign_out_dir(args.target, args.quick)
-        manifest = Manifest.load(manifest_path(out))
-    except (SpecError, ManifestError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    manifest = Manifest.load(manifest_path(_campaign_out_dir(args.target, args.quick)))
     if args.json:
         print(_json.dumps(manifest.status_document(), indent=2, sort_keys=True))
-        if args.expect_complete and not manifest.complete:
-            print("campaign is not complete", file=sys.stderr)
-            return 1
-        return 0
-    print(
-        f"campaign {manifest.name}: {manifest.count(DONE)}/{manifest.total} points "
-        f"done, {manifest.count('failed')} failed, "
-        f"{manifest.count('pending')} pending (spec {manifest.spec_hash})"
-    )
-    rows = [
-        [
-            str(point.index),
-            point.id,
-            point.status,
-            f"{len(point.seeds_done)}/{len(manifest.seeds)}",
-            str(point.retries),
-            point.last_failure or point.error or "",
-        ]
-        for point in manifest.points
-    ]
-    print(
-        format_table(
-            ["index", "point", "status", "seeds", "retries", "last failure"], rows
-        ),
-        end="",
-    )
-    faults = manifest.faults or {}
-    if any(faults.values()):
+    else:
         print(
-            f"pool incidents: {faults.get('pool_rebuilds', 0)} rebuilds, "
-            f"{faults.get('worker_kills', 0)} watchdog kills"
-            + (" (degraded to serial)" if faults.get("degraded_to_serial") else "")
+            f"campaign {manifest.name}: {manifest.count(DONE)}/{manifest.total} "
+            f"points done, {manifest.count('failed')} failed, "
+            f"{manifest.count('pending')} pending (spec {manifest.spec_hash})"
         )
+        rows = [
+            [
+                str(point.index),
+                point.id,
+                point.status,
+                f"{len(point.seeds_done)}/{len(manifest.seeds)}",
+                str(point.retries),
+                point.last_failure or point.error or "",
+            ]
+            for point in manifest.points
+        ]
+        headers = ["index", "point", "status", "seeds", "retries", "last failure"]
+        print(format_table(headers, rows), end="")
+        faults = manifest.faults or {}
+        if any(faults.values()):
+            print(
+                f"pool incidents: {faults.get('pool_rebuilds', 0)} rebuilds, "
+                f"{faults.get('worker_kills', 0)} watchdog kills"
+                + (" (degraded to serial)" if faults.get("degraded_to_serial") else "")
+            )
     if args.expect_complete and not manifest.complete:
         print("campaign is not complete", file=sys.stderr)
         return 1
@@ -498,35 +450,18 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.campaign import (
-        CampaignError,
-        Manifest,
-        ManifestError,
-        SpecError,
-        aggregate,
-        load_point_results,
-        manifest_path,
-    )
+    from repro.campaign import Manifest, aggregate, load_point_results, manifest_path
+    from repro.campaign.runner import results_csv
     from repro.stats.summary import format_table
 
-    try:
-        out = _campaign_out_dir(args.target, args.quick)
-        manifest = Manifest.load(manifest_path(out))
-        results = load_point_results(out, manifest)
-    except (SpecError, CampaignError, ManifestError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    columns, rows = aggregate(manifest, results)
+    out = _campaign_out_dir(args.target, args.quick)
+    manifest = Manifest.load(manifest_path(out))
+    columns, rows = aggregate(manifest, load_point_results(out, manifest))
     if args.format == "json":
-        text = _json.dumps(
-            {"name": manifest.name, "columns": columns, "rows": rows},
-            indent=2,
-            sort_keys=True,
-        )
+        document = {"name": manifest.name, "columns": columns, "rows": rows}
+        text = _json.dumps(document, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(str(row.get(c, "")) for c in columns) for row in rows]
-        text = "\n".join(lines)
+        text = results_csv(columns, rows)
     else:
         header = (
             f"== campaign {manifest.name} ==\n"
@@ -534,13 +469,8 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
             f"seeds {manifest.seeds}\n"
         )
         cells = [[_fmt_cell(row.get(c, "")) for c in columns] for row in rows]
-        text = header + format_table(columns, cells).rstrip("\n")
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.output}")
-    else:
-        print(text)
+        text = header + format_table(columns, cells)
+    _emit(text, args.output)
     return 0
 
 
@@ -554,25 +484,20 @@ def _fmt_cell(value) -> str:
 
 
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
-    from repro.campaign import SpecError, default_out_dir, load_spec
-    from repro.fleet import FleetError, run_fleet
+    from repro.campaign import default_out_dir, load_spec
+    from repro.fleet import run_fleet
 
-    try:
-        spec = load_spec(args.spec, quick=args.quick)
-        out = args.out if args.out else default_out_dir(spec)
-        run = run_fleet(
-            spec,
-            out,
-            n_shards=args.shards,
-            executor=args.executor,
-            jobs=args.jobs,
-            max_shard_attempts=args.max_shard_attempts,
-            max_parallel=args.max_parallel_shards,
-            progress=print if args.verbose else None,
-        )
-    except (SpecError, FleetError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    spec = load_spec(args.spec, quick=args.quick)
+    run = run_fleet(
+        spec,
+        args.out if args.out else default_out_dir(spec),
+        n_shards=args.shards,
+        executor=args.executor,
+        jobs=args.jobs,
+        max_shard_attempts=args.max_shard_attempts,
+        max_parallel=args.max_parallel_shards,
+        progress=print if args.verbose else None,
+    )
     mode = " (quick)" if args.quick else ""
     state = run.state
     healed = sum(max(0, entry.attempts - 1) for entry in state.shards)
@@ -597,8 +522,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
 def _cmd_fleet_worker(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.campaign import CampaignError, SpecError
-    from repro.fleet import FleetError, ShardTask, run_shard_inprocess
+    from repro.fleet import ShardTask, run_shard_inprocess
 
     task = ShardTask(
         spec_path=Path(args.spec),
@@ -608,28 +532,19 @@ def _cmd_fleet_worker(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
     )
-    try:
-        return run_shard_inprocess(task)
-    except (SpecError, CampaignError, FleetError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    return run_shard_inprocess(task)
 
 
 def _cmd_fleet_status(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.fleet import FleetClientError, FleetError, fleet_status_document, get_json
+    from repro.fleet import fleet_status_document, get_json
 
     if not args.url and not args.target:
-        print("fleet status needs an output directory or --url", file=sys.stderr)
-        return 2
+        raise ValueError("fleet status needs an output directory or --url")
     if args.url:
         # Service-level status: queue depth, job-state counts, journal lag.
-        try:
-            doc = get_json(args.url, "/status")
-        except FleetClientError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+        doc = get_json(args.url, "/status")
         if args.json:
             print(_json.dumps(doc, indent=2, sort_keys=True))
         else:
@@ -652,11 +567,7 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
             )
         return 0
 
-    try:
-        doc = fleet_status_document(args.target)
-    except FleetError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    doc = fleet_status_document(args.target)
     if args.json:
         print(_json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -734,54 +645,34 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_submit(args: argparse.Namespace) -> int:
-    from repro.campaign import SpecError
     from repro.campaign.spec import load_spec, spec_to_dict
-    from repro.fleet import FleetClientError, fetch_results, submit_job, wait_for_job
+    from repro.fleet import fetch_results, submit_job, wait_for_job
 
-    try:
-        spec = load_spec(args.spec, quick=args.quick)
-    except SpecError as exc:
-        print(exc, file=sys.stderr)
-        return 2
     document = {
-        "spec": spec_to_dict(spec),
+        "spec": spec_to_dict(load_spec(args.spec, quick=args.quick)),
         "n_shards": args.shards,
         "jobs": args.jobs,
         "priority": args.priority,
         # The spec is already resolved locally, so quick is not re-applied
         # server-side; the document carries the quick-resolved grid itself.
     }
-    try:
-        job_id = submit_job(args.url, document)
-        print(f"submitted job {job_id} to {args.url}")
-        if not args.wait:
-            return 0
-        status = wait_for_job(args.url, job_id, timeout_s=args.timeout)
-        print(f"job {job_id}: {status['status']}")
-        if status["status"] != "done":
-            print(f"  error: {status.get('error')}", file=sys.stderr)
-            return 1
-        csv_text = fetch_results(args.url, job_id)
-    except FleetClientError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(csv_text)
-        print(f"wrote {args.output}")
-    else:
-        print(csv_text, end="")
+    job_id = submit_job(args.url, document)
+    print(f"submitted job {job_id} to {args.url}")
+    if not args.wait:
+        return 0
+    status = wait_for_job(args.url, job_id, timeout_s=args.timeout)
+    print(f"job {job_id}: {status['status']}")
+    if status["status"] != "done":
+        print(f"  error: {status.get('error')}", file=sys.stderr)
+        return 1
+    _emit(fetch_results(args.url, job_id), args.output)
     return 0
 
 
 def _cmd_fleet_cancel(args: argparse.Namespace) -> int:
-    from repro.fleet import FleetClientError, cancel_job
+    from repro.fleet import cancel_job
 
-    try:
-        reply = cancel_job(args.url, args.job)
-    except FleetClientError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    reply = cancel_job(args.url, args.job)
     print(f"job {reply['job']}: {reply['status']}")
     return 0
 
@@ -809,23 +700,92 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     with warnings.catch_warnings():
         # Quarantine warnings are the harness working as intended.
         warnings.simplefilter("ignore", RuntimeWarning)
-        try:
-            if args.keep:
-                report = run_chaos(args.profile, args.keep, progress=progress)
-            else:
-                with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-                    report = run_chaos(args.profile, tmp, progress=progress)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
+        if args.keep:
+            report = run_chaos(args.profile, args.keep, progress=progress)
+        else:
+            with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
+                report = run_chaos(args.profile, tmp, progress=progress)
     print("\n".join(report.summary_lines()))
     if args.keep:
         print(f"  artifacts kept under: {args.keep}")
     return 0 if report.ok else 1
 
 
+def _shared(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring one argument that several subcommands take."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for ``python -m repro``."""
+    quick = _shared(
+        "--quick",
+        action="store_true",
+        help="quick mode: the reduced sweep, or the spec's [quick] overrides",
+    )
+    output = _shared("-o", "--output", help="write the document to this file")
+    jobs = _shared(
+        "--jobs",
+        type=int,
+        default=1,
+        help="fan seeded repetitions out over N worker processes (per shard)",
+    )
+    cache_dir = _shared(
+        "--cache-dir",
+        help="per-seed result cache directory (campaigns default to <out>/cache)",
+    )
+    out = _shared("--out", help="output directory (default results/campaigns/<name>)")
+    verbose = _shared("-v", "--verbose", action="store_true", help="print progress")
+    url = _shared(
+        "--url", required=True, help="service base URL, e.g. http://127.0.0.1:8642"
+    )
+    as_json = _shared(
+        "--json",
+        action="store_true",
+        help="emit the machine-readable status document instead of a table",
+    )
+    expect_complete = _shared(
+        "--expect-complete",
+        action="store_true",
+        help="exit 1 unless every point is done (CI gate)",
+    )
+    executor = _shared(
+        "--executor",
+        default="subprocess",
+        help="how shards run: subprocess (one OS process per shard, default) "
+        "or local (in-process)",
+    )
+    max_parallel_shards = _shared(
+        "--max-parallel-shards",
+        type=int,
+        default=None,
+        help="cap concurrently running shards of a job (default: all at once)",
+    )
+    shards = _shared("--shards", type=int, default=2, help="number of shards (default 2)")
+    channel = _shared(
+        "--channel",
+        default=None,
+        help="ambient channel model for scenarios that do not pin one "
+        "(pairwise or sinr; default: pairwise)",
+    )
+    telemetry = _shared(
+        "--telemetry",
+        action="store_true",
+        help="capture per-station metrics (perf: time the instrumented path)",
+    )
+    list_names = _shared("--list", action="store_true", help="list the names and exit")
+    seed = _shared("--seed", type=int, default=1, help="seed for perf-scenario runs")
+    duration = _shared(
+        "--duration",
+        type=float,
+        default=None,
+        help="simulated seconds per perf scenario (default: the scenario's)",
+    )
+    spec = _shared("spec", help="path to a campaign .toml spec")
+    campaign_target = _shared("target", help="campaign output directory or spec .toml")
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Greedy receivers in IEEE 802.11 hotspots: reproduction toolkit",
@@ -838,35 +798,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_list.set_defaults(func=_cmd_list)
 
-    p_run = sub.add_parser("run", help="regenerate one table/figure")
-    p_run.add_argument("experiment", help="e.g. fig4, table2, ext_autorate")
-    p_run.add_argument("--quick", action="store_true", help="reduced sweep")
-    p_run.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="capture a per-station metrics snapshot alongside the result",
+    p_run = sub.add_parser(
+        "run",
+        parents=[quick, telemetry, output, jobs, cache_dir, channel],
+        help="regenerate one table/figure",
     )
+    p_run.add_argument("experiment", help="e.g. fig4, table2, ext_autorate")
     p_run.add_argument(
         "--format", choices=["text", "json"], default="text",
         help="json emits the schema-versioned ExperimentResult document",
-    )
-    p_run.add_argument("-o", "--output", help="write the table to a file")
-    p_run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="fan seeded repetitions out over N worker processes",
-    )
-    p_run.add_argument(
-        "--cache-dir",
-        help="reuse/store per-seed results under this directory "
-        "(e.g. results/.cache)",
-    )
-    p_run.add_argument(
-        "--channel",
-        default=None,
-        help="ambient channel model for every scenario the experiment builds "
-        "(pairwise or sinr; default: pairwise)",
     )
     p_run.set_defaults(func=_cmd_run)
 
@@ -875,16 +815,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     csub = p_campaign.add_subparsers(dest="campaign_command", required=True)
 
-    p_crun = csub.add_parser("run", help="run (or resume) a campaign spec")
-    p_crun.add_argument("spec", help="path to a campaign .toml spec")
-    p_crun.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="fan each point's seeded runs out over N worker processes",
-    )
-    p_crun.add_argument(
-        "--quick", action="store_true", help="apply the spec's [quick] overrides"
+    p_crun = csub.add_parser(
+        "run",
+        parents=[spec, jobs, quick, out, cache_dir, telemetry, verbose],
+        help="run (or resume) a campaign spec",
     )
     p_crun.add_argument(
         "--resume",
@@ -892,21 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip points the manifest already marks done",
     )
     p_crun.add_argument(
-        "--out", help="output directory (default results/campaigns/<name>)"
-    )
-    p_crun.add_argument(
-        "--cache-dir", help="per-seed result cache directory (default <out>/cache)"
-    )
-    p_crun.add_argument(
         "--no-cache", action="store_true", help="disable the per-seed result cache"
-    )
-    p_crun.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="store a representative-run metrics snapshot in each point payload",
-    )
-    p_crun.add_argument(
-        "-v", "--verbose", action="store_true", help="print per-point progress"
     )
     p_crun.add_argument(
         "--retries",
@@ -931,36 +851,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_crun.set_defaults(func=_cmd_campaign_run)
 
-    p_cstatus = csub.add_parser("status", help="show a campaign's manifest status")
-    p_cstatus.add_argument("target", help="campaign output directory or spec .toml")
-    p_cstatus.add_argument(
-        "--quick",
-        action="store_true",
-        help="resolve a spec target the way a --quick run would",
-    )
-    p_cstatus.add_argument(
-        "--expect-complete",
-        action="store_true",
-        help="exit 1 unless every point is done (CI gate)",
-    )
-    p_cstatus.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable status document instead of a table",
+    p_cstatus = csub.add_parser(
+        "status",
+        parents=[campaign_target, quick, expect_complete, as_json],
+        help="show a campaign's manifest status",
     )
     p_cstatus.set_defaults(func=_cmd_campaign_status)
 
-    p_creport = csub.add_parser("report", help="print the aggregated results table")
-    p_creport.add_argument("target", help="campaign output directory or spec .toml")
-    p_creport.add_argument(
-        "--quick",
-        action="store_true",
-        help="resolve a spec target the way a --quick run would",
+    p_creport = csub.add_parser(
+        "report",
+        parents=[campaign_target, quick, output],
+        help="print the aggregated results table",
     )
     p_creport.add_argument(
         "--format", choices=["text", "csv", "json"], default="text"
     )
-    p_creport.add_argument("-o", "--output", help="write the report to a file")
     p_creport.set_defaults(func=_cmd_campaign_report)
 
     p_fleet = sub.add_parser(
@@ -970,28 +875,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fsub = p_fleet.add_subparsers(dest="fleet_command", required=True)
 
-    p_frun = fsub.add_parser("run", help="run a campaign spec as N shards")
-    p_frun.add_argument("spec", help="path to a campaign .toml spec")
-    p_frun.add_argument(
-        "--shards", type=int, default=2, help="number of shards (default 2)"
-    )
-    p_frun.add_argument(
-        "--executor",
-        default="subprocess",
-        help="how shards run: subprocess (one OS process per shard, default) "
-        "or local (in-process)",
-    )
-    p_frun.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes per shard (passed through to the campaign)",
-    )
-    p_frun.add_argument(
-        "--quick", action="store_true", help="apply the spec's [quick] overrides"
-    )
-    p_frun.add_argument(
-        "--out", help="fleet output directory (default results/campaigns/<name>)"
+    p_frun = fsub.add_parser(
+        "run",
+        parents=[spec, shards, executor, jobs, quick, out, max_parallel_shards, verbose],
+        help="run a campaign spec as N shards",
     )
     p_frun.add_argument(
         "--max-shard-attempts",
@@ -999,19 +886,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         help="dispatch attempts per shard before the fleet run fails (default 3)",
     )
-    p_frun.add_argument(
-        "--max-parallel-shards",
-        type=int,
-        default=None,
-        help="cap concurrently running shards (default: all at once)",
-    )
-    p_frun.add_argument(
-        "-v", "--verbose", action="store_true", help="print per-shard progress"
-    )
     p_frun.set_defaults(func=_cmd_fleet_run)
 
     p_fworker = fsub.add_parser(
         "worker",
+        parents=[jobs, cache_dir],
         help="run one shard of a fleet (internal; launched by the "
         "subprocess executor)",
     )
@@ -1019,13 +898,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fworker.add_argument("--out", required=True, help="this shard's output directory")
     p_fworker.add_argument("--shard", type=int, required=True)
     p_fworker.add_argument("--n-shards", type=int, required=True)
-    p_fworker.add_argument("--jobs", type=int, default=1)
-    p_fworker.add_argument(
-        "--cache-dir", default=None, help="shared per-seed result cache directory"
-    )
     p_fworker.set_defaults(func=_cmd_fleet_worker)
 
-    p_fstatus = fsub.add_parser("status", help="show a fleet run's shard status")
+    p_fstatus = fsub.add_parser(
+        "status",
+        parents=[as_json, expect_complete],
+        help="show a fleet run's shard status",
+    )
     p_fstatus.add_argument(
         "target", nargs="?", default=None, help="fleet output directory"
     )
@@ -1034,20 +913,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="query a running fleet service instead of an output directory "
         "(queue depth, per-state job counts, journal lag)",
     )
-    p_fstatus.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable status document instead of a table",
-    )
-    p_fstatus.add_argument(
-        "--expect-complete",
-        action="store_true",
-        help="exit 1 unless the merged run covers every point (CI gate)",
-    )
     p_fstatus.set_defaults(func=_cmd_fleet_status)
 
     p_fserve = fsub.add_parser(
-        "serve", help="HTTP service: POST specs, poll shard status, fetch results"
+        "serve",
+        parents=[executor, jobs, max_parallel_shards],
+        help="HTTP service: POST specs, poll shard status, fetch results",
     )
     p_fserve.add_argument(
         "--root",
@@ -1057,18 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fserve.add_argument("--host", default="127.0.0.1")
     p_fserve.add_argument(
         "--port", type=int, default=8642, help="0 picks a free port (default 8642)"
-    )
-    p_fserve.add_argument(
-        "--executor", default="subprocess", help="executor for submitted jobs"
-    )
-    p_fserve.add_argument(
-        "--jobs", type=int, default=1, help="default worker processes per shard"
-    )
-    p_fserve.add_argument(
-        "--max-parallel-shards",
-        type=int,
-        default=None,
-        help="cap concurrently running shards across each job",
     )
     p_fserve.add_argument(
         "--max-running",
@@ -1086,20 +945,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fserve.set_defaults(func=_cmd_fleet_serve)
 
     p_fsubmit = fsub.add_parser(
-        "submit", help="submit a spec to a running fleet service"
-    )
-    p_fsubmit.add_argument("spec", help="path to a campaign .toml spec")
-    p_fsubmit.add_argument(
-        "--url", required=True, help="service base URL, e.g. http://127.0.0.1:8642"
-    )
-    p_fsubmit.add_argument("--shards", type=int, default=2)
-    p_fsubmit.add_argument(
-        "--jobs", type=int, default=1, help="worker processes per shard"
-    )
-    p_fsubmit.add_argument(
-        "--quick",
-        action="store_true",
-        help="resolve the spec's [quick] overrides before submitting",
+        "submit",
+        parents=[spec, url, shards, jobs, quick, output],
+        help="submit a spec to a running fleet service",
     )
     p_fsubmit.add_argument(
         "--priority",
@@ -1119,22 +967,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=600.0,
         help="--wait polling budget in seconds (default 600)",
     )
-    p_fsubmit.add_argument(
-        "-o", "--output", help="with --wait: write results.csv here"
-    )
     p_fsubmit.set_defaults(func=_cmd_fleet_submit)
 
     p_fcancel = fsub.add_parser(
-        "cancel", help="cancel a queued or running job on a fleet service"
+        "cancel",
+        parents=[url],
+        help="cancel a queued or running job on a fleet service",
     )
     p_fcancel.add_argument("job", help="job id as returned by submit")
-    p_fcancel.add_argument(
-        "--url", required=True, help="service base URL, e.g. http://127.0.0.1:8642"
-    )
     p_fcancel.set_defaults(func=_cmd_fleet_cancel)
 
     p_chaos = sub.add_parser(
         "chaos",
+        parents=[list_names, verbose],
         help="self-test the fault-tolerant campaign engine under injected "
         "failures (worker kills, cache/manifest corruption, hung jobs)",
     )
@@ -1144,40 +989,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="chaos profile to run (see --list; default: quick)",
     )
     p_chaos.add_argument(
-        "--list", action="store_true", help="list chaos profiles and exit"
-    )
-    p_chaos.add_argument(
         "--keep",
         metavar="DIR",
         help="run under this directory and keep the artifacts "
         "(default: a temp dir, deleted afterwards)",
     )
-    p_chaos.add_argument(
-        "-v", "--verbose", action="store_true", help="print per-phase progress"
-    )
     p_chaos.set_defaults(func=_cmd_chaos)
 
     p_perf = sub.add_parser(
-        "perf", help="microbenchmark the simulation core (BENCH_core.json)"
+        "perf",
+        parents=[list_names, seed, duration, output, telemetry, channel],
+        help="microbenchmark the simulation core (BENCH_core.json)",
     )
     p_perf.add_argument(
         "scenarios", nargs="*", help="scenario names to time (default: all)"
     )
     p_perf.add_argument(
-        "--list", action="store_true", help="list registered scenarios and exit"
-    )
-    p_perf.add_argument("--seed", type=int, default=1)
-    p_perf.add_argument(
         "--repeats", type=int, default=3, help="timing repeats; wall_s is the minimum"
-    )
-    p_perf.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="override simulated seconds per scenario (smoke tests use e.g. 0.05)",
-    )
-    p_perf.add_argument(
-        "-o", "--output", help="write the BENCH_core document here (default: stdout)"
     )
     p_perf.add_argument(
         "--check-regression",
@@ -1189,17 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="regression threshold for --check-regression (default 2.0)",
-    )
-    p_perf.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="time the instrumented path (live metrics registry attached)",
-    )
-    p_perf.add_argument(
-        "--channel",
-        default=None,
-        help="ambient channel model for scenarios that do not pin one "
-        "(pairwise or sinr; default: pairwise)",
     )
     p_perf.set_defaults(func=_cmd_perf)
 
@@ -1242,43 +1059,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect_diff.set_defaults(func=_cmd_detect_diff)
 
     p_metrics = sub.add_parser(
-        "metrics", help="run a scenario/experiment with telemetry and dump metrics"
+        "metrics",
+        parents=[seed, duration, quick, output],
+        help="run a scenario/experiment with telemetry and dump metrics",
     )
     p_metrics.add_argument(
         "target", help="perf scenario (repro perf --list) or experiment id"
     )
-    p_metrics.add_argument(
-        "--seed", type=int, default=1, help="seed for perf-scenario targets"
-    )
-    p_metrics.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="simulated seconds for perf-scenario targets (default: scenario's)",
-    )
-    p_metrics.add_argument(
-        "--quick", action="store_true", help="quick mode for experiment targets"
-    )
     p_metrics.add_argument("--format", choices=["table", "json"], default="table")
-    p_metrics.add_argument("-o", "--output", help="write the dump to a file")
     p_metrics.set_defaults(func=_cmd_metrics)
 
     p_trace = sub.add_parser(
-        "trace", help="run a perf scenario with a frame tracer and dump frames"
+        "trace",
+        parents=[seed, duration, output],
+        help="run a perf scenario with a frame tracer and dump frames",
     )
     p_trace.add_argument("target", help="perf scenario name (repro perf --list)")
-    p_trace.add_argument("--seed", type=int, default=1)
-    p_trace.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="simulated seconds (default: scenario's)",
-    )
     p_trace.add_argument(
         "--limit", type=int, default=None, help="cap the number of frame records"
-    )
-    p_trace.add_argument(
-        "-o", "--output", help="write JSONL here instead of printing text"
     )
     p_trace.set_defaults(func=_cmd_trace)
 
@@ -1292,10 +1090,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """CLI entry point; returns a process exit code.
+
+    The library's user-facing errors (unknown names, invalid specs or
+    manifests, campaign and fleet failures) exit 2 with their message.
+    """
+    from repro.campaign import CampaignError
+    from repro.fleet import FleetClientError, FleetError
+
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except KeyError as exc:
+        print(exc.args[0] if exc.args else exc, file=sys.stderr)
+    except (ValueError, CampaignError, FleetError, FleetClientError) as exc:
+        print(exc, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -317,17 +317,7 @@ class DetectionTap:
 
     def _tapped_transmit(self, sender: Any, frame: Any, duration: float) -> None:
         self.pipeline.feed(
-            self._record_cls(
-                time_us=self._medium.sim.now,
-                sender=sender.name,
-                kind=frame.kind.value,
-                src=frame.src,
-                dst=frame.dst,
-                nav_us=frame.duration,
-                size_bytes=frame.size_bytes,
-                rate_mbps=getattr(frame, "rate", None),
-                airtime_us=duration,
-            )
+            self._record_cls.of_transmit(self._medium.sim.now, sender, frame, duration)
         )
         self._original_transmit(sender, frame, duration)
 

@@ -37,7 +37,7 @@ from concurrent.futures import (
 )
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobspec import JobSpec
@@ -125,15 +125,6 @@ def execute_job(spec: JobSpec, ambient: ChannelConfig | None = None) -> dict[str
 
     with use_channel(ambient):
         return spec.run()
-
-
-def _collect(futures: dict[Future, int], results: dict[int, dict[str, float]]) -> None:
-    """Drain futures as they complete, keying results by seed."""
-    pending = set(futures)
-    while pending:
-        done, pending = wait(pending, return_when=FIRST_COMPLETED)
-        for future in done:
-            results[futures[future]] = dict(future.result())
 
 
 class _JobState:
@@ -501,31 +492,31 @@ class WorkerPool:
 
 
 def map_over_seeds(
-    run: JobSpec | Callable[[int], Mapping[str, float]],
+    run: JobSpec,
     seeds: Sequence[int],
     *,
     jobs: int | None = None,
     cache: ResultCache | None = None,
-    executor: Any | None = None,
     pool: WorkerPool | None = None,
     retry: RetryPolicy | None = None,
     report: ExecutionReport | None = None,
 ) -> dict[int, dict[str, float]]:
     """Run one seeded job per seed; return ``{seed: metrics}`` in seed order.
 
-    ``run`` is either a :class:`JobSpec` (parallel- and cache-capable) or a
-    plain callable (runs serially in-process — closures cannot cross a
-    process boundary).  ``jobs``/``cache``/``retry`` default to the ambient
-    :func:`execution` context.  ``pool`` reuses a caller-owned
+    ``run`` is a pickle-safe :class:`JobSpec` (``seed_job(...)``); anything
+    else raises ``TypeError``.  ``jobs``/``cache``/``retry`` default to the
+    ambient :func:`execution` context.  ``pool`` reuses a caller-owned
     :class:`WorkerPool` (timeouts, retries, broken-pool recovery); without
-    one, JobSpec fan-out builds an ephemeral WorkerPool.  ``executor``
-    injects a bare ``submit()``-style executor instead (no fault tolerance;
-    with a process executor the caller must pass a JobSpec).  When any seed
-    exhausts its retry budget, successful sibling seeds are cached first and
-    a :class:`JobExecutionError` carrying ``{seed: error}`` is raised.
+    one, an ephemeral WorkerPool runs the seeds.  When any seed exhausts its
+    retry budget, successful sibling seeds are cached first and a
+    :class:`JobExecutionError` carrying ``{seed: error}`` is raised.
     ``report`` (an :class:`~repro.runtime.retry.ExecutionReport`) collects
     retry/timeout accounting for the caller's manifest.
     """
+    if not isinstance(run, JobSpec):
+        raise TypeError(
+            f"map_over_seeds needs a JobSpec (see seed_job), not {type(run).__name__}"
+        )
     seed_list = [int(seed) for seed in seeds]
     if not seed_list:
         raise ValueError("need at least one seed")
@@ -541,78 +532,58 @@ def map_over_seeds(
         retry = context.retry
 
     results: dict[int, dict[str, float]] = {}
-    if isinstance(run, JobSpec):
-        specs = {seed: run.with_seed(seed) for seed in seed_list}
-        pending: list[int] = []
-        waiting: list[int] = []  # another process claimed these entries
-        claims: dict[int, Any] = {}
-        for seed in seed_list:
-            hit = cache.get(specs[seed]) if cache is not None else None
-            if hit is not None:
-                results[seed] = hit
+    specs = {seed: run.with_seed(seed) for seed in seed_list}
+    pending: list[int] = []
+    waiting: list[int] = []  # another process claimed these entries
+    claims: dict[int, Any] = {}
+    for seed in seed_list:
+        hit = cache.get(specs[seed]) if cache is not None else None
+        if hit is not None:
+            results[seed] = hit
+            continue
+        if cache is not None:
+            claim = cache.try_claim(specs[seed])
+            if claim is None:
+                waiting.append(seed)
                 continue
+            claims[seed] = claim
+        pending.append(seed)
+    failures: dict[Any, str] = {}
+    try:
+        if pending:
+            owned = None
+            if pool is None:
+                pool = owned = WorkerPool(jobs=min(jobs, len(pending)), retry=retry)
+            try:
+                ran, failures = pool.run(
+                    {seed: specs[seed] for seed in pending}, report=report
+                )
+            finally:
+                if owned is not None:
+                    owned.shutdown()
+            results.update(ran)
             if cache is not None:
-                claim = cache.try_claim(specs[seed])
-                if claim is None:
-                    waiting.append(seed)
-                    continue
-                claims[seed] = claim
-            pending.append(seed)
-        failures: dict[Any, str] = {}
-        try:
-            if pending:
-                if executor is not None:
-                    ambient = _ambient_selection()
-                    futures = {
-                        executor.submit(execute_job, specs[s], ambient): s
-                        for s in pending
-                    }
-                    _collect(futures, results)
-                    if cache is not None:
-                        for seed in pending:
-                            cache.put(specs[seed], results[seed])
-                else:
-                    if pool is None:
-                        owned = WorkerPool(jobs=min(jobs, len(pending)), retry=retry)
-                    else:
-                        owned = None
-                    active = pool if pool is not None else owned
-                    try:
-                        ran, failures = active.run(
-                            {seed: specs[seed] for seed in pending}, report=report
-                        )
-                    finally:
-                        if owned is not None:
-                            owned.shutdown()
-                    results.update(ran)
-                    if cache is not None:
-                        for seed in pending:
-                            if seed in ran:
-                                cache.put(specs[seed], ran[seed])
-        finally:
-            for claim in claims.values():
-                claim.release()
-        # Entries a concurrent process claimed: wait for its store instead of
-        # recomputing.  If the holder crashed or never publishes, (re)claim
-        # and compute in-process — duplicated work at worst, never a wrong or
-        # torn result (stores are atomic and keyed identically).
-        for seed in waiting:
-            outcome = cache.wait_for(specs[seed])
-            if outcome is None:
-                claim = cache.try_claim(specs[seed])
-                try:
-                    outcome = dict(execute_job(specs[seed]))
-                    cache.put(specs[seed], outcome)
-                finally:
-                    if claim is not None:
-                        claim.release()
-            results[seed] = outcome
-        if failures:
-            raise JobExecutionError(failures)
-    elif executor is not None:
-        futures = {executor.submit(run, seed): seed for seed in seed_list}
-        _collect(futures, results)
-    else:
-        for seed in seed_list:
-            results[seed] = dict(run(seed))
+                for seed in pending:
+                    if seed in ran:
+                        cache.put(specs[seed], ran[seed])
+    finally:
+        for claim in claims.values():
+            claim.release()
+    # Entries a concurrent process claimed: wait for its store instead of
+    # recomputing.  If the holder crashed or never publishes, (re)claim and
+    # compute in-process — duplicated work at worst, never a wrong or torn
+    # result (stores are atomic and keyed identically).
+    for seed in waiting:
+        outcome = cache.wait_for(specs[seed])
+        if outcome is None:
+            claim = cache.try_claim(specs[seed])
+            try:
+                outcome = dict(execute_job(specs[seed]))
+                cache.put(specs[seed], outcome)
+            finally:
+                if claim is not None:
+                    claim.release()
+        results[seed] = outcome
+    if failures:
+        raise JobExecutionError(failures)
     return {seed: results[seed] for seed in seed_list}

@@ -9,10 +9,11 @@ from __future__ import annotations
 import json
 import statistics
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.snapshot import TelemetrySnapshot
+    from repro.runtime import JobSpec
 
 #: Version of the ExperimentResult JSON schema.  Version 1 predates the
 #: ``telemetry`` field; both are accepted by :meth:`ExperimentResult.from_json`.
@@ -26,28 +27,19 @@ def median(values: Sequence[float]) -> float:
     return statistics.median(values)
 
 
-def median_over_seeds(
-    run: Callable[[int], Mapping[str, float]] | "JobSpec",
-    seeds: Sequence[int],
-    *,
-    jobs: int | None = None,
-    cache: Any | None = None,
-    executor: Any | None = None,
-) -> dict[str, float]:
+def median_over_seeds(run: JobSpec, seeds: Sequence[int]) -> dict[str, float]:
     """Run one job per seed; return the per-key median.
 
-    ``run`` is a plain ``run(seed)`` callable or a pickle-safe
-    :class:`repro.runtime.JobSpec`; execution is delegated to
-    :func:`repro.runtime.map_over_seeds`, so JobSpecs fan out across
-    processes (and hit the result cache) when the ambient execution context
-    or the explicit ``jobs``/``cache``/``executor`` arguments say so.
-    Results are keyed by seed internally, so the median is independent of
-    completion order.  Every invocation must return the same keys (e.g.
-    per-flow goodput).
+    ``run`` is a pickle-safe :class:`repro.runtime.JobSpec`; execution is
+    delegated to :func:`repro.runtime.map_over_seeds`, so the seeds fan out
+    across processes (and hit the result cache) when the ambient
+    :func:`repro.runtime.execution` context says so.  Results are keyed by
+    seed internally, so the median is independent of completion order.
+    Every invocation must return the same keys (e.g. per-flow goodput).
     """
     from repro.runtime import map_over_seeds
 
-    per_seed = map_over_seeds(run, seeds, jobs=jobs, cache=cache, executor=executor)
+    per_seed = map_over_seeds(run, seeds)
     outcomes = [per_seed[seed] for seed in per_seed]
     keys = outcomes[0].keys()
     for outcome in outcomes[1:]:

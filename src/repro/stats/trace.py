@@ -37,6 +37,23 @@ class TraceRecord:
     rate_mbps: float | None
     airtime_us: float
 
+    @classmethod
+    def of_transmit(
+        cls, time_us: float, sender: Any, frame: Any, duration: float
+    ) -> "TraceRecord":
+        """The record of ``sender`` putting ``frame`` on the air for ``duration``."""
+        return cls(
+            time_us=time_us,
+            sender=sender.name,
+            kind=frame.kind.value,
+            src=frame.src,
+            dst=frame.dst,
+            nav_us=frame.duration,
+            size_bytes=frame.size_bytes,
+            rate_mbps=getattr(frame, "rate", None),
+            airtime_us=duration,
+        )
+
     def to_dict(self) -> dict[str, Any]:
         """Field dict, JSON-ready (what :meth:`FrameTracer.to_jsonl` writes)."""
         return dataclasses.asdict(self)
@@ -90,17 +107,7 @@ class FrameTracer:
     def _traced_transmit(self, sender: Any, frame: Any, duration: float) -> None:
         if len(self.records) < self.max_records:
             self.records.append(
-                TraceRecord(
-                    time_us=self._medium.sim.now,
-                    sender=sender.name,
-                    kind=frame.kind.value,
-                    src=frame.src,
-                    dst=frame.dst,
-                    nav_us=frame.duration,
-                    size_bytes=frame.size_bytes,
-                    rate_mbps=getattr(frame, "rate", None),
-                    airtime_us=duration,
-                )
+                TraceRecord.of_transmit(self._medium.sim.now, sender, frame, duration)
             )
         else:
             self.dropped += 1

@@ -10,7 +10,6 @@ with ``jobs=4`` on the same seeds, and the metric dicts must compare equal
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -25,6 +24,22 @@ from repro.runtime import JobSpec, execution, map_over_seeds, runner_path
 from repro.stats import median_over_seeds
 
 SEEDS = (1, 2, 3, 4)
+
+
+def constant_runner(seed: int, value: float = 1.0) -> dict[str, float]:
+    return {"x": value}
+
+
+def per_seed_runner(seed: int) -> dict[str, float]:
+    return {"x": 1.0} if seed == 1 else {"y": 2.0}
+
+
+def reverse_finishing_runner(seed: int) -> dict[str, float]:
+    """Higher seeds finish first, so completion order reverses submission."""
+    time.sleep((5 - seed) * 0.05)
+    return {"x": float(seed)}
+
+
 DURATION_S = 0.4  # short: 4 runners x 2 modes x 4 seeds must stay CI-friendly
 
 #: One representative runner per misbehavior family (ISSUE satellite 1):
@@ -61,7 +76,9 @@ def test_parallel_results_bit_identical_to_serial(family):
 
 def test_median_over_seeds_identical_serial_vs_parallel():
     job = FAMILY_JOBS["nav-pairs"]
-    assert median_over_seeds(job, SEEDS) == median_over_seeds(job, SEEDS, jobs=4)
+    serial = median_over_seeds(job, SEEDS)
+    with execution(jobs=4):
+        assert median_over_seeds(job, SEEDS) == serial
 
 
 def test_execution_context_drives_fanout_transparently():
@@ -77,38 +94,30 @@ def test_execution_context_drives_fanout_transparently():
 
 def test_map_over_seeds_empty_seed_error():
     with pytest.raises(ValueError, match="at least one seed"):
-        map_over_seeds(lambda seed: {"x": 1.0}, [])
+        map_over_seeds(seed_job(constant_runner), [])
 
 
 def test_map_over_seeds_rejects_duplicate_seeds():
     with pytest.raises(ValueError, match="duplicate"):
-        map_over_seeds(lambda seed: {"x": 1.0}, [1, 2, 1])
+        map_over_seeds(seed_job(constant_runner), [1, 2, 1])
 
 
 def test_median_over_seeds_inconsistent_keys():
-    outcomes = {1: {"x": 1.0}, 2: {"y": 2.0}}
     with pytest.raises(ValueError, match="inconsistent keys"):
-        median_over_seeds(lambda seed: outcomes[seed], [1, 2])
+        median_over_seeds(seed_job(per_seed_runner), [1, 2])
 
 
 def test_results_keyed_by_seed_not_completion_order():
-    # Higher seeds finish first: completion order is the reverse of
-    # submission order, yet every result must land under its own seed.
-    def run(seed: int) -> dict[str, float]:
-        time.sleep((5 - seed) * 0.05)
-        return {"x": float(seed)}
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = map_over_seeds(run, [1, 2, 3, 4], executor=pool)
+    # Completion order is the reverse of submission order, yet every result
+    # must land under its own seed.
+    results = map_over_seeds(seed_job(reverse_finishing_runner), [1, 2, 3, 4], jobs=4)
     assert results == {1: {"x": 1.0}, 2: {"x": 2.0}, 3: {"x": 3.0}, 4: {"x": 4.0}}
     assert list(results) == [1, 2, 3, 4]  # seed order, not completion order
 
 
-def test_injected_executor_with_jobspec():
-    job = seed_job(nav_pairs, duration_s=0.2, transport="udp")
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        threaded = map_over_seeds(job, (1, 2), executor=pool)
-    assert threaded == map_over_seeds(job, (1, 2))
+def test_map_over_seeds_rejects_plain_callables():
+    with pytest.raises(TypeError, match="JobSpec"):
+        map_over_seeds(constant_runner, [1])
 
 
 # ------------------------------------------------------- JobSpec hygiene --

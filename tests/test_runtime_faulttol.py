@@ -280,14 +280,11 @@ def test_map_over_seeds_partial_failure_caches_successes(tmp_path):
     # seed 1 fails more times than the budget allows; seed 2 passes first try
     job = seed_job(flaky_runner, flag_dir=str(flags), fail_times=99)
 
-    def run_once(seed):
-        return {"value": float(seed * 2)}
-
     with pytest.raises(JobExecutionError):
         map_over_seeds(job, [1], jobs=1, cache=cache, retry=FAST)
     map_over_seeds(seed_job(ok_runner), [2], jobs=1, cache=cache)
     assert cache.stats()["stores"] == 1
-    assert map_over_seeds(run_once, [2]) == {2: {"value": 4.0}}
+    assert map_over_seeds(seed_job(ok_runner), [2]) == {2: {"value": 4.0}}
 
 
 def test_worker_pids_and_inflight_reflect_pool_state():

@@ -2,8 +2,19 @@
 
 import pytest
 
+from repro.experiments.common import seed_job
 from repro.mac.stats import MacStats
 from repro.stats import ExperimentResult, format_table, median, median_over_seeds
+
+OUTCOMES = {1: {"x": 1.0, "y": 10.0}, 2: {"x": 3.0, "y": 30.0}, 3: {"x": 2.0, "y": 20.0}}
+
+
+def outcome_runner(seed: int) -> dict[str, float]:
+    return OUTCOMES[seed]
+
+
+def inconsistent_runner(seed: int) -> dict[str, float]:
+    return {"x": 1.0} if seed == 1 else {"y": 2.0}
 
 
 def test_median():
@@ -14,17 +25,15 @@ def test_median():
 
 
 def test_median_over_seeds():
-    outcomes = {1: {"x": 1.0, "y": 10.0}, 2: {"x": 3.0, "y": 30.0}, 3: {"x": 2.0, "y": 20.0}}
-    result = median_over_seeds(lambda seed: outcomes[seed], [1, 2, 3])
+    result = median_over_seeds(seed_job(outcome_runner), [1, 2, 3])
     assert result == {"x": 2.0, "y": 20.0}
 
 
 def test_median_over_seeds_validates_inputs():
     with pytest.raises(ValueError):
-        median_over_seeds(lambda s: {}, [])
-    outcomes = {1: {"x": 1.0}, 2: {"y": 2.0}}
+        median_over_seeds(seed_job(outcome_runner), [])
     with pytest.raises(ValueError):
-        median_over_seeds(lambda seed: outcomes[seed], [1, 2])
+        median_over_seeds(seed_job(inconsistent_runner), [1, 2])
 
 
 def test_experiment_result_rows_and_series():
