@@ -1,0 +1,66 @@
+"""Count the Python calls the simulator makes per transmitted frame.
+
+    PYTHONPATH=src python benchmarks/count_calls.py
+
+Builds the five pairwise ``paper_hotspots`` topologies of ``perfbench/`` at
+seeds 1 and 2, then runs each for 1 simulated second under :mod:`cProfile`;
+building is not profiled.  Prints one JSON line:
+
+* ``transmits`` — frames put on the air (``Medium.frames_sent``), summed;
+* ``events`` — ``Simulator.events_processed``, summed;
+* ``python_calls_per_tx`` — calls of Python-level functions per transmit;
+* ``all_calls_per_tx`` — the same, counting built-in functions too.
+
+Every number is an exact count that repeats from run to run, so a change
+that only removes calls shows up without timing noise, and ``events`` and
+``transmits`` show that the simulation itself did not move.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import json
+import pstats
+import sys
+
+from repro.perf.scenarios import get_scenario
+
+#: The pairwise part of perfbench's ``paper_hotspots`` workload.
+TOPOLOGIES = ("fig1_nav_udp", "fig8_nav_tcp", "spoof_tcp", "grc_nav", "grc_spoof")
+
+
+def count_calls(topologies: list[str], seeds: list[int], duration_s: float) -> dict:
+    """Profile every (topology, seed) run and total the counts."""
+    transmits = events = python_calls = all_calls = 0
+    for name in topologies:
+        spec = get_scenario(name)
+        for seed in seeds:
+            scenario = spec.build(seed).scenario
+            profile = cProfile.Profile()
+            profile.runcall(scenario.run, duration_s)
+            for (filename, _line, _fn), row in pstats.Stats(profile).stats.items():
+                calls = row[1]  # every call, recursive ones included
+                all_calls += calls
+                if filename != "~":  # "~" marks a built-in function
+                    python_calls += calls
+            transmits += scenario.medium.frames_sent
+            events += scenario.sim.events_processed
+    return {
+        "topologies": list(topologies),
+        "seeds": seeds,
+        "duration_s": duration_s,
+        "transmits": transmits,
+        "events": events,
+        "python_calls_per_tx": round(python_calls / transmits, 1),
+        "all_calls_per_tx": round(all_calls / transmits, 1),
+    }
+
+
+def main() -> int:
+    result = count_calls(list(TOPOLOGIES), [1, 2], 1.0)
+    sys.stdout.write(json.dumps(result) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -17,7 +17,9 @@ order) — tests/test_parallel_engine.py and tests/test_harness_scripts.py
 enforce this.  Per-seed results are cached under ``<results-dir>/.cache/``
 keyed by (runner, kwargs, seed, code-version), so a repeated invocation only
 recomputes what changed; ``--no-cache`` disables that.  Each run also writes
-a machine-readable timing summary to ``<results-dir>/BENCH_parallel.json``.
+a machine-readable timing summary to ``<results-dir>/BENCH_parallel.json``:
+a per-invocation output (gitignored under the default ``results/``), not a
+committed record.
 """
 
 from __future__ import annotations

@@ -159,6 +159,12 @@ class DcfMac:
         #: True between :meth:`crash` and :meth:`reboot`: the station is
         #: dead — it neither transmits, receives nor reacts to the medium.
         self._offline = False
+        # The radio's edge filter (see Radio): a busy edge matters only
+        # while an access countdown runs, an idle edge only while contending
+        # without one.  Every write to ``_state``/``_access_event`` below
+        # keeps the two flags current; an offline MAC never wants an edge.
+        radio.wants_busy = False
+        radio.wants_idle = False
 
     def _unlink(self) -> None:
         """Drop the upper-layer callbacks and the policy's link back here.
@@ -185,6 +191,7 @@ class DcfMac:
         self._queue.append(_Msdu(payload, dst, size_bytes, self._next_seq()))
         if self._state == IDLE:
             self._state = CONTEND
+            self.radio.wants_idle = True
             self._try_start_access()
         return True
 
@@ -227,6 +234,8 @@ class DcfMac:
         if self._access_event is not None:
             self.sim.cancel(self._access_event)
             self._access_event = None
+        self.radio.wants_busy = False
+        self.radio.wants_idle = False
         if self._nav_event is not None:
             self.sim.cancel(self._nav_event)
             self._nav_event = None
@@ -240,7 +249,7 @@ class DcfMac:
         self._state = IDLE
         self._use_eifs = False
         self._rx_seen.clear()
-        self.radio._lock = None  # the frame being decoded dies with us
+        self.radio._lock_tx = None  # the frame being decoded dies with us
 
     def reboot(self) -> None:
         """Bring a crashed station back with factory-fresh DCF state.
@@ -258,13 +267,6 @@ class DcfMac:
 
     # -------------------------------------------------------- carrier sense --
 
-    def _medium_idle(self) -> bool:
-        radio = self.radio  # inline of radio.carrier_busy (hot path)
-        return (
-            not (radio.transmitting or radio._energy)
-            and self.sim.now >= self.nav_until
-        )
-
     def phy_busy(self) -> None:
         """Radio reports energy on the channel: freeze any countdown."""
         if self._offline:
@@ -278,21 +280,22 @@ class DcfMac:
         self._try_start_access()
 
     def _update_nav(self, until: float) -> None:
-        now = self.sim.now
-        if until <= self.nav_until or until <= now:
-            return
+        """Grow the NAV to ``until``; callers check that it grows."""
         if self.obs is not None:
             # NAV-deferral time: microseconds of virtual-carrier busy added
             # by this update — the signal the paper's NAV validator consumes.
+            now = self.sim.now
             self.obs.inc(
                 f"mac.{self.name}.nav_deferral_us",
                 until - (self.nav_until if self.nav_until > now else now),
             )
         self.nav_until = until
-        self._freeze_access()
+        if self._access_event is not None:
+            self._freeze_access()
         if self._nav_event is not None:
-            self.sim.cancel(self._nav_event)
-        self._nav_event = self.sim.schedule_at(until, self._nav_expired)
+            self.sim.rearm_at(self._nav_event, until)
+        else:
+            self._nav_event = self.sim.schedule_at(until, self._nav_expired)
 
     def _nav_expired(self) -> None:
         self._nav_event = None
@@ -303,8 +306,9 @@ class DcfMac:
     def _try_start_access(self) -> None:
         if self._state != CONTEND or self._access_event is not None:
             return
-        if not self._medium_idle():
-            return
+        radio = self.radio
+        if radio.transmitting or radio._energy or self.sim.now < self.nav_until:
+            return  # physical or virtual carrier busy
         if self._backoff_slots is None:
             self._backoff_slots = self._randrange(self.cw + 1)
         slots = self._backoff_slots
@@ -316,6 +320,8 @@ class DcfMac:
             self._access_ifs = self._difs
             delay = self._difs + slots * self._slot_time
         self._access_event = self.sim.schedule(delay, self._access_granted)
+        radio.wants_busy = True
+        radio.wants_idle = False
 
     def _freeze_access(self) -> None:
         if self._access_event is None:
@@ -327,9 +333,15 @@ class DcfMac:
             self._backoff_slots = max(0, self._backoff_slots - consumed)
         self.sim.cancel(self._access_event)
         self._access_event = None
+        radio = self.radio
+        radio.wants_busy = False
+        radio.wants_idle = self._state == CONTEND
 
     def _access_granted(self) -> None:
         self._access_event = None
+        radio = self.radio
+        radio.wants_busy = False
+        radio.wants_idle = False  # leaving CONTEND: to IDLE or an exchange
         if not self._queue:  # defensive: nothing left to send
             self._state = IDLE
             return
@@ -458,6 +470,7 @@ class DcfMac:
             return
         self._backoff_slots = None
         self._state = CONTEND
+        self.radio.wants_idle = True
         self._try_start_access()
 
     def _reset_exchange(self) -> None:
@@ -482,6 +495,7 @@ class DcfMac:
 
     def _next_packet(self) -> None:
         self._state = CONTEND if self._queue else IDLE
+        self.radio.wants_idle = self._state == CONTEND
         self._try_start_access()
 
     # -------------------------------------------------------------- receive --
@@ -506,8 +520,20 @@ class DcfMac:
         self._use_eifs = False
         if frame.dst == self.name:
             self._receive_addressed(frame, rssi_db)
-        else:
-            self._receive_overheard(frame, rssi_db)
+            return
+        # Overheard: honour its NAV (as corrected by GRC's validator), and
+        # let a greedy policy spoof the ACK of an overheard DATA frame.
+        now = self.sim.now
+        duration = frame.duration
+        if self.nav_validator is not None:
+            duration = self.nav_validator.observe_and_validate(frame, now, rssi_db)
+        until = now + duration
+        if until > self.nav_until and until > now:
+            self._update_nav(until)
+        if frame.kind is FrameKind.DATA and self.policy.should_spoof_ack(frame):
+            spoof = self._build_ack(frame, impersonate=frame.dst)
+            self.stats.tx_spoofed_ack += 1
+            self._schedule_response(spoof)
 
     def _receive_addressed(self, frame: Frame, rssi_db: float) -> None:
         kind = frame.kind
@@ -540,18 +566,6 @@ class DcfMac:
                 self.stats.acks_ignored_by_grc += 1
                 return  # let the ACK timeout fire and retransmit as we should
             self._complete_current(success=True)
-
-    def _receive_overheard(self, frame: Frame, rssi_db: float) -> None:
-        duration = frame.duration
-        if self.nav_validator is not None:
-            duration = self.nav_validator.observe_and_validate(
-                frame, self.sim.now, rssi_db
-            )
-        self._update_nav(self.sim.now + duration)
-        if frame.kind is FrameKind.DATA and self.policy.should_spoof_ack(frame):
-            spoof = self._build_ack(frame, impersonate=frame.dst)
-            self.stats.tx_spoofed_ack += 1
-            self._schedule_response(spoof)
 
     def _data_after_cts(self) -> None:
         if self._state != SEND_DATA or not self._queue:

@@ -12,7 +12,7 @@ loss-rate axes of Figures 11-17 and 24 line up with the paper's.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 #: PLCP preamble + header expressed in the byte-units of ns-2's error model
@@ -58,6 +58,13 @@ class BitErrorModel:
     also be set (used for Table V's "data error rate 0.2/0.5/0.8" scenarios);
     it applies to data frames only, leaving short control frames clean, which
     mirrors how loss was induced in the paper's experiments.
+
+    Two derived values are kept as plain attributes for the per-frame path,
+    outside the dataclass fields (so :func:`repro.runtime.canonical`, ``==``
+    and pickles never see them), and are rebuilt by every ``set_*`` method:
+    :attr:`trivial` and ``_plans``, the memo of :meth:`corruption_plan` per
+    ``(src, dst, size_bytes, is_data, rate)``.  Change the loss tables only
+    through the ``set_*`` methods.
     """
 
     default_ber: float = 0.0
@@ -68,11 +75,33 @@ class BitErrorModel:
     # auto-rate extension; falls back to the rate-independent tables above.
     _rate_ber: dict[tuple[str, str], dict[float, float]] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self._tables_changed()
+
+    def _tables_changed(self) -> None:
+        """Forget every memoized plan and recompute :attr:`trivial`."""
+        self._plans: dict[tuple, float | None] = {}
+        #: True when no link can ever corrupt a frame (no RNG draw needed):
+        #: the clean-channel fast path, since NAV-inflation scenarios
+        #: configure no error model at all.
+        self.trivial: bool = not (
+            self._link_fer or self._link_ber or self._rate_ber or self.default_ber
+        )
+
+    def __getstate__(self) -> dict:
+        """Pickle only the declared fields, never the plan memo."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._tables_changed()
+
     def set_ber(self, src: str, dst: str, ber: float) -> None:
         """Set the bit error rate of the directed link ``src -> dst``."""
         if not 0 <= ber <= 1:
             raise ValueError(f"BER must be in [0, 1], got {ber}")
         self._link_ber[(src, dst)] = ber
+        self._tables_changed()
 
     def set_ber_symmetric(self, a: str, b: str, ber: float) -> None:
         """Set the same BER in both directions between ``a`` and ``b``."""
@@ -84,6 +113,7 @@ class BitErrorModel:
         if not 0 <= fer <= 1:
             raise ValueError(f"FER must be in [0, 1], got {fer}")
         self._link_fer[(src, dst)] = fer
+        self._tables_changed()
 
     def set_rate_profile(
         self, src: str, dst: str, ber_by_rate: dict[float, float]
@@ -100,6 +130,7 @@ class BitErrorModel:
             if not 0 <= ber <= 1:
                 raise ValueError(f"BER must be in [0, 1], got {ber}")
         self._rate_ber[(src, dst)] = dict(ber_by_rate)
+        self._tables_changed()
 
     def ber(self, src: str, dst: str, rate: float | None = None) -> float:
         """Effective error rate of a link, honoring any per-rate profile."""
@@ -111,18 +142,6 @@ class BitErrorModel:
                 return profile[min(profile)]  # basic-rate control frames
         return self._link_ber.get((src, dst), self.default_ber)
 
-    @property
-    def trivial(self) -> bool:
-        """True when no link can ever corrupt a frame (no RNG draw needed).
-
-        The clean-channel fast path: NAV-inflation scenarios configure no
-        error model at all, so the per-frame corruption roll reduces to this
-        four-attribute check instead of table lookups plus a FER evaluation.
-        """
-        return not (
-            self._link_fer or self._link_ber or self._rate_ber or self.default_ber
-        )
-
     def is_corrupted(
         self,
         src: str,
@@ -133,7 +152,9 @@ class BitErrorModel:
         rate: float | None = None,
     ) -> bool:
         """Roll whether a frame on ``src -> dst`` arrives corrupted."""
-        p = self.corruption_plan(src, dst, size_bytes, is_data, rate)
+        key = (src, dst, size_bytes, is_data, rate)
+        plans = self._plans
+        p = plans[key] if key in plans else self.corruption_plan(*key)
         return p is not None and rng.random() < p
 
     def corruption_plan(
@@ -152,14 +173,21 @@ class BitErrorModel:
         frame is corrupted iff the next uniform is ``< p``.  The distinction
         matters for the RNG stream: a link with ``fer=0.0`` set explicitly
         still consumes one draw per data frame (``p = 0.0``).
+
+        Memoized in ``_plans``; :meth:`is_corrupted` reads the memo itself
+        and calls this only on a miss.
         """
+        key = (src, dst, size_bytes, is_data, rate)
+        if key in self._plans:
+            return self._plans[key]
         fer = self._link_fer.get((src, dst))
         if fer is not None:
-            return fer if is_data else None
-        ber = self.ber(src, dst, rate)
-        if ber <= 0.0:
-            return None
-        return frame_error_rate(ber, size_bytes)
+            plan = fer if is_data else None
+        else:
+            ber = self.ber(src, dst, rate)
+            plan = None if ber <= 0.0 else frame_error_rate(ber, size_bytes)
+        self._plans[key] = plan
+        return plan
 
 
 def set_ber_all_pairs(model: "BitErrorModel", names: list[str], ber: float) -> None:

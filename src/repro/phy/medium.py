@@ -55,23 +55,20 @@ class _Transmission:
         self.end = end
 
 
-class _Lock:
-    """Reception lock: the transmission a radio is currently decoding."""
-
-    __slots__ = ("tx", "rss", "collided")
-
-    def __init__(self, tx: _Transmission, rss: float):
-        self.tx = tx
-        self.rss = rss
-        self.collided = False
-
-
 class Radio:
     """A half-duplex radio attached to one :class:`Medium`.
 
     The owning MAC registers itself as ``radio.mac`` and must provide
     ``phy_busy()``, ``phy_idle()``, ``phy_tx_done()`` and
     ``phy_receive(frame, corrupted, addr_ok, rssi_db)``.
+
+    A MAC may also keep two plain attributes of the radio current, to spare
+    the calls that would return at once: while ``wants_busy`` is False the
+    radio skips ``phy_busy()`` on a busy edge, and while ``wants_idle`` is
+    False it skips ``phy_idle()`` on an idle edge.  Both start True, so a
+    MAC that publishes nothing gets every edge.  A MAC that publishes must
+    set a flag True before the matching edge could change anything (True
+    only costs a call; a stale False loses an edge).
     """
 
     def __init__(
@@ -88,8 +85,15 @@ class Radio:
         self.mac: Any = None
         self.transmitting = False
         self._tx_end_time = 0.0
+        #: Edge filter the MAC keeps current; see the class docstring.
+        self.wants_busy = True
+        self.wants_idle = True
         self._energy: set[_Transmission] = set()
-        self._lock: Optional[_Lock] = None
+        # Reception lock: the transmission being decoded (None when not
+        # locked), its received power, and whether an overlap garbled it.
+        self._lock_tx: Optional[_Transmission] = None
+        self._lock_rss = 0.0
+        self._lock_collided = False
         medium._attach(self)
 
     def _unlink(self) -> None:
@@ -115,74 +119,72 @@ class Radio:
         """Physical carrier sense: energy above threshold or self-transmit."""
         return self.transmitting or bool(self._energy)
 
-    def _notify_if_transition(self, was_busy: bool) -> None:
-        # Inline of ``carrier_busy`` — this runs once per frame per radio.
-        now_busy = self.transmitting or bool(self._energy)
-        if self.mac is None or was_busy == now_busy:
-            return
-        if now_busy:
-            self.mac.phy_busy()
-        else:
-            self.mac.phy_idle()
-
     # -- medium callbacks ----------------------------------------------------
 
     def _on_tx_start(self, tx: _Transmission, rss: float, decodable: bool) -> None:
-        was_busy = self.transmitting or bool(self._energy)
+        was_idle = not (self.transmitting or self._energy)
         self._energy.add(tx)
-        if not self.transmitting and decodable:
-            if self._lock is None:
-                self._lock = _Lock(tx, rss)
-            else:
+        if not self.transmitting:
+            if self._lock_tx is None:
+                if decodable:
+                    self._lock_tx = tx
+                    self._lock_rss = rss
+                    self._lock_collided = False
+            elif decodable:
                 self._resolve_overlap(tx, rss)
-        elif self._lock is not None and not self.transmitting:
-            # Sub-decodable interference still corrupts an ongoing reception
-            # unless the locked signal captures it.
-            if not self.medium._captures(self._lock.rss, rss):
-                self._lock.collided = True
-        # Inline notify: energy was just added, so the carrier is now busy —
-        # a transition happened exactly when it was idle before.
-        if not was_busy and self.mac is not None:
+            elif not self.medium._captures(self._lock_rss, rss):
+                # Sub-decodable interference still corrupts an ongoing
+                # reception unless the locked signal captures it.
+                self._lock_collided = True
+        # Energy was just added, so the carrier is now busy: a busy edge
+        # happened exactly when it was idle before.
+        if was_idle and self.wants_busy and self.mac is not None:
             self.mac.phy_busy()
 
     def _resolve_overlap(self, tx: _Transmission, rss: float) -> None:
-        lock = self._lock
-        assert lock is not None
-        if self.medium._captures(lock.rss, rss):
+        captures = self.medium._captures
+        if captures(self._lock_rss, rss):
             return  # locked frame is strong enough to survive untouched
-        if self.medium._captures(rss, lock.rss):
-            self._lock = _Lock(tx, rss)  # newcomer captures the receiver
+        if captures(rss, self._lock_rss):
+            self._lock_tx = tx  # newcomer captures the receiver
+            self._lock_rss = rss
+            self._lock_collided = False
             return
-        lock.collided = True  # comparable power: garbles the locked frame
+        self._lock_collided = True  # comparable power: garbles the locked frame
 
     def _on_tx_end(self, tx: _Transmission, rss: float) -> None:
         was_busy = self.transmitting or bool(self._energy)
         self._energy.discard(tx)
-        lock = self._lock
-        if lock is not None and lock.tx is tx:
-            self._lock = None
-            self.medium._deliver(tx, self, lock)
-        # Inline of _notify_if_transition (runs once per frame per radio).
-        now_busy = self.transmitting or bool(self._energy)
-        if was_busy != now_busy and self.mac is not None:
-            if now_busy:
-                self.mac.phy_busy()
-            else:
-                self.mac.phy_idle()
+        if self._lock_tx is tx:
+            self._lock_tx = None
+            self.medium._deliver(tx, self, self._lock_rss, self._lock_collided)
+        # Removing energy can only end a busy period: an idle edge happened
+        # exactly when the carrier is idle now and was busy before.
+        if (
+            was_busy
+            and not (self.transmitting or self._energy)
+            and self.wants_idle
+            and self.mac is not None
+        ):
+            self.mac.phy_idle()
 
     def _begin_transmit(self, end_time: float) -> None:
-        was_busy = self.transmitting or bool(self._energy)
+        was_idle = not (self.transmitting or self._energy)
         self.transmitting = True
         self._tx_end_time = end_time
-        self._lock = None  # half duplex: any reception in progress is lost
-        self._notify_if_transition(was_busy)
+        self._lock_tx = None  # half duplex: any reception in progress is lost
+        if was_idle and self.wants_busy and self.mac is not None:
+            self.mac.phy_busy()
 
     def _end_transmit(self) -> None:
-        was_busy = True  # we were transmitting until this instant
         self.transmitting = False
-        self._notify_if_transition(was_busy)
-        if self.mac is not None:
-            self.mac.phy_tx_done()
+        mac = self.mac
+        if mac is not None:
+            # We were transmitting until this instant: idle edge unless
+            # other energy is still on the air.
+            if not self._energy and self.wants_idle:
+                mac.phy_idle()
+            mac.phy_tx_done()
 
 
 class Medium:
@@ -402,15 +404,19 @@ class Medium:
             call_after(delay, on_tx_start, tx, rss, decodable)
             call_after(duration + delay, on_tx_end, tx, rss)
 
-    def _deliver(self, tx: _Transmission, receiver: Radio, lock: _Lock) -> None:
+    def _deliver(
+        self, tx: _Transmission, receiver: Radio, rss: float, collided: bool
+    ) -> None:
         frame = tx.frame
-        corrupted = lock.collided
-        if not corrupted and not self.error_model.trivial:
-            corrupted = self.error_model.is_corrupted(
+        corrupted = collided
+        error_model = self.error_model
+        if not corrupted and not error_model.trivial:
+            # ``kind._name_`` is the enum's plain attribute behind ``name``.
+            corrupted = error_model.is_corrupted(
                 tx.sender.name,
                 receiver.name,
                 frame.size_bytes,
-                frame.kind.name == "DATA",
+                frame.kind._name_ == "DATA",
                 self._uniform,
                 rate=getattr(frame, "rate", None),
             )
@@ -432,11 +438,10 @@ class Medium:
             obs.inc(f"phy.{name}.rx_frames")
             if corrupted:
                 obs.inc(f"phy.{name}.rx_corrupted")
-                if lock.collided:
+                if collided:
                     obs.inc(f"phy.{name}.rx_collisions")
                 else:
                     obs.inc(f"phy.{name}.rx_fer_drops")
-        rss = lock.rss
         rssi_db = self._rss_db.get(rss)
         if rssi_db is None:
             rssi_db = self._rss_db[rss] = rss_to_db(rss)
@@ -472,42 +477,48 @@ class SinrRadio(Radio):
         self._rss.clear()
 
     def _on_tx_start(self, tx: _Transmission, rss: float, decodable: bool) -> None:
-        was_busy = self.transmitting or bool(self._energy)
+        was_idle = not (self.transmitting or self._energy)
         self._energy.add(tx)
         self._rss[tx] = rss
         if not self.transmitting:
             medium = self.medium
-            lock = self._lock
-            if lock is None:
+            lock_tx = self._lock_tx
+            if lock_tx is None:
                 if decodable and medium._sinr_ok(self, tx, rss):
-                    self._lock = _Lock(tx, rss)
-            elif lock.collided or not medium._sinr_ok(self, lock.tx, lock.rss):
+                    self._lock_tx = tx
+                    self._lock_rss = rss
+                    self._lock_collided = False
+            elif self._lock_collided or not medium._sinr_ok(
+                self, lock_tx, self._lock_rss
+            ):
                 # The locked frame is doomed (already garbled, or the
                 # newcomer pushed it below its margin).  The newcomer takes
                 # the receiver only if it clears its own margin *including*
                 # the doomed frame's power — SINR capture.
                 if decodable and medium._sinr_ok(self, tx, rss):
-                    self._lock = _Lock(tx, rss)
-                elif not lock.collided:
-                    lock.collided = True
-        # Inline notify, as in the base class: energy was just added.
-        if not was_busy and self.mac is not None:
+                    self._lock_tx = tx
+                    self._lock_rss = rss
+                    self._lock_collided = False
+                else:
+                    self._lock_collided = True
+        # Busy edge exactly when the carrier was idle, as in the base class.
+        if was_idle and self.wants_busy and self.mac is not None:
             self.mac.phy_busy()
 
     def _on_tx_end(self, tx: _Transmission, rss: float) -> None:
         was_busy = self.transmitting or bool(self._energy)
         self._energy.discard(tx)
         self._rss.pop(tx, None)
-        lock = self._lock
-        if lock is not None and lock.tx is tx:
-            self._lock = None
-            self.medium._deliver(tx, self, lock)
-        now_busy = self.transmitting or bool(self._energy)
-        if was_busy != now_busy and self.mac is not None:
-            if now_busy:
-                self.mac.phy_busy()
-            else:
-                self.mac.phy_idle()
+        if self._lock_tx is tx:
+            self._lock_tx = None
+            self.medium._deliver(tx, self, self._lock_rss, self._lock_collided)
+        if (
+            was_busy
+            and not (self.transmitting or self._energy)
+            and self.wants_idle
+            and self.mac is not None
+        ):
+            self.mac.phy_idle()
 
 
 class SinrMedium(Medium):
@@ -550,7 +561,7 @@ class SinrMedium(Medium):
     def _sinr_threshold_for(self, frame: Any) -> float:
         # Control frames fly at the basic rate (their airtime already does);
         # data frames use their explicit rate or the PHY default.
-        if frame.kind.name == "DATA":
+        if frame.kind._name_ == "DATA":
             rate = getattr(frame, "rate", None)
             if rate is None:
                 rate = self.phy.data_rate

@@ -24,6 +24,10 @@ trace suite in ``tests/test_golden_traces.py`` holds this down):
 * Dead entries left behind by cancellations are compacted away once they
   outnumber live ones (amortized O(1) per cancellation), so cancel/re-arm
   storms cannot degrade ``heappush``/``heappop`` to log of garbage.
+* A timer that is pushed back — the NAV timer, re-armed on nearly every
+  overheard frame that grows the NAV — moves its existing handle with
+  :meth:`Simulator.rearm_at` instead of a cancel plus a new :class:`Event`;
+  the counters and the event order are exactly those of the pair.
 * Fire-and-forget callbacks — the overwhelming majority: frame arrivals,
   transmit-end notifications, SIFS responses — can skip the handle
   allocation entirely via :meth:`Simulator.call_after` / :meth:`call_at`;
@@ -69,13 +73,7 @@ class Event:
 
     def cancel(self) -> None:
         """Mark this event so that it never fires."""
-        if self.fn is not None and not self.cancelled:
-            sim = self._sim
-            sim._live -= 1
-            sim.events_cancelled += 1
-            sim._maybe_compact()
-        self.cancelled = True
-        self.gen += 1
+        self._sim.cancel(self)
 
     @property
     def pending(self) -> bool:
@@ -203,20 +201,51 @@ class Simulator:
     # -------------------------------------------------------------- cancel --
 
     def cancel(self, event: Event | None) -> None:
-        """Cancel a previously scheduled event.  ``None`` is ignored."""
-        if event is not None:
-            event.cancel()
+        """Cancel a previously scheduled event.  ``None`` is ignored.
 
-    def _maybe_compact(self) -> None:
-        """Drop orphaned heap entries once they outnumber live ones.
-
-        Amortized O(1) per cancellation: a compaction costs O(n) but at
-        least halves the heap, and only runs after n/2 cancellations.
+        Once dead heap entries outnumber live ones (and exceed 64) the heap
+        is compacted: amortized O(1) per cancellation, since a compaction
+        costs O(n) but at least halves the heap and only runs after n/2
+        cancellations.
         """
-        heap = self._heap
-        dead = len(heap) - self._live
-        if dead <= 64 or dead <= self._live:
+        if event is None:
             return
+        if event.fn is not None and not event.cancelled:
+            live = self._live = self._live - 1
+            self.events_cancelled += 1
+            dead = len(self._heap) - live
+            if dead > 64 and dead > live:
+                self._compact()
+        event.cancelled = True
+        event.gen += 1
+
+    def rearm_at(self, event: Event, time: float) -> None:
+        """Move the pending ``event`` to absolute time ``time``.
+
+        Exactly ``cancel(event)`` followed by ``schedule_at(time, ...)`` with
+        the same callback — one cancellation counted, the same compaction
+        check, a fresh ``seq`` — except that the handle is reused instead of
+        a new :class:`Event` being allocated.  The old heap entry is orphaned
+        by the generation bump ``cancel`` makes.
+        """
+        if not (self.now <= time < _INF):
+            self._reject_time(time)
+        if event.fn is None or event.cancelled:
+            raise ValueError("only a pending event can be re-armed")
+        self.cancel(event)
+        event.cancelled = False
+        seq = self._seq
+        self._seq = seq + 1
+        event.time = time
+        event.seq = seq
+        heappush(self._heap, (time, seq, (event.gen, event)))
+        self._live += 1
+        if self.track_heap and len(self._heap) > self.heap_high_water:
+            self.heap_high_water = len(self._heap)
+
+    def _compact(self) -> None:
+        """Drop every orphaned heap entry and re-heapify the rest."""
+        heap = self._heap
         self.compactions += 1
         self._heap = [
             entry

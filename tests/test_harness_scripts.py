@@ -79,6 +79,15 @@ def test_run_all_writes_bench_summary_and_populates_cache(tmp_path):
     assert summary["cache"]["stores"] == 0
 
 
+def test_count_calls_totals_exact_counts():
+    count_calls = load_script("count_calls")
+    result = count_calls.count_calls(["fig1_nav_udp"], [1], 0.1)
+    json.dumps(result)  # main() prints it as one JSON line
+    assert {"transmits", "events", "python_calls_per_tx", "all_calls_per_tx"} <= set(result)
+    assert result["events"] > 0 and result["transmits"] > 0
+    assert 0 < result["python_calls_per_tx"] <= result["all_calls_per_tx"]
+
+
 def test_write_atomic_never_leaves_partial_files(tmp_path, monkeypatch):
     run_all = load_script("run_all")
     target = tmp_path / "out.txt"

@@ -304,3 +304,34 @@ def test_two_senders_share_medium():
     assert got["d"] > 5
     # Nobody is starved in an honest cell.
     assert 0.3 < got["b"] / got["d"] < 3.0
+
+
+def test_crashed_mac_is_never_restarted_before_reboot():
+    """A MAC crashed mid-backoff stays IDLE through busy/idle edges and a
+    late NAV expiry: no access event, no frame on the air until reboot()."""
+    sim, medium, (a, b, c) = make_cell(3)
+    senders = []
+    transmit = medium.transmit
+
+    def spy(sender, frame, duration):
+        senders.append(sender.name)
+        transmit(sender, frame, duration)
+
+    medium.transmit = spy
+    a.send("x", "n1", 1024)
+    assert a._access_event is not None  # counting down DIFS + backoff
+    assert (a.radio.wants_busy, a.radio.wants_idle) == (True, False)
+    a.crash()
+    assert (a.radio.wants_busy, a.radio.wants_idle) == (False, False)
+    b.send("y", "n2", 1024)  # b <-> c traffic: busy and idle edges at a
+    sim.run(until=20_000)
+    a._nav_expired()  # a NAV timer firing after the crash
+    a.phy_busy()  # edges from a radio that ignores the filter
+    a.phy_idle()
+    sim.run(until=40_000)
+    assert a.state == "IDLE" and a._access_event is None
+    assert "n1" in senders and "n0" not in senders
+    a.reboot()
+    assert a.send("z", "n1", 1024)
+    sim.run(until=60_000)
+    assert "n0" in senders

@@ -10,7 +10,7 @@ from repro.faults import FaultPlan, JammerConfig
 from repro.mac.frames import Frame, FrameKind
 from repro.net.scenario import Scenario
 from repro.phy.channel import ChannelConfig
-from repro.phy.error import BitErrorModel
+from repro.phy.error import BitErrorModel, frame_error_rate
 from repro.phy.medium import Medium, Radio, SinrMedium
 from repro.phy.params import dot11b
 from repro.phy.propagation import SPEED_OF_LIGHT_M_PER_US, PathLossModel, distance
@@ -420,3 +420,81 @@ def test_jammer_installed_mid_run_hears_warm_senders(model):
     probe = injector.jammer.radio.mac = RecordingMac()
     s.run(0.05)
     assert {frame.src for frame, *_rest in probe.received} >= {"S0", "R0"}
+
+
+# ------------------------------------------------------------ edge filter --
+
+
+@MEDIA
+def test_mac_that_publishes_no_edge_state_gets_every_edge(medium_cls):
+    """The radio's edge filter defaults open: two back-to-back busy periods
+    (a lone frame, then two overlapping ones) reach a plain MAC as exactly
+    two busy/idle pairs, at the receiver and at the senders."""
+    sim, medium, (a, b, c) = make_medium([(0, 0), (5, 0), (10, 0)], medium_cls)
+    assert (c.wants_busy, c.wants_idle) == (True, True)
+    a.transmit(data_frame(src="r0", dst="r2", seq=1), 500.0)
+    sim.run()
+    a.transmit(data_frame(src="r0", dst="r2", seq=2), 500.0)
+    b.transmit(data_frame(src="r1", dst="r2", seq=3), 300.0)
+    sim.run()
+    assert c.mac.busy_transitions == ["busy", "idle", "busy", "idle"]
+    assert a.mac.busy_transitions == ["busy", "idle", "busy", "idle"]
+    assert a.mac.tx_done == 2 and b.mac.tx_done == 1
+
+
+@MEDIA
+def test_radio_skips_the_edges_a_mac_opts_out_of(medium_cls):
+    sim, medium, (a, b) = make_medium([(0, 0), (5, 0)], medium_cls)
+    b.wants_busy = False
+    a.transmit(data_frame(), 500.0)
+    sim.run()
+    assert b.mac.busy_transitions == ["idle"]
+    b.wants_busy, b.wants_idle = True, False
+    a.transmit(data_frame(seq=2), 500.0)
+    sim.run()
+    assert b.mac.busy_transitions == ["idle", "busy"]
+    assert len(b.mac.received) == 2  # deliveries never go through the filter
+
+
+# -------------------------------------------------------- corruption plans --
+
+
+LOSS_SETTERS = {
+    "set_ber": lambda model: model.set_ber("r0", "r1", 1.0),
+    "set_data_fer": lambda model: model.set_data_fer("r0", "r1", 1.0),
+    "set_rate_profile": lambda model: model.set_rate_profile("r0", "r1", {11.0: 1.0}),
+}
+
+
+@pytest.mark.parametrize("setter", sorted(LOSS_SETTERS))
+def test_loss_set_between_runs_takes_effect_on_the_next_run(setter):
+    """The per-link plan memo is rebuilt whenever a loss table changes."""
+    sim, medium, (a, b) = make_medium([(0, 0), (5, 0)])
+    model = medium.error_model
+    model.set_ber("r1", "r0", 0.0)  # not trivial: the first run fills the memo
+    a.transmit(Frame(FrameKind.DATA, "r0", "r1", 314.0, 1052, rate=11.0), 957.0)
+    sim.run()
+    assert model._plans and b.mac.received[-1][1] is False
+    LOSS_SETTERS[setter](model)
+    a.transmit(Frame(FrameKind.DATA, "r0", "r1", 314.0, 1052, seq=2, rate=11.0), 957.0)
+    sim.run()
+    assert b.mac.received[-1][1] is True
+
+
+def test_plan_memo_never_reaches_pickles_or_cache_keys():
+    import pickle
+
+    from repro.runtime import canonical
+
+    model = BitErrorModel()
+    model.set_ber("r0", "r1", 2e-4)
+    key = canonical(model)
+    assert model.corruption_plan("r0", "r1", 1052, True) is not None
+    assert model._plans
+    assert canonical(model) == key  # cache keys and code_version results
+    assert set(key["fields"]) == {"default_ber", "_link_ber", "_link_fer", "_rate_ber"}
+    clone = pickle.loads(pickle.dumps(model))
+    assert clone._plans == {} and not clone.trivial
+    assert "_plans" not in model.__getstate__()
+    assert clone == model
+    assert clone.corruption_plan("r0", "r1", 1052, True) == frame_error_rate(2e-4, 1052)

@@ -193,6 +193,61 @@ def test_cancel_rearm_storm_fires_only_last():
     assert sim.pending_events == 0
 
 
+def _rearm_storm(rearm):
+    """A timer pushed back 300 times among 150 one-shot events.
+
+    ``rearm(sim, event, time)`` moves the timer and returns its handle.
+    Returns the fire order and the counters after every step.
+    """
+    sim = Simulator()
+    fired = []
+    for i in range(150):
+        sim.schedule(float(i % 7), fired.append, ("one-shot", i))
+    timer = sim.schedule(1.0, fired.append, "timer")
+    counters = []
+    for step in range(300):
+        timer = rearm(sim, timer, sim.now + 1.0 + step % 5)
+        counters.append(
+            (sim.events_cancelled, sim.pending_events, sim.compactions, len(sim._heap))
+        )
+        if step % 50 == 0:
+            sim.run(until=sim.now + 0.5)
+    sim.run()
+    return fired, counters, sim.events_processed
+
+
+def test_rearm_matches_cancel_then_schedule_at():
+    """Same fire order, cancellations, live count, compactions and heap size."""
+
+    def cancel_and_schedule(sim, event, time):
+        sim.cancel(event)
+        return sim.schedule_at(time, event.fn, *event.args)
+
+    def rearm(sim, event, time):
+        sim.rearm_at(event, time)
+        return event
+
+    reference = _rearm_storm(cancel_and_schedule)
+    assert reference[1][-1][2] > 0, "the storm must trigger compactions"
+    assert _rearm_storm(rearm) == reference
+
+
+def test_rearm_rejects_fired_cancelled_and_past_handles():
+    sim = Simulator()
+    fired = sim.schedule(1.0, lambda: None)
+    cancelled = sim.schedule(2.0, lambda: None)
+    sim.cancel(cancelled)
+    sim.run(until=1.5)
+    with pytest.raises(ValueError):
+        sim.rearm_at(fired, 3.0)
+    with pytest.raises(ValueError):
+        sim.rearm_at(cancelled, 3.0)
+    live = sim.schedule(1.0, lambda: None)
+    with pytest.raises(ValueError):
+        sim.rearm_at(live, 1.0)  # before now
+    assert live.pending and sim.pending_events == 1
+
+
 def test_pending_events_is_exact_through_cancel_storms():
     sim = Simulator()
     events = [sim.schedule(float(i + 1), lambda: None) for i in range(200)]
