@@ -9,16 +9,24 @@ one entry to ``results/BENCH_perfbench.json``: the commit, the workload, the
 seeds, the median and quartiles of every end-to-end metric ``BENCHMARK.json``
 declares, the failed-op count and each seed's ``outputs_digest``.
 
+Every seed also runs on a ``git archive`` copy of the fixed ``ANCHOR`` tree,
+in the same round, and the entry stores each metric's per-seed ratio to the
+anchor (median and quartiles).  Absolute numbers drift with the host from
+one session to the next; the anchor runs beside the measured tree, so the
+ratios compare across sessions.
+
 ``commit`` is ``HEAD``; ``src_tree`` is the git tree id of ``src/`` exactly as
 it ran, uncommitted edits included.  A change measured before it is
 committed is therefore identified by content: ``git rev-parse C:src`` equals
 ``src_tree`` for the commit ``C`` that holds the measured code.
 
 With ``--baseline REV`` every seed also runs on a ``git archive`` copy of
-REV, alternating which side runs first, and the baseline's entry is
-appended first.  The script then prints, per metric, how many pairs the
-working tree won and whether the digests agreed.  The benchmark's own
-files are never touched.
+REV, and the baseline's entry (with its own anchor ratios) is appended
+first.  Each round runs anchor, baseline and working tree, and the order
+flips from one seed to the next, so the baseline and the working tree
+alternate which runs first.  The script then prints, per metric, how many
+pairs the working tree won and whether the digests agreed.  The
+benchmark's own files are never touched.
 """
 
 from __future__ import annotations
@@ -36,10 +44,18 @@ from typing import Any
 
 ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY = ROOT / "results" / "BENCH_perfbench.json"
-SCHEMA = "perfbench-trajectory/1"
+SCHEMA = "perfbench-trajectory/2"
+
+#: The tree every recording runs beside the measured one: the first tree with
+#: one simulation path.  ``perfbench/`` has not changed since, so it runs the
+#: same benchmark code.
+ANCHOR = "c6ed72b"
 
 ENTRY_KEYS = {"commit", "src_tree", "label", "workload", "seeds", "seconds",
               "host", "backfilled", "metrics", "outputs_digest", "failed"}
+#: ``source`` names a backfilled entry's origin; ``anchor`` holds the ratios
+#: to ``ANCHOR`` that every entry since schema 2 carries.
+OPTIONAL_KEYS = {"source", "anchor"}
 
 
 def benchmark() -> dict[str, Any]:
@@ -80,8 +96,9 @@ def summarize(values: list[float]) -> dict[str, float]:
 
 
 def make_entry(commit: str, src_tree: str, label: str, workload: str,
-               seeds: list[int], seconds: float,
-               runs: list[dict[str, Any]]) -> dict[str, Any]:
+               seeds: list[int], seconds: float, runs: list[dict[str, Any]],
+               anchor_runs: list[dict[str, Any]]) -> dict[str, Any]:
+    """One trajectory entry; ``anchor_runs[i]`` ran beside ``runs[i]``."""
     names = [metric["name"] for metric in benchmark()["end_to_end"]]
     return {
         "commit": commit,
@@ -101,6 +118,16 @@ def make_entry(commit: str, src_tree: str, label: str, workload: str,
             str(seed): run["outputs_digest"] for seed, run in zip(seeds, runs)
         },
         "failed": sum(run["failed"] for run in runs),
+        "anchor": {
+            "commit": ANCHOR,
+            "ratios": {
+                name: summarize([
+                    run["metrics"][name]["value"] / anchor["metrics"][name]["value"]
+                    for run, anchor in zip(runs, anchor_runs)
+                ])
+                for name in names
+            },
+        },
     }
 
 
@@ -114,11 +141,18 @@ def validate(doc: Any) -> list[str]:
     workloads = {w["name"] for w in benchmark()["workloads"]}
     metric_names = {m["name"] for m in benchmark()["end_to_end"]}
     problems = []
+    anchored = False
     for i, entry in enumerate(entries):
         where = f"entry {i}"
-        if not isinstance(entry, dict) or set(entry) - {"source"} != ENTRY_KEYS:
-            problems.append(f"{where}: keys must be {sorted(ENTRY_KEYS)} (+ 'source')")
+        if not isinstance(entry, dict) or set(entry) - OPTIONAL_KEYS != ENTRY_KEYS:
+            problems.append(f"{where}: keys must be {sorted(ENTRY_KEYS)}"
+                            f" (+ {sorted(OPTIONAL_KEYS)})")
             continue
+        if "anchor" in entry:
+            anchored = True
+            problems.extend(_anchor_problems(where, entry, metric_names))
+        elif anchored:
+            problems.append(f"{where}: every entry after an anchored one has an 'anchor'")
         backfilled = entry["backfilled"]
         if not isinstance(backfilled, bool):
             problems.append(f"{where}: 'backfilled' must be a bool")
@@ -154,6 +188,22 @@ def validate(doc: Any) -> list[str]:
         if not (type(failed) is int or (backfilled and failed is None)):
             problems.append(f"{where}: 'failed' must be an int (null if not recorded)")
     return problems
+
+
+def _anchor_problems(where: str, entry: dict[str, Any],
+                     metric_names: set[str]) -> list[str]:
+    anchor = entry["anchor"]
+    if entry["backfilled"] is not False:
+        return [f"{where}: only a measured entry has an 'anchor'"]
+    if not (isinstance(anchor, dict) and set(anchor) == {"commit", "ratios"}
+            and isinstance(anchor["commit"], str)):
+        return [f"{where}: 'anchor' must hold a 'commit' and its 'ratios'"]
+    ratios = anchor["ratios"]
+    if not (isinstance(ratios, dict) and set(ratios) == metric_names and all(
+        _valid_stats(stats, False) for stats in ratios.values()
+    )):
+        return [f"{where}: anchor ratios need median/q1/q3 for every end-to-end metric"]
+    return []
 
 
 def _valid_stats(stats: Any, backfilled: bool) -> bool:
@@ -198,17 +248,39 @@ def _export(rev: str, into: Path) -> None:
         raise SystemExit(f"git archive {rev} failed")
 
 
-def print_pairs(workload: str, base: list[dict], change: list[dict]) -> None:
+def run_rounds(checkouts: list[Path], workload: str, seeds: list[int],
+               seconds: float) -> list[list[dict[str, Any]]]:
+    """One run per checkout per seed; the order flips from seed to seed."""
+    runs: list[list[dict[str, Any]]] = [[] for _ in checkouts]
+    for i, seed in enumerate(seeds):
+        order = list(range(len(checkouts)))
+        for k in order if i % 2 == 0 else order[::-1]:
+            runs[k].append(run_once(checkouts[k], workload, seed, seconds))
+    return runs
+
+
+def print_summary(workload: str, runs: list[list[dict]],
+                  entries: list[dict[str, Any]]) -> None:
+    """Medians with their anchor ratios; with a baseline, the pairs it won."""
     better = {m["name"]: m["better"] for m in benchmark()["end_to_end"]}
-    print(f"== {workload}: {len(change)} pairs, working tree vs baseline")
+    sides = "baseline -> working tree" if len(runs) == 2 else "working tree"
+    print(f"== {workload}: {len(runs[-1])} rounds, {sides}"
+          f" (median ratio to {ANCHOR} in brackets)")
     for name, direction in better.items():
-        a = [run["metrics"][name]["value"] for run in base]
-        b = [run["metrics"][name]["value"] for run in change]
-        wins = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(a, b))
-        print(f"   {name:18s} {statistics.median(a):10.4g} -> {statistics.median(b):10.4g}"
-              f"   working tree won {wins}/{len(b)}")
-    same = all(x["outputs_digest"] == y["outputs_digest"] for x, y in zip(base, change))
-    print(f"   outputs_digest identical in every pair: {same}")
+        columns = []
+        for side, entry in zip(runs, entries):
+            median = statistics.median(run["metrics"][name]["value"] for run in side)
+            columns.append(f"{median:10.4g} [{entry['anchor']['ratios'][name]['median']:.3f}]")
+        line = f"   {name:18s} " + " -> ".join(columns)
+        if len(runs) == 2:
+            a, b = ([run["metrics"][name]["value"] for run in side] for side in runs)
+            wins = sum((y < x) if direction == "lower" else (y > x)
+                       for x, y in zip(a, b))
+            line += f"   working tree won {wins}/{len(b)}"
+        print(line)
+    if len(runs) == 2:
+        same = all(x["outputs_digest"] == y["outputs_digest"] for x, y in zip(*runs))
+        print(f"   outputs_digest identical in every pair: {same}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -225,27 +297,24 @@ def main(argv: list[str] | None = None) -> int:
     seconds = benchmark()["run_seconds"]
     commit = _git("rev-parse", "--short=7", "HEAD")
     src_tree = _working_src_tree()
-    if args.baseline is None:
-        runs = [run_once(ROOT, args.workload, s, seconds) for s in args.seeds]
-        append([make_entry(commit, src_tree, args.label, args.workload, args.seeds,
-                           seconds, runs)])
-        return 0
-    base_commit = _git("rev-parse", "--short=7", args.baseline)
-    base_tree = _git("rev-parse", f"{args.baseline}:src")
-    with tempfile.TemporaryDirectory(prefix="perfbench-baseline-") as tmp:
-        _export(args.baseline, Path(tmp))
-        base, change = [], []
-        for i, seed in enumerate(args.seeds):
-            sides = [(Path(tmp), base), (ROOT, change)]
-            for checkout, runs in sides if i % 2 == 0 else sides[::-1]:
-                runs.append(run_once(checkout, args.workload, seed, seconds))
-    append([
-        make_entry(base_commit, base_tree, f"baseline for: {args.label}",
-                   args.workload, args.seeds, seconds, base),
-        make_entry(commit, src_tree, args.label, args.workload, args.seeds,
-                   seconds, change),
-    ])
-    print_pairs(args.workload, base, change)
+    revs = [ANCHOR] if args.baseline is None else [ANCHOR, args.baseline]
+    with tempfile.TemporaryDirectory(prefix="perfbench-trees-") as tmp:
+        checkouts = [Path(tmp) / str(i) for i in range(len(revs))]
+        for rev, checkout in zip(revs, checkouts):
+            checkout.mkdir()
+            _export(rev, checkout)
+        anchor, *runs = run_rounds(checkouts + [ROOT], args.workload, args.seeds,
+                                   seconds)
+    entries = [make_entry(commit, src_tree, args.label, args.workload, args.seeds,
+                          seconds, runs[-1], anchor)]
+    if args.baseline is not None:
+        entries.insert(0, make_entry(
+            _git("rev-parse", "--short=7", args.baseline),
+            _git("rev-parse", f"{args.baseline}:src"),
+            f"baseline for: {args.label}", args.workload, args.seeds, seconds,
+            runs[0], anchor))
+    append(entries)
+    print_summary(args.workload, runs, entries)
     return 0
 
 

@@ -612,6 +612,8 @@ class DcfMac:
         self.sim.call_after(self._sifs, self._send_response, frame)
 
     def _send_response(self, frame: Frame) -> None:
+        if self._offline:
+            return  # crashed within SIFS of the frame that asked for it
         if self.radio.transmitting:
             return  # half-duplex conflict: the response is lost
         if frame.kind is FrameKind.CTS:

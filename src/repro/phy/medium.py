@@ -386,8 +386,8 @@ class Medium:
         """Broadcast ``frame`` from ``sender`` for ``duration`` microseconds."""
         if sender.transmitting:
             raise RuntimeError(f"{sender.name}: already transmitting")
-        if duration <= 0:
-            raise ValueError(f"non-positive airtime: {duration}")
+        if not 0.0 < duration < math.inf:  # also catches NaN
+            raise ValueError(f"airtime must be positive and finite: {duration}")
         sim = self.sim
         tx = _Transmission(sender, frame, sim.now, sim.now + duration)
         self.frames_sent += 1
@@ -396,13 +396,10 @@ class Medium:
             obs.inc(f"phy.{sender.name}.tx_frames")
             obs.inc(f"phy.{sender.name}.tx_airtime_us", duration)
         sender._begin_transmit(tx.end)
-        call_after = sim.call_after
-        call_after(duration, sender._end_transmit)
-        for on_tx_start, on_tx_end, rss, delay, decodable in self._hearers_from(
-            sender
-        ):
-            call_after(delay, on_tx_start, tx, rss, decodable)
-            call_after(duration + delay, on_tx_end, tx, rss)
+        hearers = self._hearers.get(sender)
+        if hearers is None:
+            hearers = self._hearers_from(sender)
+        sim.call_fanout(duration, sender._end_transmit, tx, hearers)
 
     def _deliver(
         self, tx: _Transmission, receiver: Radio, rss: float, collided: bool

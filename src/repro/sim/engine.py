@@ -17,10 +17,14 @@ trace suite in ``tests/test_golden_traces.py`` holds this down):
   Cancelling (or firing) bumps the handle's generation, so stale entries —
   including a timer cancelled and re-armed within the same tick — are
   skipped without ever scanning the heap.
-* :attr:`Simulator.pending_events` is a maintained counter, not an O(n)
-  sweep over the heap (the old sweep was hot in cancel-heavy ``testbed/``
-  emulation runs, where NAV timers are re-armed on nearly every overheard
-  frame).
+* :attr:`Simulator.pending_events` is O(1), not a sweep over the heap (the
+  old sweep was hot in cancel-heavy ``testbed/`` emulation runs, where NAV
+  timers are re-armed on nearly every overheard frame).  The simulator counts
+  the heap's *dead* entries — those orphaned by a cancellation — and reads
+  the live count as ``len(heap) - dead``, so a push or a live pop touches no
+  counter; only a cancellation and a dead pop do.
+* :meth:`Simulator.run` counts :attr:`~Simulator.events_processed` in a local
+  and writes it back when it returns (or raises).
 * Dead entries left behind by cancellations are compacted away once they
   outnumber live ones (amortized O(1) per cancellation), so cancel/re-arm
   storms cannot degrade ``heappush``/``heappop`` to log of garbage.
@@ -31,7 +35,9 @@ trace suite in ``tests/test_golden_traces.py`` holds this down):
 * Fire-and-forget callbacks — the overwhelming majority: frame arrivals,
   transmit-end notifications, SIFS responses — can skip the handle
   allocation entirely via :meth:`Simulator.call_after` / :meth:`call_at`;
-  their payload is a bare ``(fn, args)`` tuple.
+  their payload is a bare ``(fn, args)`` tuple.  One transmitted frame's
+  whole fan-out — the sender's end of transmission and every hearer's start
+  and end — is pushed by one :meth:`Simulator.call_fanout`.
 """
 
 from __future__ import annotations
@@ -103,14 +109,16 @@ class Simulator:
         self._heap: list[tuple] = []
         self._seq: int = 0
         self._running = False
-        self._live: int = 0  # entries that will still fire
+        self._dead: int = 0  # heap entries orphaned by a cancellation
+        #: Events fired so far; :meth:`run` keeps its own count while it runs
+        #: and stores it here when it returns, so read it between runs.
         self.events_processed: int = 0
         self.events_cancelled: int = 0
         self.compactions: int = 0
         #: Largest heap size observed while :attr:`track_heap` is True.
         #: Tracking is opt-in (telemetry attaches it): the counter itself
-        #: never affects event ordering, only the four schedule paths pay
-        #: one predictable branch.
+        #: never affects event ordering, only the schedule paths pay one
+        #: predictable branch.
         self.track_heap: bool = False
         self.heap_high_water: int = 0
 
@@ -133,7 +141,6 @@ class Simulator:
         self._seq = seq + 1
         event = Event(time, seq, fn, args, self)
         heappush(self._heap, (time, seq, (0, event)))
-        self._live += 1
         if self.track_heap and len(self._heap) > self.heap_high_water:
             self.heap_high_water = len(self._heap)
         return event
@@ -146,7 +153,6 @@ class Simulator:
         self._seq = seq + 1
         event = Event(time, seq, fn, args, self)
         heappush(self._heap, (time, seq, (0, event)))
-        self._live += 1
         if self.track_heap and len(self._heap) > self.heap_high_water:
             self.heap_high_water = len(self._heap)
         return event
@@ -167,7 +173,6 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (time, seq, (fn, args)))
-        self._live += 1
         if self.track_heap and len(self._heap) > self.heap_high_water:
             self.heap_high_water = len(self._heap)
 
@@ -178,9 +183,49 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (time, seq, (fn, args)))
-        self._live += 1
         if self.track_heap and len(self._heap) > self.heap_high_water:
             self.heap_high_water = len(self._heap)
+
+    def call_fanout(
+        self,
+        duration: float,
+        on_end: Callable[[], Any],
+        tx: Any,
+        hearers: list[tuple],
+    ) -> None:
+        """Push one transmitted frame's whole fan-out in one call.
+
+        ``hearers`` holds ``(on_start, on_stop, rss, delay, decodable)``
+        tuples.  Exactly ``call_after(duration, on_end)`` followed, hearer by
+        hearer, by ``call_after(delay, on_start, tx, rss, decodable)`` and
+        ``call_after(duration + delay, on_stop, tx, rss)``: the same
+        ``(time, seq)`` keys (a start at ``now + delay``, an end at
+        ``now + (duration + delay)``), the same checks and the same
+        counters.  An invalid ``duration`` raises before anything is pushed.
+        """
+        now = self.now
+        end = now + duration
+        if not (duration >= 0.0 and end < _INF):  # also catches NaN
+            self.call_after(duration, on_end)  # raises call_after's error
+        heap = self._heap
+        seq = self._seq
+        push = heappush
+        inf = _INF
+        push(heap, (end, seq, (on_end, ())))
+        for on_start, on_stop, rss, delay, decodable in hearers:
+            stop = now + (duration + delay)
+            if not (delay >= 0.0 and stop < inf):
+                # Replay this hearer through call_after, which pushes and
+                # raises exactly where the sequence of calls would.
+                self._seq = seq + 1
+                self.call_after(delay, on_start, tx, rss, decodable)
+                self.call_after(duration + delay, on_stop, tx, rss)
+            push(heap, (now + delay, seq + 1, (on_start, (tx, rss, decodable))))
+            push(heap, (stop, seq + 2, (on_stop, (tx, rss))))
+            seq += 2
+        self._seq = seq + 1
+        if self.track_heap and len(heap) > self.heap_high_water:
+            self.heap_high_water = len(heap)
 
     def _drop_pending(self) -> None:
         """Forget every scheduled callback, for an owner that is going away.
@@ -196,7 +241,7 @@ class Simulator:
             if payload[0].__class__ is int:  # (gen, Event): unhook the handle
                 payload[1].fn = None
         self._heap.clear()
-        self._live = 0
+        self._dead = 0
 
     # -------------------------------------------------------------- cancel --
 
@@ -211,10 +256,9 @@ class Simulator:
         if event is None:
             return
         if event.fn is not None and not event.cancelled:
-            live = self._live = self._live - 1
+            dead = self._dead = self._dead + 1
             self.events_cancelled += 1
-            dead = len(self._heap) - live
-            if dead > 64 and dead > live:
+            if dead > 64 and dead + dead > len(self._heap):  # dead > live
                 self._compact()
         event.cancelled = True
         event.gen += 1
@@ -239,13 +283,18 @@ class Simulator:
         event.time = time
         event.seq = seq
         heappush(self._heap, (time, seq, (event.gen, event)))
-        self._live += 1
         if self.track_heap and len(self._heap) > self.heap_high_water:
             self.heap_high_water = len(self._heap)
 
     def _compact(self) -> None:
-        """Drop every orphaned heap entry and re-heapify the rest."""
+        """Drop every orphaned heap entry and re-heapify the rest.
+
+        An entry :meth:`cancel` is cancelling survives (its generation is
+        bumped after the compaction), so :attr:`_dead` is recomputed from
+        the live count rather than reset to zero.
+        """
         heap = self._heap
+        live = len(heap) - self._dead
         self.compactions += 1
         self._heap = [
             entry
@@ -257,6 +306,7 @@ class Simulator:
             )
         ]
         heapq.heapify(self._heap)
+        self._dead = len(self._heap) - live
 
     # ----------------------------------------------------------------- run --
 
@@ -275,6 +325,7 @@ class Simulator:
         bound = _INF if until is None else until
         heap = self._heap
         pop = heapq.heappop
+        processed = self.events_processed
         try:
             while heap:
                 if heap is not self._heap:  # compaction swapped the list
@@ -286,14 +337,14 @@ class Simulator:
                 if tag.__class__ is int:  # cancellable handle: check its gen
                     event = payload[1]
                     if event.gen != tag:
+                        self._dead -= 1
                         continue  # cancelled: drop the stale entry
                     time = entry[0]
                     if time > bound:
                         heappush(heap, entry)  # once per run(): restore & stop
                         break
                     self.now = time
-                    self.events_processed += 1
-                    self._live -= 1
+                    processed += 1
                     event._fire()
                 else:  # fire-and-forget (fn, args) payload
                     time = entry[0]
@@ -301,12 +352,12 @@ class Simulator:
                         heappush(heap, entry)
                         break
                     self.now = time
-                    self.events_processed += 1
-                    self._live -= 1
+                    processed += 1
                     tag(*payload[1])
             if until is not None and until > self.now:
                 self.now = until
         finally:
+            self.events_processed = processed
             self._running = False
 
     def run_until_idle(self) -> None:
@@ -316,4 +367,4 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still scheduled (O(1))."""
-        return self._live
+        return len(self._heap) - self._dead

@@ -167,8 +167,11 @@ def test_perf_trajectory_validation_rejects_bad_entries():
         }
         for v in (3, 1, 2)
     ]
-    entry = record.make_entry("abc1234", "f" * 40, "t", "dense_grid", [7, 8, 9], 40.0, runs)
+    entry = record.make_entry(
+        "abc1234", "f" * 40, "t", "dense_grid", [7, 8, 9], 40.0, runs, runs[::-1]
+    )
     assert entry["metrics"]["op_p50_rel"] == {"median": 2.0, "q1": 1.5, "q3": 2.5}
+    assert entry["anchor"]["ratios"]["op_p50_rel"]["median"] == 1.0
     doc = {"schema": record.SCHEMA, "entries": [entry]}
     assert record.validate(doc) == []
     broken = json.loads(json.dumps(doc))
@@ -184,3 +187,83 @@ def test_perf_trajectory_validation_rejects_bad_entries():
 def test_record_perfbench_parses_seed_ranges():
     record = load_script("record_perfbench")
     assert record.parse_seeds("1-3,7") == [1, 2, 3, 7]
+
+
+def fake_metrics(record, value):
+    return {m["name"]: {"value": value} for m in record.benchmark()["end_to_end"]}
+
+
+@pytest.fixture
+def stubbed_recorder(tmp_path, monkeypatch):
+    """record_perfbench with git archive and the benchmark run stubbed out:
+    each exported tree runs at its own speed, the working tree at 1.0."""
+    record = load_script("record_perfbench")
+    trajectory = tmp_path / "BENCH_perfbench.json"
+    trajectory.write_text(record.TRAJECTORY.read_text())
+    monkeypatch.setattr(record, "TRAJECTORY", trajectory)
+    speed = {record.ANCHOR: 4.0, "HEAD": 2.0}
+    exported, calls = {}, []
+
+    def export(rev, into):
+        exported[into] = rev
+
+    def run_once(checkout, workload, seed, seconds):
+        rev = exported.get(checkout, "working tree")
+        calls.append((rev, seed))
+        value = speed.get(rev, 1.0) * (1.0 + seed / 100.0)
+        return {"metrics": fake_metrics(record, value), "failed": 0,
+                "outputs_digest": f"digest-{seed}"}
+
+    monkeypatch.setattr(record, "_export", export)
+    monkeypatch.setattr(record, "run_once", run_once)
+    return record, trajectory, calls
+
+
+def test_record_perfbench_runs_the_anchor_in_every_round(stubbed_recorder, capsys):
+    record, trajectory, calls = stubbed_recorder
+    before = len(json.loads(trajectory.read_text())["entries"])
+    assert record.main(["--workload", "dense_grid", "--seeds", "1-3",
+                        "--baseline", "HEAD", "--label", "stub"]) == 0
+    round_ = [record.ANCHOR, "HEAD", "working tree"]
+    assert calls == (
+        [(rev, 1) for rev in round_] + [(rev, 2) for rev in round_[::-1]]
+        + [(rev, 3) for rev in round_]
+    )
+    doc = json.loads(trajectory.read_text())
+    assert doc["schema"] == "perfbench-trajectory/2" and record.validate(doc) == []
+    base, change = doc["entries"][before:]
+    assert base["label"] == "baseline for: stub" and change["label"] == "stub"
+    for entry, ratio in ((base, 0.5), (change, 0.25)):
+        assert entry["anchor"]["commit"] == record.ANCHOR
+        for stats in entry["anchor"]["ratios"].values():
+            assert stats == {"median": ratio, "q1": ratio, "q3": ratio}
+    out = capsys.readouterr().out
+    assert "working tree won 3/3" in out and "identical in every pair: True" in out
+
+
+def test_record_perfbench_without_baseline_still_runs_the_anchor(stubbed_recorder):
+    record, trajectory, calls = stubbed_recorder
+    before = len(json.loads(trajectory.read_text())["entries"])
+    assert record.main(["--workload", "paper_hotspots", "--seeds", "5,6"]) == 0
+    assert calls == [(record.ANCHOR, 5), ("working tree", 5),
+                     ("working tree", 6), (record.ANCHOR, 6)]
+    doc = json.loads(trajectory.read_text())
+    (entry,) = doc["entries"][before:]
+    assert entry["anchor"]["ratios"]["setup_s"]["median"] == 0.25
+    assert record.validate(doc) == []
+
+
+def test_perf_trajectory_validation_of_anchor_ratios():
+    record = load_script("record_perfbench")
+    runs = [{"metrics": fake_metrics(record, 2.0), "outputs_digest": "d", "failed": 0}]
+    anchor = [{"metrics": fake_metrics(record, 4.0)}]
+    entry = record.make_entry("abc1234", "f" * 40, "t", "dense_grid", [7], 40.0,
+                              runs, anchor)
+    legacy = {key: value for key, value in entry.items() if key != "anchor"}
+    assert record.validate({"schema": record.SCHEMA, "entries": [legacy, entry]}) == []
+    problems = record.validate({"schema": record.SCHEMA, "entries": [entry, legacy]})
+    assert problems == ["entry 1: every entry after an anchored one has an 'anchor'"]
+    partial = json.loads(json.dumps(entry))
+    del partial["anchor"]["ratios"]["setup_s"]
+    assert len(record.validate({"schema": record.SCHEMA, "entries": [partial]})) == 1
+    assert record.validate({"schema": "perfbench-trajectory/1", "entries": [entry]})

@@ -335,3 +335,26 @@ def test_crashed_mac_is_never_restarted_before_reboot():
     assert a.send("z", "n1", 1024)
     sim.run(until=60_000)
     assert "n0" in senders
+
+
+def test_station_crashed_within_sifs_sends_no_queued_response():
+    """n1 crashes 8 us after n0's RTS ends, inside the SIFS before its CTS:
+    the CTS it had queued never goes on the air."""
+    sim, medium, (a, b) = make_cell()
+    assert b.phy.sifs > 8.0
+    on_air = []
+    transmit = medium.transmit
+
+    def spy(sender, frame, duration):
+        on_air.append((sender.name, frame.kind))
+        if frame.kind is FrameKind.RTS:
+            sim.call_after(duration + 8.0, b.crash)
+        transmit(sender, frame, duration)
+
+    medium.transmit = spy
+    a.send("x", "n1", 1024)
+    sim.run(until=20_000)
+    assert b.offline and b.stats.crashes == 1
+    assert ("n0", FrameKind.RTS) in on_air
+    assert not [kind for name, kind in on_air if name == "n1"]
+    assert b.stats.tx_cts == 0

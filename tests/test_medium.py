@@ -498,3 +498,59 @@ def test_plan_memo_never_reaches_pickles_or_cache_keys():
     assert "_plans" not in model.__getstate__()
     assert clone == model
     assert clone.corruption_plan("r0", "r1", 1052, True) == frame_error_rate(2e-4, 1052)
+
+
+def test_transmit_pushes_the_keys_of_the_per_callback_sequence():
+    """One ``call_fanout`` leaves the heap exactly as the 1 + 2n ``call_after``
+    calls it replaces would, on a medium whose hearers all have distinct
+    non-zero propagation delays."""
+    positions = [(0.0, 0.0), (31.0, 0.0), (0.0, 67.0), (77.0, 12.0)]
+    sim, medium, radios = make_medium(positions)
+    hearers = medium._hearers_from(radios[0])
+    delays = [delay for _, _, _, delay, _ in hearers]
+    assert len(delays) == 3 and len(set(delays)) == 3 and min(delays) > 0.0
+    # For r3 the association of the end time matters.
+    assert (1234.567 + 957.1) + delays[2] != 1234.567 + (957.1 + delays[2])
+    sim.call_at(1234.567, lambda: None)
+    sim.run()
+    reference = Simulator()
+    reference.call_at(1234.567, lambda: None)
+    reference.run()
+    duration = 957.1
+    radios[0].transmit(data_frame(), duration)
+    tx = next(args[0] for _, _, (_, args) in sim._heap if args)
+    reference.call_after(duration, radios[0]._end_transmit)
+    for on_tx_start, on_tx_end, rss, delay, decodable in hearers:
+        reference.call_after(delay, on_tx_start, tx, rss, decodable)
+        reference.call_after(duration + delay, on_tx_end, tx, rss)
+    assert sorted(sim._heap) == sorted(reference._heap)
+    assert sim._seq == reference._seq
+    assert sim.pending_events == reference.pending_events == 7
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf])
+def test_non_finite_airtime_rejected_without_side_effects(duration):
+    sim, medium, (a, b) = make_medium([(0, 0), (5, 0)])
+    with pytest.raises(ValueError):
+        a.transmit(data_frame(), duration)
+    assert sim._heap == [] and medium.frames_sent == 0
+    assert not a.transmitting and a.mac.busy_transitions == []
+
+
+@pytest.mark.parametrize(
+    "name, duration_s, high_water, pending",
+    [("fig1_nav_udp", 0.5, 16, 9), ("dense_hotspot_sinr", 0.1, 529, 225)],
+)
+def test_engine_gauges_pinned_on_perf_scenarios(name, duration_s, high_water, pending):
+    """Heap high water and live events at the end, seed 1: the values of the
+    per-callback fan-out and the live-entry counter this engine replaced."""
+    from repro.obs import MetricsRegistry, capture
+    from repro.perf.scenarios import get_scenario
+
+    registry = MetricsRegistry()
+    with capture(registry):
+        built = get_scenario(name).build(1)
+        built.scenario.run(duration_s)
+    gauges = registry.snapshot(scenario=name, seed=1, duration_s=duration_s).gauges
+    assert gauges["sim.engine.heap_high_water"] == high_water
+    assert gauges["sim.engine.pending_at_end"] == pending

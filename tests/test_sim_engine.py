@@ -193,6 +193,15 @@ def test_cancel_rearm_storm_fires_only_last():
     assert sim.pending_events == 0
 
 
+def live_entries(sim):
+    """Heap entries that will still fire, by a sweep over the heap."""
+    return sum(
+        1
+        for _, _, payload in sim._heap
+        if payload[0].__class__ is not int or payload[0] == payload[1].gen
+    )
+
+
 def _rearm_storm(rearm):
     """A timer pushed back 300 times among 150 one-shot events.
 
@@ -207,6 +216,7 @@ def _rearm_storm(rearm):
     counters = []
     for step in range(300):
         timer = rearm(sim, timer, sim.now + 1.0 + step % 5)
+        assert sim.pending_events == live_entries(sim)
         counters.append(
             (sim.events_cancelled, sim.pending_events, sim.compactions, len(sim._heap))
         )
@@ -388,3 +398,142 @@ def test_property_mixed_payloads_fire_in_order(specs):
     sim.run()
     assert fired == expected
     assert sim.pending_events == 0
+
+
+def test_compaction_inside_cancel_keeps_pending_exact():
+    """The cancel that triggers a compaction leaves its own entry behind (the
+    generation bump comes after the compaction); the live count stays exact
+    through it and through popping that entry."""
+    sim = Simulator()
+    fired = []
+    events = [sim.schedule(float(i + 1), fired.append, i) for i in range(130)]
+    for event in events[:65]:
+        sim.cancel(event)
+        assert sim.pending_events == live_entries(sim)
+    assert sim.compactions == 0
+    sim.cancel(events[65])  # 66 dead > 64 live: compacts inside cancel()
+    assert sim.compactions == 1
+    assert len(sim._heap) == 65  # the 64 live entries plus events[65]'s
+    assert sim.pending_events == live_entries(sim) == 64
+    sim.run(until=66.5)  # pops events[65]'s dead entry
+    assert fired == [] and sim.pending_events == live_entries(sim) == 64
+    sim.run()
+    assert fired == list(range(66, 130))
+    assert sim.pending_events == 0 and sim.events_processed == 64
+
+
+def test_run_until_stops_and_resumes_counting():
+    sim = Simulator()
+    fired = []
+    for t in (5.0, 10.0, 20.0, 30.0, 40.0):
+        sim.call_at(t, fired.append, t)
+    dead = sim.schedule(15.0, fired.append, "cancelled")
+    sim.cancel(dead)
+    sim.run(until=12.0)
+    assert (fired, sim.now, sim.events_processed) == ([5.0, 10.0], 12.0, 2)
+    assert sim.pending_events == live_entries(sim) == 3
+    sim.run(until=20.0)  # an event exactly at the bound fires
+    assert (fired[-1], sim.now, sim.events_processed) == (20.0, 20.0, 3)
+    assert sim.pending_events == live_entries(sim) == 2
+    sim.run(until=25.0)
+    assert (sim.now, sim.events_processed, sim.pending_events) == (25.0, 3, 2)
+    sim.run()
+    assert fired == [5.0, 10.0, 20.0, 30.0, 40.0]
+    assert (sim.now, sim.events_processed, sim.pending_events) == (40.0, 5, 0)
+
+
+def test_drop_pending_forgets_live_and_dead_entries():
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule(float(i + 1), fired.append, i) for i in range(6)]
+    sim.call_after(2.5, fired.append, "forget")
+    sim.cancel(handles[0])
+    sim.cancel(handles[1])
+    sim._drop_pending()
+    assert sim._heap == [] and sim.pending_events == 0
+    assert not any(handle.pending for handle in handles)
+    sim.cancel(handles[2])  # a dropped handle is no longer pending
+    assert sim.events_cancelled == 2 and sim.pending_events == 0
+    sim.call_after(1.0, fired.append, "after")
+    assert sim.pending_events == 1
+    sim.run()
+    assert fired == ["after"] and sim.pending_events == 0
+
+
+def test_events_processed_counts_through_a_raising_callback():
+    sim = Simulator()
+    fired = []
+
+    def boom():
+        fired.append("boom")
+        raise RuntimeError("boom")
+
+    sim.call_after(1.0, fired.append, "a")
+    sim.schedule(2.0, boom)
+    sim.call_after(3.0, fired.append, "c")
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert fired == ["a", "boom"] and sim.events_processed == 2
+    assert sim.pending_events == 1
+    sim.run()
+    assert fired == ["a", "boom", "c"] and sim.events_processed == 3
+
+
+def _fanout_reference(sim, duration, on_end, tx, hearers):
+    """The per-callback sequence ``Simulator.call_fanout`` replaces."""
+    sim.call_after(duration, on_end)
+    for on_start, on_stop, rss, delay, decodable in hearers:
+        sim.call_after(delay, on_start, tx, rss, decodable)
+        sim.call_after(duration + delay, on_stop, tx, rss)
+
+
+def _fanout_sims(hearers, duration, now=1234.567):
+    """(fanout, reference) simulators after pushing the same fan-out."""
+    sims = []
+    for push in (Simulator.call_fanout, _fanout_reference):
+        sim = Simulator()
+        sim.track_heap = True
+        sim.call_at(now, lambda: None)
+        sim.run()
+        sim.call_after(3.0, print)  # an entry already queued
+        try:
+            push(sim, duration, print, "tx", hearers)
+        except ValueError as exc:
+            sims.append((sim, str(exc)))
+        else:
+            sims.append((sim, None))
+    return sims
+
+
+def test_call_fanout_pushes_the_keys_of_the_call_after_sequence():
+    # At these numbers the association of the end time matters.
+    assert (1234.567 + 957.1) + 0.7 != 1234.567 + (957.1 + 0.7)
+    hearers = [
+        (print, repr, 0.5, 0.7, True),
+        (print, repr, 0.25, 0.2, False),
+        (print, repr, 0.125, 0.0, True),
+    ]
+    (fanout, error), (reference, ref_error) = _fanout_sims(hearers, 957.1)
+    assert error is ref_error is None
+    assert sorted(fanout._heap) == sorted(reference._heap)
+    assert fanout._seq == reference._seq == 9
+    assert fanout.heap_high_water == reference.heap_high_water == 8
+    assert fanout.pending_events == reference.pending_events == 8
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
+def test_call_fanout_rejects_a_bad_duration_before_pushing(duration):
+    (fanout, error), (reference, ref_error) = _fanout_sims(
+        [(print, repr, 0.5, 0.3, True)], duration
+    )
+    assert error == ref_error is not None
+    assert len(fanout._heap) == 1 and fanout._seq == 2
+
+
+@pytest.mark.parametrize("bad_delay", [math.nan, math.inf, -0.5])
+def test_call_fanout_checks_each_delay_like_call_after(bad_delay):
+    hearers = [(print, repr, 0.5, 0.3, True), (print, repr, 0.25, bad_delay, True)]
+    (fanout, error), (reference, ref_error) = _fanout_sims(hearers, 957.1)
+    assert error == ref_error is not None
+    assert sorted(fanout._heap) == sorted(reference._heap)
+    assert fanout._seq == reference._seq
