@@ -8,6 +8,8 @@ building is not profiled.  Prints one JSON line:
 
 * ``transmits`` — frames put on the air (``Medium.frames_sent``), summed;
 * ``events`` — ``Simulator.events_processed``, summed;
+* ``event_allocations`` — cancellable handles allocated
+  (``Event.__init__`` calls), summed;
 * ``python_calls_per_tx`` — calls of Python-level functions per transmit;
 * ``all_calls_per_tx`` — the same, counting built-in functions too.
 
@@ -24,6 +26,7 @@ import pstats
 import sys
 
 from repro.perf.scenarios import get_scenario
+from repro.sim.engine import Event
 
 #: The pairwise part of perfbench's ``paper_hotspots`` workload.
 TOPOLOGIES = ("fig1_nav_udp", "fig8_nav_tcp", "spoof_tcp", "grc_nav", "grc_spoof")
@@ -31,18 +34,22 @@ TOPOLOGIES = ("fig1_nav_udp", "fig8_nav_tcp", "spoof_tcp", "grc_nav", "grc_spoof
 
 def count_calls(topologies: list[str], seeds: list[int], duration_s: float) -> dict:
     """Profile every (topology, seed) run and total the counts."""
-    transmits = events = python_calls = all_calls = 0
+    transmits = events = python_calls = all_calls = event_allocations = 0
+    init = Event.__init__.__code__
+    event_init = (init.co_filename, init.co_firstlineno, init.co_name)
     for name in topologies:
         spec = get_scenario(name)
         for seed in seeds:
             scenario = spec.build(seed).scenario
             profile = cProfile.Profile()
             profile.runcall(scenario.run, duration_s)
-            for (filename, _line, _fn), row in pstats.Stats(profile).stats.items():
+            for function, row in pstats.Stats(profile).stats.items():
                 calls = row[1]  # every call, recursive ones included
                 all_calls += calls
-                if filename != "~":  # "~" marks a built-in function
+                if function[0] != "~":  # "~" marks a built-in function
                     python_calls += calls
+                if function == event_init:
+                    event_allocations += calls
             transmits += scenario.medium.frames_sent
             events += scenario.sim.events_processed
     return {
@@ -51,6 +58,7 @@ def count_calls(topologies: list[str], seeds: list[int], duration_s: float) -> d
         "duration_s": duration_s,
         "transmits": transmits,
         "events": events,
+        "event_allocations": event_allocations,
         "python_calls_per_tx": round(python_calls / transmits, 1),
         "all_calls_per_tx": round(all_calls / transmits, 1),
     }

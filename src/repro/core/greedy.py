@@ -93,6 +93,8 @@ ALL_FRAMES = frozenset(
 class GreedyReceiverPolicy(ReceiverPolicy):
     """A receiver that manipulates 802.11 feedback for more goodput."""
 
+    rewrites_nav = True
+
     def __init__(self, config: GreedyConfig, rng: random.Random) -> None:
         self.config = config
         self.rng = rng

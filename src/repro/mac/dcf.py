@@ -32,19 +32,11 @@ if TYPE_CHECKING:
     # (tests/test_rng_isolation.py holds this invariant down).
     import random
 
-from repro.mac.frames import (
-    Frame,
-    FrameKind,
-    ack_duration,
-    cts_duration_from_rts,
-    data_duration,
-    frame_size,
-    rts_duration,
-)
+from repro.mac.frames import Frame, FrameKind, data_duration, rts_duration
 from repro.mac.policy import ReceiverPolicy
 from repro.mac.stats import MacStats
 from repro.phy.medium import Radio
-from repro.phy.params import PhyParams
+from repro.phy.params import ACK_SIZE, CTS_SIZE, DATA_HEADER_SIZE, RTS_SIZE, PhyParams
 from repro.sim.engine import Event, Simulator
 
 
@@ -139,6 +131,18 @@ class DcfMac:
         self._cts_timeout_us = phy.cts_timeout()
         self._ack_timeout_us = phy.ack_timeout()
         self._randrange = rng.randrange  # randint(0, cw) == randrange(cw + 1)
+        # The transmit path's per-frame constants, from the same PhyParams
+        # arithmetic the frame builders in repro.mac.frames use: control
+        # frames have fixed sizes and fly at the basic rate; a data frame's
+        # airtime depends on (size, rate) and an RTS's NAV on the payload
+        # size, so those two are memoized (keys never hash a FrameKind).
+        self._cts_time = phy.cts_time
+        self._rts_airtime = phy.airtime(RTS_SIZE, phy.basic_rate)
+        self._cts_airtime = phy.airtime(CTS_SIZE, phy.basic_rate)
+        self._ack_airtime = phy.airtime(ACK_SIZE, phy.basic_rate)
+        self._data_nav = data_duration(phy)
+        self._data_airtimes: dict[tuple[int, float | None], float] = {}
+        self._rts_navs: dict[int, float] = {}
 
         self._queue: deque[_Msdu] = deque()
         self._state = IDLE
@@ -147,21 +151,26 @@ class DcfMac:
         self._long_retries = 0
         self._seq = 0
         self._backoff_slots: int | None = None
-        self._access_event: Event | None = None
+        # One handle per timer, re-armed in place (``pending`` while armed).
+        self._access_timer = sim.timer(self._access_granted)
+        self._cts_timer = sim.timer(self._cts_timeout)
+        self._ack_timer = sim.timer(self._ack_timeout)
+        self._nav_timer = sim.timer(self._nav_expired)
         self._access_start = 0.0
         self._access_ifs = 0.0
+        #: The armed response timeout (the CTS or the ACK timer), or None.
         self._timeout_event: Event | None = None
         self._use_eifs = False
         self.nav_until = 0.0
-        self._nav_event: Event | None = None
-        self._rx_seen: dict[str, set[int]] = {}
+        # 802.11's receive cache: the last seq delivered per sender.
+        self._rx_cache: dict[str, int] = {}
         self._last_tx_kind: FrameKind | None = None
         #: True between :meth:`crash` and :meth:`reboot`: the station is
         #: dead — it neither transmits, receives nor reacts to the medium.
         self._offline = False
         # The radio's edge filter (see Radio): a busy edge matters only
         # while an access countdown runs, an idle edge only while contending
-        # without one.  Every write to ``_state``/``_access_event`` below
+        # without one.  Every write to ``_state``/``_access_timer`` below
         # keeps the two flags current; an offline MAC never wants an edge.
         radio.wants_busy = False
         radio.wants_idle = False
@@ -231,14 +240,10 @@ class DcfMac:
         if self.obs is not None:
             self.obs.inc(f"mac.{self.name}.crashes")
         self._cancel_timeout()
-        if self._access_event is not None:
-            self.sim.cancel(self._access_event)
-            self._access_event = None
+        self.sim.cancel(self._access_timer)
         self.radio.wants_busy = False
         self.radio.wants_idle = False
-        if self._nav_event is not None:
-            self.sim.cancel(self._nav_event)
-            self._nav_event = None
+        self.sim.cancel(self._nav_timer)
         self.nav_until = 0.0
         self.stats.crash_dropped_msdus += len(self._queue)
         if self.on_msdu_dropped is not None:
@@ -248,7 +253,7 @@ class DcfMac:
         self._reset_exchange()
         self._state = IDLE
         self._use_eifs = False
-        self._rx_seen.clear()
+        self._rx_cache.clear()
         self.radio._lock_tx = None  # the frame being decoded dies with us
 
     def reboot(self) -> None:
@@ -290,55 +295,50 @@ class DcfMac:
                 until - (self.nav_until if self.nav_until > now else now),
             )
         self.nav_until = until
-        if self._access_event is not None:
+        if self._access_timer.pending:
             self._freeze_access()
-        if self._nav_event is not None:
-            self.sim.rearm_at(self._nav_event, until)
-        else:
-            self._nav_event = self.sim.schedule_at(until, self._nav_expired)
+        self.sim.rearm_at(self._nav_timer, until)
 
     def _nav_expired(self) -> None:
-        self._nav_event = None
         self._try_start_access()
 
     # ------------------------------------------------------- backoff engine --
 
     def _try_start_access(self) -> None:
-        if self._state != CONTEND or self._access_event is not None:
+        if self._state != CONTEND or self._access_timer.pending:
             return
         radio = self.radio
-        if radio.transmitting or radio._energy or self.sim.now < self.nav_until:
+        now = self.sim.now
+        if radio.transmitting or radio._energy or now < self.nav_until:
             return  # physical or virtual carrier busy
         if self._backoff_slots is None:
             self._backoff_slots = self._randrange(self.cw + 1)
         slots = self._backoff_slots
-        self._access_start = self.sim.now
+        self._access_start = now
         if self._use_eifs:
             self._access_ifs = self._eifs
             delay = self._eifs + slots * self._slot_time
         else:
             self._access_ifs = self._difs
             delay = self._difs + slots * self._slot_time
-        self._access_event = self.sim.schedule(delay, self._access_granted)
+        self.sim.rearm_at(self._access_timer, now + delay)
         radio.wants_busy = True
         radio.wants_idle = False
 
     def _freeze_access(self) -> None:
-        if self._access_event is None:
+        if not self._access_timer.pending:
             return
         elapsed = self.sim.now - self._access_start
         if elapsed > self._access_ifs:
             consumed = int((elapsed - self._access_ifs) // self._slot_time)
             assert self._backoff_slots is not None
             self._backoff_slots = max(0, self._backoff_slots - consumed)
-        self.sim.cancel(self._access_event)
-        self._access_event = None
+        self.sim.cancel(self._access_timer)
         radio = self.radio
         radio.wants_busy = False
         radio.wants_idle = self._state == CONTEND
 
     def _access_granted(self) -> None:
-        self._access_event = None
         radio = self.radio
         radio.wants_busy = False
         radio.wants_idle = False  # leaving CONTEND: to IDLE or an exchange
@@ -361,45 +361,50 @@ class DcfMac:
 
     # ----------------------------------------------------------- transmit ----
 
-    def _airtime(self, frame: Frame) -> float:
-        if frame.kind is FrameKind.DATA:
-            rate = frame.rate if frame.rate is not None else self.phy.data_rate
-        else:
-            rate = self.phy.basic_rate
-        return self.phy.airtime(frame.size_bytes, rate)
-
-    def _transmit(self, frame: Frame) -> None:
+    def _transmit(self, frame: Frame, airtime: float) -> None:
         self._last_tx_kind = frame.kind
-        self.radio.transmit(frame, self._airtime(frame))
+        radio = self.radio
+        radio.medium.transmit(radio, frame, airtime)
 
     def _send_rts(self, msdu: _Msdu) -> None:
-        nav = rts_duration(self.phy, msdu.size_bytes)
-        frame = Frame(FrameKind.RTS, self.name, msdu.dst, nav, frame_size(FrameKind.RTS))
-        frame.duration = self.policy.outgoing_nav(frame)
+        size = msdu.size_bytes
+        nav = self._rts_navs.get(size)
+        if nav is None:
+            nav = self._rts_navs[size] = rts_duration(self.phy, size)
+        frame = Frame(FrameKind.RTS, self.name, msdu.dst, nav, RTS_SIZE)
+        policy = self.policy
+        if policy.rewrites_nav:
+            frame.duration = policy.outgoing_nav(frame)
         self._state = WAIT_CTS
         self.stats.tx_rts += 1
-        self._transmit(frame)
+        self._transmit(frame, self._rts_airtime)
 
     def _send_data(self, msdu: _Msdu) -> None:
         rate = None
         if self.rate_controller is not None:
             rate = self.rate_controller.rate_for(msdu.dst)
+        size = DATA_HEADER_SIZE + msdu.size_bytes
+        airtime = self._data_airtimes.get((size, rate))
+        if airtime is None:  # rate None is the PHY's data rate
+            airtime = self._data_airtimes[(size, rate)] = self.phy.airtime(size, rate)
         frame = Frame(
             FrameKind.DATA,
             self.name,
             msdu.dst,
-            data_duration(self.phy),
-            frame_size(FrameKind.DATA, msdu.size_bytes),
+            self._data_nav,
+            size,
             seq=msdu.seq,
             retry=self._long_retries > 0 or self._short_retries > 0,
             payload=msdu.payload,
             rate=rate,
         )
-        frame.duration = self.policy.outgoing_nav(frame)
+        policy = self.policy
+        if policy.rewrites_nav:
+            frame.duration = policy.outgoing_nav(frame)
         self._state = WAIT_ACK
         self.stats.tx_data += 1
         self.stats.data_attempts_by_dst[msdu.dst] += 1
-        self._transmit(frame)
+        self._transmit(frame, airtime)
 
     def phy_tx_done(self) -> None:
         """Our own transmission ended: arm the matching response timeout."""
@@ -408,13 +413,11 @@ class DcfMac:
         if self._offline:
             return  # crashed mid-transmit: no response timers for the dead
         if kind is FrameKind.RTS and self._state == WAIT_CTS:
-            self._timeout_event = self.sim.schedule(
-                self._cts_timeout_us, self._cts_timeout
-            )
+            timer = self._timeout_event = self._cts_timer
+            self.sim.rearm_at(timer, self.sim.now + self._cts_timeout_us)
         elif kind is FrameKind.DATA and self._state == WAIT_ACK:
-            self._timeout_event = self.sim.schedule(
-                self._ack_timeout_us, self._ack_timeout
-            )
+            timer = self._timeout_event = self._ack_timer
+            self.sim.rearm_at(timer, self.sim.now + self._ack_timeout_us)
 
     # ------------------------------------------------------------ timeouts ---
 
@@ -581,28 +584,34 @@ class DcfMac:
         self._send_data(self._queue[0])
 
     def _deliver_up(self, frame: Frame) -> None:
-        seen = self._rx_seen.setdefault(frame.src, set())
-        if frame.seq in seen:
+        # A retransmission whose first copy got through but whose ACK was
+        # lost: only a retry can repeat the sender's last seq, so seqs may
+        # wrap freely (they are 12-bit).
+        src = frame.src
+        if frame.retry and self._rx_cache.get(src) == frame.seq:
             self.stats.rx_duplicates += 1
             return
-        if len(seen) > 4096:
-            seen.clear()
-        seen.add(frame.seq)
+        self._rx_cache[src] = frame.seq
         if self.on_deliver is not None:
             self.on_deliver(frame.payload, frame.src)
 
     # ------------------------------------------------------------ responses --
 
     def _build_cts(self, rts: Frame) -> Frame:
-        nav = cts_duration_from_rts(self.phy, rts.duration)
-        cts = Frame(FrameKind.CTS, self.name, rts.src, nav, frame_size(FrameKind.CTS))
-        cts.duration = self.policy.outgoing_nav(cts)
+        # repro.mac.frames.cts_duration_from_rts, inline.
+        nav = rts.duration - self._sifs - self._cts_time
+        cts = Frame(FrameKind.CTS, self.name, rts.src, nav if nav > 0.0 else 0.0, CTS_SIZE)
+        policy = self.policy
+        if policy.rewrites_nav:
+            cts.duration = policy.outgoing_nav(cts)
         return cts
 
     def _build_ack(self, data: Frame, impersonate: str | None = None) -> Frame:
         src = impersonate if impersonate is not None else self.name
-        ack = Frame(FrameKind.ACK, src, data.src, ack_duration(), frame_size(FrameKind.ACK))
-        ack.duration = self.policy.outgoing_nav(ack)
+        ack = Frame(FrameKind.ACK, src, data.src, 0.0, ACK_SIZE)  # final ACK: no NAV
+        policy = self.policy
+        if policy.rewrites_nav:
+            ack.duration = policy.outgoing_nav(ack)
         return ack
 
     def _schedule_response(self, frame: Frame) -> None:
@@ -618,6 +627,7 @@ class DcfMac:
             return  # half-duplex conflict: the response is lost
         if frame.kind is FrameKind.CTS:
             self.stats.tx_cts += 1
-        elif frame.kind is FrameKind.ACK:
+            self._transmit(frame, self._cts_airtime)
+        else:  # responses are CTS or ACK
             self.stats.tx_ack += 1
-        self._transmit(frame)
+            self._transmit(frame, self._ack_airtime)

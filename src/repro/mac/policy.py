@@ -26,6 +26,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class ReceiverPolicy:
     """Standard (well-behaved) IEEE 802.11 receiver behavior."""
 
+    #: Whether :meth:`outgoing_nav` may change a NAV.  The MAC asks
+    #: :meth:`outgoing_nav` only while this is True, so a subclass that
+    #: overrides it must set this True too.
+    rewrites_nav = False
+
     def attach(self, mac: "DcfMac") -> None:
         """Called once when the policy is installed on a MAC."""
         self.mac = mac

@@ -88,7 +88,10 @@ class Radio:
         #: Edge filter the MAC keeps current; see the class docstring.
         self.wants_busy = True
         self.wants_idle = True
-        self._energy: set[_Transmission] = set()
+        # Received power of every audible in-flight transmission, in arrival
+        # order: the carrier is busy while it is non-empty, and SinrRadio
+        # sums it (left to right, so deterministically) for interference.
+        self._energy: dict[_Transmission, float] = {}
         # Reception lock: the transmission being decoded (None when not
         # locked), its received power, and whether an overlap garbled it.
         self._lock_tx: Optional[_Transmission] = None
@@ -99,8 +102,8 @@ class Radio:
     def _unlink(self) -> None:
         """Drop the links back to the medium and the MAC.
 
-        In-flight transmissions point at their senders, so ``_energy`` (and
-        ``SinrRadio._rss``) tie radios into cycles with each other too.
+        In-flight transmissions point at their senders, so ``_energy`` ties
+        radios into cycles with each other too.
         """
         self.medium = None
         self.mac = None
@@ -123,7 +126,7 @@ class Radio:
 
     def _on_tx_start(self, tx: _Transmission, rss: float, decodable: bool) -> None:
         was_idle = not (self.transmitting or self._energy)
-        self._energy.add(tx)
+        self._energy[tx] = rss
         if not self.transmitting:
             if self._lock_tx is None:
                 if decodable:
@@ -154,7 +157,7 @@ class Radio:
 
     def _on_tx_end(self, tx: _Transmission, rss: float) -> None:
         was_busy = self.transmitting or bool(self._energy)
-        self._energy.discard(tx)
+        del self._energy[tx]
         if self._lock_tx is tx:
             self._lock_tx = None
             self.medium._deliver(tx, self, self._lock_rss, self._lock_collided)
@@ -451,32 +454,18 @@ class Medium:
 class SinrRadio(Radio):
     """Radio whose reception decisions come from an SINR margin.
 
-    Tracks the received power of every audible concurrent transmission
-    (``_rss``, insertion-ordered alongside ``_energy``) and re-evaluates the
-    locked frame's signal-to-interference-plus-noise ratio whenever an
-    overlapping transmission *starts*.  Interference only ever increases at
-    a start and decreases at an end, and a radio cannot re-synchronize
-    mid-frame, so a frame that clears its margin at every overlap start has
-    held it for its whole airtime — no check is needed at transmission end,
-    and the ``collided`` flag stays sticky exactly as in the pairwise model.
+    Re-evaluates the locked frame's signal-to-interference-plus-noise ratio
+    over the received powers in ``_energy`` whenever an overlapping
+    transmission *starts*.  Interference only ever increases at a start and
+    decreases at an end, and a radio cannot re-synchronize mid-frame, so a
+    frame that clears its margin at every overlap start has held it for its
+    whole airtime — no check is needed at transmission end, and the
+    ``collided`` flag stays sticky exactly as in the pairwise model.
     """
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        # Power of every audible in-flight transmission, in arrival order.
-        # Plain insertion-ordered dict: the left-to-right interference sum
-        # is deterministic because ``_on_tx_start`` runs in hearer-list
-        # (attach) order.
-        self._rss: dict[_Transmission, float] = {}
-        super().__init__(*args, **kwargs)
-
-    def _unlink(self) -> None:
-        super()._unlink()
-        self._rss.clear()
 
     def _on_tx_start(self, tx: _Transmission, rss: float, decodable: bool) -> None:
         was_idle = not (self.transmitting or self._energy)
-        self._energy.add(tx)
-        self._rss[tx] = rss
+        self._energy[tx] = rss
         if not self.transmitting:
             medium = self.medium
             lock_tx = self._lock_tx
@@ -501,21 +490,6 @@ class SinrRadio(Radio):
         # Busy edge exactly when the carrier was idle, as in the base class.
         if was_idle and self.wants_busy and self.mac is not None:
             self.mac.phy_busy()
-
-    def _on_tx_end(self, tx: _Transmission, rss: float) -> None:
-        was_busy = self.transmitting or bool(self._energy)
-        self._energy.discard(tx)
-        self._rss.pop(tx, None)
-        if self._lock_tx is tx:
-            self._lock_tx = None
-            self.medium._deliver(tx, self, self._lock_rss, self._lock_collided)
-        if (
-            was_busy
-            and not (self.transmitting or self._energy)
-            and self.wants_idle
-            and self.mac is not None
-        ):
-            self.mac.phy_idle()
 
 
 class SinrMedium(Medium):
@@ -575,10 +549,11 @@ class SinrMedium(Medium):
         """Does ``tx`` clear its SINR margin at ``radio`` right now?
 
         The multiply form avoids a division, and the left-to-right python
-        sum over the insertion-ordered ``_rss`` dict is deterministic.
+        sum over the insertion-ordered ``_energy`` dict is deterministic
+        (``_on_tx_start`` runs in hearer-list, i.e. attach, order).
         """
         interference = 0.0
-        for other, power in radio._rss.items():
+        for other, power in radio._energy.items():
             if other is not tx:
                 interference += power
         return rss >= self._sinr_threshold_for(tx.frame) * (

@@ -14,9 +14,10 @@ trace suite in ``tests/test_golden_traces.py`` holds this down):
 * Cancellation is O(1) via **generation counters**: every :class:`Event`
   handle carries a generation, the heap entry records the generation it was
   scheduled with, and a popped entry fires only when the two still match.
-  Cancelling (or firing) bumps the handle's generation, so stale entries —
-  including a timer cancelled and re-armed within the same tick — are
-  skipped without ever scanning the heap.
+  Cancelling bumps the handle's generation (a fired handle's entry has
+  already left the heap), so stale entries — including a timer cancelled
+  and re-armed within the same tick — are skipped without ever scanning
+  the heap.
 * :attr:`Simulator.pending_events` is O(1), not a sweep over the heap (the
   old sweep was hot in cancel-heavy ``testbed/`` emulation runs, where NAV
   timers are re-armed on nearly every overheard frame).  The simulator counts
@@ -28,10 +29,14 @@ trace suite in ``tests/test_golden_traces.py`` holds this down):
 * Dead entries left behind by cancellations are compacted away once they
   outnumber live ones (amortized O(1) per cancellation), so cancel/re-arm
   storms cannot degrade ``heappush``/``heappop`` to log of garbage.
-* A timer that is pushed back — the NAV timer, re-armed on nearly every
-  overheard frame that grows the NAV — moves its existing handle with
-  :meth:`Simulator.rearm_at` instead of a cancel plus a new :class:`Event`;
-  the counters and the event order are exactly those of the pair.
+* Timers live with their owner.  A component that arms the same callback
+  again and again — the MAC's access countdown, CTS/ACK timeouts and NAV,
+  the TCP retransmission timer — takes one idle handle from
+  :meth:`Simulator.timer` and (re-)arms it with :meth:`Simulator.rearm_at`,
+  whether it is pending, fired or cancelled, instead of allocating a new
+  :class:`Event` per arm.  The counters and the event order are exactly
+  those of a cancel (when pending) plus a fresh :meth:`schedule_at`, and
+  :meth:`Simulator.run` fires a handle inline, without a method call.
 * Fire-and-forget callbacks — the overwhelming majority: frame arrivals,
   transmit-end notifications, SIFS responses — can skip the handle
   allocation entirely via :meth:`Simulator.call_after` / :meth:`call_at`;
@@ -50,16 +55,18 @@ _INF = float("inf")
 
 
 class Event:
-    """A cancellable handle for a scheduled callback.
+    """A cancellable, re-armable handle for a scheduled callback.
 
     Events are created through :meth:`Simulator.schedule` /
-    :meth:`Simulator.schedule_at` and may be cancelled with
-    :meth:`Simulator.cancel` (or :meth:`cancel` on the event itself).
+    :meth:`Simulator.schedule_at` (armed) or :meth:`Simulator.timer` (idle),
+    and may be cancelled with :meth:`Simulator.cancel` (or :meth:`cancel` on
+    the event itself) and moved or re-armed with :meth:`Simulator.rearm_at`.
     Cancellation is O(1): it bumps :attr:`gen`, orphaning the heap entry that
-    was scheduled under the previous generation.
+    was scheduled under the previous generation.  A handle keeps its callback
+    after it fires or is cancelled, so its owner can arm it again.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "gen", "cancelled", "_sim")
+    __slots__ = ("time", "seq", "fn", "args", "gen", "pending", "_sim")
 
     def __init__(
         self,
@@ -74,27 +81,17 @@ class Event:
         self.fn = fn
         self.args = args
         self.gen = 0  # generation the live heap entry was scheduled with
-        self.cancelled = False
+        #: True while a heap entry will fire this handle: from arming until
+        #: it fires or is cancelled.
+        self.pending = True
         self._sim = sim
 
     def cancel(self) -> None:
         """Mark this event so that it never fires."""
         self._sim.cancel(self)
 
-    @property
-    def pending(self) -> bool:
-        """True while the event has neither fired nor been cancelled."""
-        return not self.cancelled and self.fn is not None
-
-    def _fire(self) -> None:
-        fn, args = self.fn, self.args
-        self.fn = None  # break reference cycles and mark as fired
-        self.args = ()
-        self.gen += 1
-        fn(*args)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending" if self.fn else "fired"
+        state = "pending" if self.pending else "idle"
         return f"Event(t={self.time:.3f}us, seq={self.seq}, {state})"
 
 
@@ -121,6 +118,9 @@ class Simulator:
         #: predictable branch.
         self.track_heap: bool = False
         self.heap_high_water: int = 0
+        # Handles made by timer(): they outlive their firings, so
+        # _drop_pending must find them even while they are idle.
+        self._timers: list[Event] = []
 
     # ------------------------------------------------------------ schedule --
 
@@ -155,6 +155,18 @@ class Simulator:
         heappush(self._heap, (time, seq, (0, event)))
         if self.track_heap and len(self._heap) > self.heap_high_water:
             self.heap_high_water = len(self._heap)
+        return event
+
+    def timer(self, fn: Callable[..., Any], *args: Any) -> Event:
+        """An idle handle for ``fn(*args)``, armed later with :meth:`rearm_at`.
+
+        Pushes nothing and takes no ``seq``: an owner that arms, cancels and
+        re-arms one timer over and over allocates a single :class:`Event`,
+        and the event order is that of a fresh :meth:`schedule_at` per arm.
+        """
+        event = Event(0.0, -1, fn, args, self)
+        event.pending = False
+        self._timers.append(event)
         return event
 
     def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -232,14 +244,22 @@ class Simulator:
 
         A queued callback is a bound method of the component that scheduled
         it, and a handle's ``fn`` points back at its owner too, so the heap
-        keeps the owner's components in reference cycles.  Clears the heap
-        and every queued handle's ``fn``; :attr:`now` and the counters stay
-        readable, and :attr:`pending_events` reads 0.
+        keeps the owner's components in reference cycles — and so does a
+        :meth:`timer` its owner keeps while it is idle.  Clears the heap and
+        unhooks every queued handle and every timer (``fn = None``, no longer
+        pending); :attr:`now` and the counters stay readable, and
+        :attr:`pending_events` reads 0.
         """
         for entry in self._heap:
             payload = entry[2]
             if payload[0].__class__ is int:  # (gen, Event): unhook the handle
-                payload[1].fn = None
+                event = payload[1]
+                event.fn = None
+                event.pending = False
+        for event in self._timers:
+            event.fn = None
+            event.pending = False
+        self._timers.clear()
         self._heap.clear()
         self._dead = 0
 
@@ -248,43 +268,45 @@ class Simulator:
     def cancel(self, event: Event | None) -> None:
         """Cancel a previously scheduled event.  ``None`` is ignored.
 
-        Once dead heap entries outnumber live ones (and exceed 64) the heap
-        is compacted: amortized O(1) per cancellation, since a compaction
-        costs O(n) but at least halves the heap and only runs after n/2
-        cancellations.
+        Cancelling an event that is not pending (fired, cancelled, idle) is
+        a no-op.  Once dead heap entries outnumber live ones (and exceed 64)
+        the heap is compacted: amortized O(1) per cancellation, since a
+        compaction costs O(n) but at least halves the heap and only runs
+        after n/2 cancellations.
         """
-        if event is None:
+        if event is None or not event.pending:
             return
-        if event.fn is not None and not event.cancelled:
-            dead = self._dead = self._dead + 1
-            self.events_cancelled += 1
-            if dead > 64 and dead + dead > len(self._heap):  # dead > live
-                self._compact()
-        event.cancelled = True
+        dead = self._dead = self._dead + 1
+        self.events_cancelled += 1
+        if dead > 64 and dead + dead > len(self._heap):  # dead > live
+            self._compact()
+        event.pending = False
         event.gen += 1
 
     def rearm_at(self, event: Event, time: float) -> None:
-        """Move the pending ``event`` to absolute time ``time``.
+        """Arm ``event`` at absolute time ``time``, wherever it stands.
 
-        Exactly ``cancel(event)`` followed by ``schedule_at(time, ...)`` with
-        the same callback — one cancellation counted, the same compaction
-        check, a fresh ``seq`` — except that the handle is reused instead of
-        a new :class:`Event` being allocated.  The old heap entry is orphaned
-        by the generation bump ``cancel`` makes.
+        A pending event is moved: exactly ``cancel(event)`` followed by
+        ``schedule_at(time, ...)`` with the same callback — one cancellation
+        counted, the same compaction check, a fresh ``seq``.  A fired,
+        cancelled or never-armed one (:meth:`timer`) is armed like a fresh
+        ``schedule_at``: a fresh ``seq``, no cancellation counted.  Either
+        way the handle is reused instead of a new :class:`Event` being
+        allocated.
         """
         if not (self.now <= time < _INF):
             self._reject_time(time)
-        if event.fn is None or event.cancelled:
-            raise ValueError("only a pending event can be re-armed")
-        self.cancel(event)
-        event.cancelled = False
+        if event.pending:
+            self.cancel(event)  # orphans the live entry (may compact)
+        event.pending = True
         seq = self._seq
         self._seq = seq + 1
         event.time = time
         event.seq = seq
-        heappush(self._heap, (time, seq, (event.gen, event)))
-        if self.track_heap and len(self._heap) > self.heap_high_water:
-            self.heap_high_water = len(self._heap)
+        heap = self._heap
+        heappush(heap, (time, seq, (event.gen, event)))
+        if self.track_heap and len(heap) > self.heap_high_water:
+            self.heap_high_water = len(heap)
 
     def _compact(self) -> None:
         """Drop every orphaned heap entry and re-heapify the rest.
@@ -345,7 +367,8 @@ class Simulator:
                         break
                     self.now = time
                     processed += 1
-                    event._fire()
+                    event.pending = False
+                    event.fn(*event.args)
                 else:  # fire-and-forget (fn, args) payload
                     time = entry[0]
                     if time > bound:

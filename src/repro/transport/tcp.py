@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.transport.packets import Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,7 +93,8 @@ class TcpSender:
         self._timed_seq: int | None = None  # segment being timed (Karn)
         self._timed_at = 0.0
         self._retransmitted: set[int] = set()
-        self._rto_event: Event | None = None
+        # The retransmission timer, re-armed in place.
+        self._rto_timer = sim.timer(self._on_rto)
 
         self.cwnd_stats = CwndTracker(sim)
         self.segments_sent = 0
@@ -148,7 +149,7 @@ class TcpSender:
         elif self._timed_seq is None:
             self._timed_seq = seq
             self._timed_at = self.sim.now
-        if self._rto_event is None:
+        if not self._rto_timer.pending:
             self._arm_rto()
         self.node.send_packet(packet)
 
@@ -184,7 +185,7 @@ class TcpSender:
         self.cwnd = min(self.cwnd, float(self.window))
         self.cwnd_stats.record(self.cwnd)
         if self.snd_una == self.snd_nxt:
-            self._cancel_rto()
+            self.sim.cancel(self._rto_timer)
         else:
             self._arm_rto(restart=True)
 
@@ -220,20 +221,11 @@ class TcpSender:
         self._rto = min(self._rto, self.max_rto_us)
 
     def _arm_rto(self, restart: bool = False) -> None:
-        if restart:
-            self._cancel_rto()
-        if self._rto_event is None:
-            self._rto_event = self.sim.schedule(
-                self._rto * self._backoff, self._on_rto
-            )
-
-    def _cancel_rto(self) -> None:
-        if self._rto_event is not None:
-            self.sim.cancel(self._rto_event)
-            self._rto_event = None
+        """Arm the RTO if it is idle; with ``restart``, push it back too."""
+        if restart or not self._rto_timer.pending:
+            self.sim.rearm_at(self._rto_timer, self.sim.now + self._rto * self._backoff)
 
     def _on_rto(self) -> None:
-        self._rto_event = None
         if self.snd_una == self.snd_nxt:
             return  # nothing outstanding
         self.timeouts += 1

@@ -5,11 +5,15 @@ behavior: exchanges complete, retries double CW, NAV defers, duplicates are
 filtered, and the misbehavior/detection hooks fire at the right points.
 """
 
+import random
+
 import pytest
 
+from repro.core.greedy import GreedyConfig, GreedyReceiverPolicy
 from repro.mac.dcf import DcfMac
 from repro.mac.frames import Frame, FrameKind
 from repro.mac.policy import ReceiverPolicy
+from repro.net.scenario import Scenario
 from repro.phy.error import BitErrorModel
 from repro.phy.medium import Medium, Radio
 from repro.phy.params import dot11b
@@ -167,6 +171,46 @@ def test_duplicate_data_not_delivered_twice():
     assert b.stats.tx_ack == 2  # duplicates are still acknowledged
 
 
+def test_seq_wrap_does_not_stall_delivery():
+    """MSDU seqs are 12-bit.  Once a sender's counter wraps (after 4,096
+    MSDUs, about 5 s into this flow) its new frames must still be delivered,
+    not dropped as duplicates of the first lap."""
+    scenario = Scenario(seed=1)
+    scenario.add_wireless_node("a")
+    scenario.add_wireless_node("b")
+    source, sink = scenario.udp_flow("a", "b", rate_bps=20e6, packet_size=512)
+    source.start()
+    scenario.run(5.0)
+    first = sink.packets_received
+    assert 0 < first < 4096  # the counter has not wrapped yet
+    scenario.run(7.0)  # to 12 s: the counter wraps about twice
+    later = sink.packets_received - first
+    assert scenario.macs["b"].stats.rx_duplicates == 0
+    assert later > 0.9 * first * 7.0 / 5.0  # goodput holds after the wrap
+
+
+def test_policy_swapped_after_construction_still_inflates_nav():
+    """The MAC reads ``policy.rewrites_nav`` per frame, so a NAV-inflating
+    policy installed after the MAC was built still rewrites its CTS."""
+    sim, medium, (a, b, c) = make_cell(3)
+    assert not b.policy.rewrites_nav
+    b.policy = GreedyReceiverPolicy(GreedyConfig.nav_inflator(5000.0), random.Random(1))
+    b.policy.attach(b)
+    navs = {}
+    transmit = medium.transmit
+
+    def spy(sender, frame, duration):
+        navs.setdefault(frame.kind, frame.duration)
+        transmit(sender, frame, duration)
+
+    medium.transmit = spy
+    a.send("x", "n1", 1024)
+    sim.run(until=20_000)
+    honest = max(0.0, navs[FrameKind.RTS] - a.phy.sifs - a.phy.cts_time)
+    assert navs[FrameKind.CTS] == honest + 5000.0
+    assert b.policy.nav_inflations == 1
+
+
 def test_receiver_withholds_cts_when_nav_busy():
     """The shared-sender damage mechanism: a receiver whose NAV was inflated
     cannot answer RTS, so the sender times out."""
@@ -274,9 +318,7 @@ def test_backoff_drawn_within_cw():
         a._try_start_access()
         assert a._backoff_slots is not None
         assert 0 <= a._backoff_slots <= a.cw
-        if a._access_event is not None:
-            sim.cancel(a._access_event)
-            a._access_event = None
+        sim.cancel(a._access_timer)
         a._queue.clear()
         a._state = "IDLE"
 
@@ -319,7 +361,7 @@ def test_crashed_mac_is_never_restarted_before_reboot():
 
     medium.transmit = spy
     a.send("x", "n1", 1024)
-    assert a._access_event is not None  # counting down DIFS + backoff
+    assert a._access_timer.pending  # counting down DIFS + backoff
     assert (a.radio.wants_busy, a.radio.wants_idle) == (True, False)
     a.crash()
     assert (a.radio.wants_busy, a.radio.wants_idle) == (False, False)
@@ -329,7 +371,7 @@ def test_crashed_mac_is_never_restarted_before_reboot():
     a.phy_busy()  # edges from a radio that ignores the filter
     a.phy_idle()
     sim.run(until=40_000)
-    assert a.state == "IDLE" and a._access_event is None
+    assert a.state == "IDLE" and not a._access_timer.pending
     assert "n1" in senders and "n0" not in senders
     a.reboot()
     assert a.send("z", "n1", 1024)

@@ -156,6 +156,28 @@ def test_dropped_backlog_flow_leaves_no_cyclic_garbage():
     _assert_drop_frees_everything(make)
 
 
+def test_dropped_scenario_with_idle_timers_leaves_no_cyclic_garbage():
+    """The DCF and TCP timers live with their owners and point back at them
+    even while idle; dropping the scenario must unhook them all."""
+
+    def make():
+        scenario = Scenario(seed=1)
+        scenario.add_wireless_node("a")
+        scenario.add_wireless_node("b")
+        sender, _ = scenario.tcp_flow("a", "b")
+        sender.start()
+        scenario.run(0.2)
+        timers = [sender._rto_timer] + [
+            timer
+            for mac in scenario.macs.values()
+            for timer in (mac._access_timer, mac._cts_timer, mac._ack_timer)
+        ]
+        assert all(timer.seq >= 0 for timer in timers), "every timer was armed"
+        return scenario, None
+
+    _assert_drop_frees_everything(make)
+
+
 def test_dropped_scenario_with_detection_tap_leaves_no_cyclic_garbage():
     pipelines = []
 

@@ -242,20 +242,134 @@ def test_rearm_matches_cancel_then_schedule_at():
     assert _rearm_storm(rearm) == reference
 
 
-def test_rearm_rejects_fired_cancelled_and_past_handles():
+def _timer_storm(arm):
+    """A timer armed 300 times among 150 one-shot events.  Between arms it
+    is sometimes cancelled and sometimes left to fire.
+
+    ``arm(sim, handle, time, callback)`` arms ``callback("timer")`` at
+    ``time`` (``handle`` is None the first time) and returns its handle.
+    Returns the fire order and the counters after every step.
+    """
     sim = Simulator()
-    fired = sim.schedule(1.0, lambda: None)
-    cancelled = sim.schedule(2.0, lambda: None)
-    sim.cancel(cancelled)
-    sim.run(until=1.5)
-    with pytest.raises(ValueError):
-        sim.rearm_at(fired, 3.0)
-    with pytest.raises(ValueError):
-        sim.rearm_at(cancelled, 3.0)
+    fired = []
+    for i in range(150):
+        sim.schedule(float(i % 7), fired.append, ("one-shot", i))
+    handle = None
+    counters = []
+    for step in range(300):
+        handle = arm(sim, handle, sim.now + 1.0 + step % 5, fired.append)
+        if step % 7 == 3:
+            sim.cancel(handle)
+        assert sim.pending_events == live_entries(sim)
+        counters.append(
+            (sim.events_cancelled, sim.pending_events, sim.compactions, len(sim._heap))
+        )
+        if step % 50 == 0:
+            sim.run(until=sim.now + 0.5)
+        elif step % 40 == 0:
+            sim.run(until=sim.now + 6.0)  # long enough for the timer to fire
+    sim.run()
+    return fired, counters, sim.events_processed
+
+
+def test_timer_matches_a_fresh_handle_per_arm():
+    """Re-arming one timer — pending, fired, cancelled or never armed — has
+    the fire order and counters of a cancel plus a fresh schedule_at."""
+
+    def fresh(sim, handle, time, callback):
+        sim.cancel(handle)
+        return sim.schedule_at(time, callback, "timer")
+
+    def reuse(sim, handle, time, callback):
+        if handle is None:
+            handle = sim.timer(callback, "timer")
+        sim.rearm_at(handle, time)
+        assert handle.pending
+        return handle
+
+    reference = _timer_storm(fresh)
+    assert reference[1][-1][2] > 0, "the storm must trigger compactions"
+    assert reference[0].count("timer") > 1, "the timer must fire more than once"
+    assert _timer_storm(reuse) == reference
+
+
+@pytest.mark.parametrize("state", ["fired", "cancelled", "never armed"])
+def test_rearm_of_an_idle_handle_is_a_fresh_schedule_at(state):
+    """No cancellation counted, a fresh seq: a tie at the same time fires in
+    arming order, exactly as for a new handle."""
+
+    def run(rearm):
+        sim = Simulator()
+        fired = []
+        for i in range(6):
+            sim.call_at(float(i), fired.append, i)
+        if state == "never armed":
+            handle = sim.timer(fired.append, "timer")
+        else:
+            handle = sim.schedule(1.0, fired.append, "timer")
+            if state == "cancelled":
+                sim.cancel(handle)
+        sim.run(until=2.5)
+        assert not handle.pending
+        rearm(sim, handle, 4.0)
+        sim.call_at(4.0, fired.append, "tie")
+        counters = (sim.events_cancelled, sim.pending_events, sim.compactions)
+        sim.run()
+        return fired, counters, sim.events_processed, sim._seq
+
+    def fresh(sim, handle, time):
+        sim.schedule_at(time, handle.fn, *handle.args)
+
+    def reuse(sim, handle, time):
+        sim.rearm_at(handle, time)
+        assert handle.pending
+
+    assert run(reuse) == run(fresh)
+
+
+def test_rearm_rejects_past_nan_and_infinite_times():
+    sim = Simulator()
+    sim.run(until=5.0)
     live = sim.schedule(1.0, lambda: None)
-    with pytest.raises(ValueError):
-        sim.rearm_at(live, 1.0)  # before now
-    assert live.pending and sim.pending_events == 1
+    idle = sim.timer(lambda: None)
+    for handle in (live, idle):
+        for time in (4.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sim.rearm_at(handle, time)
+    assert live.pending and not idle.pending
+    assert sim.pending_events == 1 and sim.events_cancelled == 0
+
+
+def test_timer_pushes_nothing_until_armed():
+    sim = Simulator()
+    fired = []
+    timer = sim.timer(fired.append, "timer")
+    assert not timer.pending
+    assert sim._heap == [] and sim.pending_events == 0
+    sim.cancel(timer)  # cancelling an idle timer counts nothing
+    assert sim.events_cancelled == 0
+    sim.call_after(1.0, fired.append, "first")
+    assert sim._heap[0][1] == 0  # the timer took no seq
+    sim.run()
+    assert fired == ["first"] and sim.events_processed == 1
+
+
+def test_drop_pending_unhooks_every_timer():
+    """Idle timers are unhooked too: their owner keeps them between arms,
+    and a kept callback would close a cycle back to it."""
+    sim = Simulator()
+    calls = []
+    idle = sim.timer(calls.append, "idle")
+    fired = sim.timer(calls.append, "fired")
+    sim.rearm_at(fired, 1.0)
+    sim.run()
+    assert calls == ["fired"]
+    armed = sim.timer(calls.append, "armed")
+    sim.rearm_at(armed, 5.0)
+    sim._drop_pending()
+    for timer in (idle, fired, armed):
+        assert timer.fn is None and not timer.pending
+    assert sim.pending_events == 0 and sim._timers == []
 
 
 def test_pending_events_is_exact_through_cancel_storms():
