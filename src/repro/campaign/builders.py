@@ -1,11 +1,15 @@
 """The paper's hotspot scenario families, each defined once.
 
-A *builder* is a module-level runner — ``builder(seed, duration_s, **params)
--> {metric: value}`` — that assembles one of the paper's hotspot topologies,
-drives it for ``duration_s`` simulated seconds and returns a flat metric
-dict, so :func:`repro.stats.median_over_seeds` can combine repetitions the
-way the paper does (median of 5 runs).  Every argument may be given as
-plain data (strings instead of enums, PHY profile names instead of
+A *family* is a ``build(seed, duration_s, **params) -> BuiltScenario`` that
+assembles one of the paper's hotspot topologies without running it, so the
+perf scenarios, golden traces and ``repro trace`` can attach a tracer or
+time the event loop before the first frame flies.  :func:`family` registers
+the one runner every family shares, ``builder(seed, duration_s, **params)
+-> {metric: value}``: it builds, drives the scenario for ``duration_s``
+simulated seconds and returns a flat metric dict, so
+:func:`repro.stats.median_over_seeds` can combine repetitions the way the
+paper does (median of 5 runs).  Every argument may be given as plain data
+(strings instead of enums, PHY profile names instead of
 :class:`~repro.phy.params.PhyParams` objects), which buys two things at
 once:
 
@@ -22,6 +26,10 @@ metrics for equal seeds, by construction.
 
 from __future__ import annotations
 
+import functools
+import inspect
+import math
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.core.detection.streaming import (
@@ -60,6 +68,45 @@ def register(name: str) -> Callable[[Callable[..., dict[str, float]]], Callable[
         return fn
 
     return _register
+
+
+@dataclass(frozen=True)
+class BuiltScenario:
+    """A ready-to-run scenario plus its metric reader.
+
+    ``metrics(duration_us)`` reads the family's metrics once the scenario
+    has run for ``duration_us`` simulated microseconds.
+    """
+
+    scenario: Scenario
+    metrics: Callable[[float], dict[str, float]]
+
+
+def family(name: str) -> Callable[[Callable[..., BuiltScenario]], Callable[..., dict[str, float]]]:
+    """Decorator: publish a family's build as its registered runner.
+
+    The runner builds, runs the scenario for ``duration_s`` and returns
+    ``metrics(duration_s * US_PER_S)``; the build stays reachable as
+    ``runner.build``.  ``functools.wraps`` gives the runner the build's
+    module, qualname and parameters, so job specs, cache keys and spec
+    validation address it by the family's name; its signature says it
+    returns the metric dict.
+    """
+
+    def wrap(build: Callable[..., BuiltScenario]) -> Callable[..., dict[str, float]]:
+        @functools.wraps(build)
+        def runner(seed: int, duration_s: float, **params) -> dict[str, float]:
+            built = build(seed, duration_s, **params)
+            built.scenario.run(duration_s)
+            return built.metrics(duration_s * US_PER_S)
+
+        runner.__signature__ = inspect.signature(build).replace(
+            return_annotation="dict[str, float]"
+        )
+        runner.build = build
+        return register(name)(runner)
+
+    return wrap
 
 
 def builder_names() -> list[str]:
@@ -142,7 +189,7 @@ def _check_n_greedy(n_greedy: int, n_pairs: int) -> None:
 # ------------------------------------------------------- NAV inflation -----
 
 
-@register("nav_pairs")
+@family("nav_pairs")
 def nav_pairs(
     seed: int,
     duration_s: float,
@@ -154,7 +201,7 @@ def nav_pairs(
     greedy_percentage: float = 100.0,
     n_pairs: int = 2,
     n_greedy: int = 1,
-) -> dict[str, float]:
+) -> BuiltScenario:
     """``n_pairs`` sender->receiver pairs, the last ``n_greedy`` receivers
     greedy (NAV inflation).  Returns per-receiver goodput plus sender CW and
     RTS counters (Figures 1, 2, 4-9 and Table II all read from this).
@@ -173,26 +220,28 @@ def nav_pairs(
                 nav_inflation_us, frames, greedy_percentage
             )
         s.add_wireless_node(f"R{i}", greedy=greedy)
-    out: dict[str, float] = {}
     for i in range(n_pairs):
         if transport == "udp":
             src, sink = s.udp_flow(f"S{i}", f"R{i}")
             src.start()
-            flows.append(("udp", sink, None))
+            flows.append((sink, None))
         else:
             snd, rcv = s.tcp_flow(f"S{i}", f"R{i}")
             snd.start()
-            flows.append(("tcp", rcv, snd))
-    s.run(duration_s)
-    us = duration_s * US_PER_S
-    for i, (kind, rx, snd) in enumerate(flows):
-        out[f"goodput_R{i}"] = rx.goodput_mbps(us)
-        stats = s.macs[f"S{i}"].stats
-        out[f"cw_S{i}"] = stats.average_cw
-        out[f"rts_S{i}"] = float(stats.tx_rts)
-        if kind == "tcp":
-            out[f"cwnd_S{i}"] = snd.cwnd_stats.average()
-    return out
+            flows.append((rcv, snd))
+
+    def metrics(us: float) -> dict[str, float]:
+        out: dict[str, float] = {}
+        for i, (rx, snd) in enumerate(flows):
+            out[f"goodput_R{i}"] = rx.goodput_mbps(us)
+            stats = s.macs[f"S{i}"].stats
+            out[f"cw_S{i}"] = stats.average_cw
+            out[f"rts_S{i}"] = float(stats.tx_rts)
+            if snd is not None:
+                out[f"cwnd_S{i}"] = snd.cwnd_stats.average()
+        return out
+
+    return BuiltScenario(s, metrics)
 
 
 @register("nav_pairs_sorted")
@@ -225,7 +274,7 @@ def nav_pairs_sorted(
     }
 
 
-@register("nav_shared_sender")
+@family("nav_shared_sender")
 def nav_shared_sender(
     seed: int,
     duration_s: float,
@@ -235,7 +284,7 @@ def nav_shared_sender(
     inflate_frames: Sequence[str | FrameKind] = ("CTS",),
     n_receivers: int = 2,
     greedy_index: int | None = None,
-) -> dict[str, float]:
+) -> BuiltScenario:
     """One sender, ``n_receivers`` receivers, one of them inflating NAV
     (Figure 10 and the 1-sender column of Table II).  ``greedy_index``
     defaults to the last receiver."""
@@ -264,14 +313,16 @@ def nav_shared_sender(
             snd, rcv = s.tcp_flow("S", f"R{i}")
             snd.start()
             flows.append((rcv, snd))
-    s.run(duration_s)
-    us = duration_s * US_PER_S
-    out: dict[str, float] = {}
-    for i, (rx, snd) in enumerate(flows):
-        out[f"goodput_R{i}"] = rx.goodput_mbps(us)
-        if snd is not None:
-            out[f"cwnd_R{i}"] = snd.cwnd_stats.average()
-    return out
+
+    def metrics(us: float) -> dict[str, float]:
+        out: dict[str, float] = {}
+        for i, (rx, snd) in enumerate(flows):
+            out[f"goodput_R{i}"] = rx.goodput_mbps(us)
+            if snd is not None:
+                out[f"cwnd_R{i}"] = snd.cwnd_stats.average()
+        return out
+
+    return BuiltScenario(s, metrics)
 
 
 # --------------------------------------------------------- ACK spoofing ----
@@ -293,7 +344,7 @@ def _spoof_positions(n_pairs: int) -> dict[str, tuple[float, float]]:
     return positions
 
 
-@register("spoof_tcp_pairs")
+@family("spoof_tcp_pairs")
 def spoof_tcp_pairs(
     seed: int,
     duration_s: float,
@@ -305,7 +356,7 @@ def spoof_tcp_pairs(
     shared_ap: bool = False,
     grc: bool = False,
     grc_threshold_db: float = 1.0,
-) -> dict[str, float]:
+) -> BuiltScenario:
     """TCP flows with the last ``n_greedy`` receivers spoofing MAC ACKs on
     behalf of all normal receivers, optional GRC RSSI detection
     (Figures 11-14 and 24)."""
@@ -331,22 +382,22 @@ def spoof_tcp_pairs(
         set_ber_all_pairs(s.error_model, list(s.nodes), ber)
     if grc:
         s.enable_spoof_detection(sender_names, threshold_db=grc_threshold_db)
-    flows = []
+    receivers = []
     for i in range(n_pairs):
         sender = "S0" if shared_ap else f"S{i}"
         snd, rcv = s.tcp_flow(sender, f"R{i}")
         snd.start()
-        flows.append((rcv, snd))
-    s.run(duration_s)
-    us = duration_s * US_PER_S
-    out: dict[str, float] = {}
-    for i, (rcv, _snd) in enumerate(flows):
-        out[f"goodput_R{i}"] = rcv.goodput_mbps(us)
-    out["detections"] = float(s.report.count("rssi-spoof"))
-    return out
+        receivers.append(rcv)
+
+    def metrics(us: float) -> dict[str, float]:
+        out = {f"goodput_R{i}": rcv.goodput_mbps(us) for i, rcv in enumerate(receivers)}
+        out["detections"] = float(s.report.count("rssi-spoof"))
+        return out
+
+    return BuiltScenario(s, metrics)
 
 
-@register("spoof_udp_shared_ap")
+@family("spoof_udp_shared_ap")
 def spoof_udp_shared_ap(
     seed: int,
     duration_s: float,
@@ -354,7 +405,7 @@ def spoof_udp_shared_ap(
     phy: PhyParams | str | None = None,
     spoof_percentage: float = 100.0,
     greedy: bool = True,
-) -> dict[str, float]:
+) -> BuiltScenario:
     """Figure 17: one AP sends CBR/UDP to a normal and a greedy receiver; the
     greedy one spoofs ACKs for the normal one, stealing service time."""
     s = Scenario(phy=resolve_phy(phy) or dot11b(), seed=seed)
@@ -373,15 +424,13 @@ def spoof_udp_shared_ap(
     src2, sink2 = s.udp_flow("AP", "GR", rate_bps=rate)
     src1.start()
     src2.start()
-    s.run(duration_s)
-    us = duration_s * US_PER_S
-    return {
+    return BuiltScenario(s, lambda us: {
         "goodput_NR": sink1.goodput_mbps(us),
         "goodput_GR": sink2.goodput_mbps(us),
-    }
+    })
 
 
-@register("remote_tcp")
+@family("remote_tcp")
 def remote_tcp(
     seed: int,
     duration_s: float,
@@ -391,7 +440,7 @@ def remote_tcp(
     spoof_percentage: float = 0.0,
     grc: bool = False,
     window: int = 100,
-) -> dict[str, float]:
+) -> BuiltScenario:
     """Figures 15-16: two remote TCP senders behind a wired link to one AP,
     two wireless receivers, the greedy one spoofing ACKs for the other."""
     s = Scenario(phy=resolve_phy(phy) or dot11b(), seed=seed)
@@ -422,24 +471,22 @@ def remote_tcp(
     snd2, rcv2 = s.tcp_flow("W2", "GR", auto_route=False, window=window)
     snd1.start()
     snd2.start()
-    s.run(duration_s)
-    us = duration_s * US_PER_S
-    return {
+    return BuiltScenario(s, lambda us: {
         "goodput_NR": rcv1.goodput_mbps(us),
         "goodput_GR": rcv2.goodput_mbps(us),
-    }
+    })
 
 
 # ------------------------------------------------------------ fake ACKs ----
 
 
-@register("fake_hidden_terminals")
+@family("fake_hidden_terminals")
 def fake_hidden_terminals(
     seed: int,
     duration_s: float,
     fake_percentages: Sequence[float] = (0.0, 100.0),
     phy: PhyParams | str | None = None,
-) -> dict[str, float]:
+) -> BuiltScenario:
     """Figure 18 / Table IV: two hidden senders, receivers in between; each
     receiver fake-ACKs with its own greedy percentage (0 = honest)."""
     fake_percentages = tuple(fake_percentages)
@@ -459,16 +506,18 @@ def fake_hidden_terminals(
         src, sink = s.udp_flow(f"S{i}", f"R{i}")
         src.start()
         sinks.append(sink)
-    s.run(duration_s)
-    us = duration_s * US_PER_S
-    out: dict[str, float] = {}
-    for i, sink in enumerate(sinks):
-        out[f"goodput_R{i}"] = sink.goodput_mbps(us)
-        out[f"cw_S{i}"] = s.macs[f"S{i}"].stats.average_cw
-    return out
+
+    def metrics(us: float) -> dict[str, float]:
+        out: dict[str, float] = {}
+        for i, sink in enumerate(sinks):
+            out[f"goodput_R{i}"] = sink.goodput_mbps(us)
+            out[f"cw_S{i}"] = s.macs[f"S{i}"].stats.average_cw
+        return out
+
+    return BuiltScenario(s, metrics)
 
 
-@register("fake_inherent_loss")
+@family("fake_inherent_loss")
 def fake_inherent_loss(
     seed: int,
     duration_s: float,
@@ -476,7 +525,7 @@ def fake_inherent_loss(
     greedy_flags: Sequence[bool] = (False, True),
     phy: PhyParams | str | None = None,
     ber: float | None = None,
-) -> dict[str, float]:
+) -> BuiltScenario:
     """Table V / Figure 19: per-pair APs in range, inherent medium losses,
     some receivers fake-ACKing.  ``data_fer`` sets a direct data frame error
     rate; pass ``ber`` instead for Figure 19's random-BER variant."""
@@ -498,18 +547,20 @@ def fake_inherent_loss(
         src, sink = s.udp_flow(f"S{i}", f"R{i}")
         src.start()
         sinks.append(sink)
-    s.run(duration_s)
-    us = duration_s * US_PER_S
-    out = {f"goodput_R{i}": sink.goodput_mbps(us) for i, sink in enumerate(sinks)}
-    for i in range(n):
-        out[f"cw_S{i}"] = s.macs[f"S{i}"].stats.average_cw
-    return out
+
+    def metrics(us: float) -> dict[str, float]:
+        out = {f"goodput_R{i}": sink.goodput_mbps(us) for i, sink in enumerate(sinks)}
+        for i in range(n):
+            out[f"cw_S{i}"] = s.macs[f"S{i}"].stats.average_cw
+        return out
+
+    return BuiltScenario(s, metrics)
 
 
 # ------------------------------------------------------------------ GRC ----
 
 
-@register("grc_nav_distance")
+@family("grc_nav_distance")
 def grc_nav_distance(
     seed: int,
     duration_s: float,
@@ -518,7 +569,7 @@ def grc_nav_distance(
     grc: bool = True,
     nav_inflation_us: float = 31_000.0,
     phy: PhyParams | str | None = None,
-) -> dict[str, float]:
+) -> BuiltScenario:
     """Figure 23: the greedy pair (S2, R2) sits ``pair_distance_m`` away from
     the normal pair (S1, R1); communication range 55 m, interference 99 m.
 
@@ -552,19 +603,17 @@ def grc_nav_distance(
             snd, rcv = s.tcp_flow(src, dst)
             snd.start()
             results.append(rcv)
-    s.run(duration_s)
-    us = duration_s * US_PER_S
-    return {
+    return BuiltScenario(s, lambda us: {
         "goodput_R1": results[0].goodput_mbps(us),
         "goodput_R2": results[1].goodput_mbps(us),
         "nav_detections": float(s.report.count("nav")),
-    }
+    })
 
 
 # ------------------------------------------------- beyond-the-paper grid ----
 
 
-@register("nav_ber_grc")
+@family("nav_ber_grc")
 def nav_ber_grc(
     seed: int,
     duration_s: float,
@@ -574,7 +623,7 @@ def nav_ber_grc(
     transport: str = "udp",
     phy: str | None = None,
     n_pairs: int = 2,
-) -> dict[str, float]:
+) -> BuiltScenario:
     """Beyond the paper: NAV inflation under link bit errors, with the GRC
     NAV validator optionally armed on the honest stations.
 
@@ -610,14 +659,16 @@ def nav_ber_grc(
             snd, rcv = s.tcp_flow(f"S{i}", f"R{i}")
             snd.start()
             sinks.append(rcv)
-    s.run(duration_s)
-    us = duration_s * US_PER_S
-    out = {f"goodput_R{i}": sink.goodput_mbps(us) for i, sink in enumerate(sinks)}
-    out["nav_detections"] = float(s.report.count("nav"))
-    return out
+
+    def metrics(us: float) -> dict[str, float]:
+        out = {f"goodput_R{i}": sink.goodput_mbps(us) for i, sink in enumerate(sinks)}
+        out["nav_detections"] = float(s.report.count("nav"))
+        return out
+
+    return BuiltScenario(s, metrics)
 
 
-@register("bursty_nav")
+@family("bursty_nav")
 def bursty_nav(
     seed: int,
     duration_s: float,
@@ -626,7 +677,7 @@ def bursty_nav(
     p_bad_to_good: float = 1.0,
     fer_good: float = 0.0,
     fer_bad: float = 0.0,
-) -> dict[str, float]:
+) -> BuiltScenario:
     """Beyond the paper: two pairs, R1's receiver greedy (NAV inflation)
     when ``nav_inflation_us > 0``, over a Gilbert–Elliott bursty channel
     (repro.faults).  All-zero FERs skip fault installation entirely (the
@@ -654,18 +705,20 @@ def bursty_nav(
     f1, k1 = s.udp_flow("S1", "R1")
     f0.start()
     f1.start()
-    s.run(duration_s)
-    us = duration_s * US_PER_S
-    out = {
-        "goodput_R0": k0.goodput_mbps(us),
-        "goodput_R1": k1.goodput_mbps(us),
-        "corrupted_frames": 0.0,
-    }
-    if s.fault_injector is not None:
-        out["corrupted_frames"] = float(
-            s.fault_injector.counters().get("channel_corrupted_frames", 0)
-        )
-    return out
+
+    def metrics(us: float) -> dict[str, float]:
+        out = {
+            "goodput_R0": k0.goodput_mbps(us),
+            "goodput_R1": k1.goodput_mbps(us),
+            "corrupted_frames": 0.0,
+        }
+        if s.fault_injector is not None:
+            out["corrupted_frames"] = float(
+                s.fault_injector.counters().get("channel_corrupted_frames", 0)
+            )
+        return out
+
+    return BuiltScenario(s, metrics)
 
 
 #: Honest UDP pairs contending beside the RTS flooder.
@@ -677,7 +730,7 @@ RTS_FLOOD_PAIRS = 2
 FLOOD_PERIOD_US = 10_000.0
 
 
-@register("rts_flood_roc")
+@family("rts_flood_roc")
 def rts_flood_roc(
     seed: int,
     duration_s: float,
@@ -686,7 +739,7 @@ def rts_flood_roc(
     period_us: float = FLOOD_PERIOD_US,
     nav_us: float = 30_000.0,
     window_us: float = 100_000.0,
-) -> dict[str, float]:
+) -> BuiltScenario:
     """Attack zoo: one operating point of the RTS-flood attacker vs the
     streaming unanswered-RTS detector — honest UDP pairs, optional flooder,
     live detector (repro.faults + repro.core.detection.streaming).
@@ -722,33 +775,35 @@ def rts_flood_roc(
         src, sink = s.udp_flow(f"S{i}", f"R{i}")
         src.start()
         sinks.append(sink)
-    s.run(duration_s)
-    us = duration_s * US_PER_S
-    offenders = pipeline.report.offenders("rts-flood")
-    flooder_name = RtsFloodConfig().name
-    honest_flagged = sum(
-        1 for i in range(RTS_FLOOD_PAIRS) if offenders.get(f"S{i}", 0) > 0
-    )
-    return {
-        "flooder_flagged": 1.0 if offenders.get(flooder_name, 0) > 0 else 0.0,
-        "honest_flagged": float(honest_flagged),
-        "detections": float(pipeline.report.count("rts-flood")),
-        "goodput_total": sum(sink.goodput_mbps(us) for sink in sinks),
-    }
+
+    def metrics(us: float) -> dict[str, float]:
+        offenders = pipeline.report.offenders("rts-flood")
+        flooder_name = RtsFloodConfig().name
+        honest_flagged = sum(
+            1 for i in range(RTS_FLOOD_PAIRS) if offenders.get(f"S{i}", 0) > 0
+        )
+        return {
+            "flooder_flagged": 1.0 if offenders.get(flooder_name, 0) > 0 else 0.0,
+            "honest_flagged": float(honest_flagged),
+            "detections": float(pipeline.report.count("rts-flood")),
+            "goodput_total": sum(sink.goodput_mbps(us) for sink in sinks),
+        }
+
+    return BuiltScenario(s, metrics)
 
 
 #: Jam burst cadence; the duty cycle scales the burst length within it.
 JAM_PERIOD_US = 20_000.0
 
 
-@register("jammer_crash")
+@family("jammer_crash")
 def jammer_crash(
     seed: int,
     duration_s: float,
     duty_pct: float = 0.0,
     crash: bool = False,
     jitter_us: float = 1_000.0,
-) -> dict[str, float]:
+) -> BuiltScenario:
     """Beyond the paper: two UDP pairs; a periodic jammer at ``duty_pct``%
     airtime; optionally S0 crashes at 40% of the run and reboots 20% later
     (repro.faults)."""
@@ -776,21 +831,22 @@ def jammer_crash(
     f1, k1 = s.udp_flow("S1", "R1")
     f0.start()
     f1.start()
-    s.run(duration_s)
-    us = duration_s * US_PER_S
-    stats = s.macs["S0"].stats
-    out = {
-        "goodput_R0": k0.goodput_mbps(us),
-        "goodput_R1": k1.goodput_mbps(us),
-        "jam_bursts": 0.0,
-        "s0_crash_dropped": float(stats.crash_dropped_msdus),
-    }
-    if s.fault_injector is not None:
-        out["jam_bursts"] = float(s.fault_injector.counters().get("jammer_bursts", 0))
-    return out
+
+    def metrics(us: float) -> dict[str, float]:
+        out = {
+            "goodput_R0": k0.goodput_mbps(us),
+            "goodput_R1": k1.goodput_mbps(us),
+            "jam_bursts": 0.0,
+            "s0_crash_dropped": float(s.macs["S0"].stats.crash_dropped_msdus),
+        }
+        if s.fault_injector is not None:
+            out["jam_bursts"] = float(s.fault_injector.counters().get("jammer_bursts", 0))
+        return out
+
+    return BuiltScenario(s, metrics)
 
 
-@register("hidden_node")
+@family("hidden_node")
 def hidden_node(
     seed: int,
     duration_s: float,
@@ -798,7 +854,7 @@ def hidden_node(
     channel: str | None = "sinr",
     phy: PhyParams | str | None = "dot11a",
     packet_size: int = 1024,
-) -> dict[str, float]:
+) -> BuiltScenario:
     """Classic hidden-terminal triangle: S0 and S1 flank one AP at 54 m each
     (108 m apart — outside the 99 m interference range, so they cannot sense
     each other), both uplinking saturated UDP.  Without RTS/CTS their data
@@ -827,47 +883,97 @@ def hidden_node(
         src, sink = s.udp_flow(name, "AP", packet_size=int(packet_size))
         src.start()
         sinks.append(sink)
-    s.run(duration_s)
-    us = duration_s * US_PER_S
-    out: dict[str, float] = {}
-    total = 0.0
-    for name, sink in zip(("S0", "S1"), sinks):
-        goodput = sink.goodput_mbps(us)
-        out[f"goodput_{name}"] = goodput
-        total += goodput
-        stats = s.macs[name].stats
-        out[f"cw_{name}"] = stats.average_cw
-        out[f"rts_{name}"] = float(stats.tx_rts)
-    out["goodput_total"] = total
-    return out
+
+    def metrics(us: float) -> dict[str, float]:
+        out: dict[str, float] = {}
+        total = 0.0
+        for name, sink in zip(("S0", "S1"), sinks):
+            goodput = sink.goodput_mbps(us)
+            out[f"goodput_{name}"] = goodput
+            total += goodput
+            stats = s.macs[name].stats
+            out[f"cw_{name}"] = stats.average_cw
+            out[f"rts_{name}"] = float(stats.tx_rts)
+        out["goodput_total"] = total
+        return out
+
+    return BuiltScenario(s, metrics)
 
 
-@register("dense_hotspot_sinr")
+@family("dense_hotspot_sinr")
 def dense_hotspot_sinr(
     seed: int,
     duration_s: float,
-    channel: str = "sinr",
+    channel: str | None = "sinr",
     cells: int = 24,
     clients: int = 4,
     spacing_m: float = 72.0,
-) -> dict[str, float]:
-    """Interference-coupled multi-AP hotspot grid on the SINR medium: cells
-    overlap so adjacent cells carrier-sense each other while distant cells
-    stay hidden, and aggregate cross-cell interference at each AP drives
-    the SINR/pairwise divergence.  Cell 0's AP inflates ACK NAVs (the
-    paper's no-RTS receiver misbehavior).  Same assembly as the
-    ``dense_hotspot_sinr`` perf scenario."""
-    from repro.perf.scenarios import build_hotspot_grid
+) -> BuiltScenario:
+    """A square grid of hotspot cells, one AP + ``clients`` uplink clients
+    each, with the paper's 55 m communication / 99 m interference ranges
+    (Figure 23).  Cell 0's AP inflates the NAV of its MAC ACKs (the no-RTS
+    variant of the paper's receiver misbehavior), keeping the greedy
+    machinery on the timed path.  The spacing decides what the grid
+    stresses:
 
-    built = build_hotspot_grid(
-        seed,
-        cells=int(cells),
-        clients=int(clients),
-        spacing_m=float(spacing_m),
-        channel=str(channel),
+    * 72 m (the defaults, 24 cells on the SINR medium): the cells overlap.
+      Adjacent cells carrier-sense each other while diagonal and more
+      distant cells (>= 101 m) stay mutually hidden, so uplink frames arrive
+      at each AP with live interference from transmitters one to two cells
+      away.  Those interferers sit in the band where a single pairwise power
+      ratio still clears the 10x capture threshold but the *aggregate*
+      interference sum does not clear the per-rate SINR margin — the regime
+      where the two channel models genuinely diverge (measurably different
+      per-cell goodput for equal seeds).
+    * 250 m (the ``dense_hotspot`` perf scenario, 48 cells, ambient
+      channel): the cells are isolated, so each sender has every other radio
+      in the grid but only the ones in its own cell can hear it.  The
+      medium's hearer lists filter those once per sender (a grid lookup, a
+      distance prune, then the exact carrier-sense threshold), so per-frame
+      fan-out stays at the cell size and the one-time build looks at each
+      sender's own cell only — the dense-deployment stress on the medium.
+
+    ``channel`` is a plain model name (None inherits the ambient selection)
+    so campaign job specs stay cache-addressable.
+    """
+    s = Scenario(
+        seed=seed,
+        rts_enabled=False,
+        channel=ChannelConfig(model=channel, ranges=(55.0, 99.0)),
     )
-    built.scenario.run(duration_s)
-    return built.metrics(duration_s * US_PER_S)
+    cells, clients, spacing_m = int(cells), int(clients), float(spacing_m)
+    sinks = []
+    side = math.ceil(math.sqrt(cells))
+    for c in range(cells):
+        cx, cy = (c % side) * spacing_m, (c // side) * spacing_m
+        ap = f"AP{c}"
+        greedy = None
+        if c == 0:
+            greedy = GreedyConfig.nav_inflator(600.0, frozenset({FrameKind.ACK}))
+        s.add_wireless_node(ap, position=(cx, cy), greedy=greedy)
+        for k in range(clients):
+            angle = 2.0 * math.pi * k / clients
+            name = f"C{c}_{k}"
+            s.add_wireless_node(
+                name,
+                position=(
+                    cx + 12.0 * math.cos(angle),
+                    cy + 12.0 * math.sin(angle),
+                ),
+            )
+            src, sink = s.udp_flow(name, ap, rate_bps=1.2e6, packet_size=400)
+            src.start()
+            sinks.append(sink)
+
+    def metrics(us: float) -> dict[str, float]:
+        goodputs = [sink.goodput_mbps(us) for sink in sinks]
+        return {
+            "goodput_total": sum(goodputs),
+            "goodput_cell0": sum(goodputs[:clients]),
+            "goodput_min": min(goodputs),
+        }
+
+    return BuiltScenario(s, metrics)
 
 
 @register("chaos_sleeper")

@@ -7,6 +7,7 @@ stations, APs, wired remote hosts) and a shared GRC detection report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -399,7 +400,11 @@ class Scenario:
         With telemetry attached, ends with the gauge sweep
         (:func:`repro.obs.sweep_scenario`): MacStats totals, engine counters
         and detection counts land in the registry with set semantics.
+        Raises ``ValueError`` unless ``0 < duration_s < inf``: a NaN bound
+        would never stop a saturated run, and a non-positive one runs nothing.
         """
+        if not 0.0 < duration_s < math.inf:
+            raise ValueError(f"duration_s must be positive and finite, got {duration_s}")
         self.sim.run(until=self.sim.now + duration_s * US_PER_S)
         if self.obs is not None:
             sweep_scenario(self.obs, self)

@@ -284,6 +284,11 @@ def test_trace_unknown_scenario_exits_2(capsys):
     assert _first_err_line(capsys).startswith("unknown perf scenario 'nosuch'")
 
 
+def test_trace_negative_duration_exits_2(capsys):
+    assert main(["trace", "fig1_nav_udp", "--duration", "-1"]) == 2
+    assert _first_err_line(capsys) == "duration_s must be positive and finite, got -1.0"
+
+
 def test_chaos_unknown_profile_exits_2(capsys):
     assert main(["chaos", "--profile", "nosuch"]) == 2
     assert _first_err_line(capsys) == "unknown chaos profile 'nosuch'; known: ['full', 'quick']"

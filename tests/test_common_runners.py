@@ -125,3 +125,38 @@ def test_nav_pairs_rejects_out_of_range_n_greedy(n_greedy):
 def test_spoof_tcp_pairs_rejects_out_of_range_n_greedy(n_greedy):
     with pytest.raises(ValueError, match=r"n_greedy must be in 0\.\.2"):
         builders.spoof_tcp_pairs(1, 0.3, ber=0.0, n_pairs=2, n_greedy=n_greedy)
+
+
+FAMILY_RUNNERS = [fn for fn in builders.BUILDERS.values() if hasattr(fn, "build")]
+
+
+def test_every_simulating_builder_is_a_family():
+    assert {fn.__name__ for fn in builders.BUILDERS.values()} - {
+        fn.__name__ for fn in FAMILY_RUNNERS
+    } == {"nav_pairs_sorted", "chaos_sleeper"}
+
+
+@pytest.mark.parametrize("runner", FAMILY_RUNNERS, ids=lambda fn: fn.__name__)
+def test_family_runner_stays_addressable(runner):
+    """The runner ``@family`` registers answers to the build's name and
+    parameters (returning the metric dict), so spec validation, job specs, cache keys and worker
+    processes see one callable per family."""
+    import inspect
+    import pickle
+
+    from repro.runtime.jobspec import resolve_runner, runner_path
+
+    signature = inspect.signature(runner)
+    assert signature.parameters == inspect.signature(runner.build).parameters
+    assert signature.return_annotation == "dict[str, float]"
+    assert resolve_runner(runner_path(runner)) is runner
+    assert pickle.loads(pickle.dumps(runner)) is runner
+
+
+def test_perf_scenarios_keep_their_names_and_order():
+    import repro.perf
+
+    assert repro.perf.scenario_names() == [
+        "fig1_nav_udp", "fig8_nav_tcp", "dense_hotspot", "hidden_node_sinr",
+        "dense_hotspot_sinr", "grc_nav", "grc_spoof", "spoof_tcp",
+    ]

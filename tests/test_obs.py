@@ -25,6 +25,7 @@ from repro.obs import (
     TelemetrySnapshot,
     capture,
     current_registry,
+    sweep_scenario,
     validate_snapshot,
 )
 from repro.perf.golden import GOLDEN_TRACE_RUNS, capture_trace, trace_filename
@@ -125,10 +126,9 @@ def test_sweep_is_idempotent_across_runs():
         first = dict(registry.gauges)
         s.run(0.2)  # continue the same simulation
     assert registry.gauges["phy.medium.frames_sent"] >= first["phy.medium.frames_sent"]
-    # The sweep replaced, not accumulated: a third zero-length run changes nothing.
+    # The sweep replaced, not accumulated: sweeping again changes nothing.
     before = dict(registry.gauges)
-    with capture(registry):
-        s.run(0.0)
+    sweep_scenario(registry, s)
     assert registry.gauges == before
 
 

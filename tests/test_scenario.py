@@ -109,3 +109,14 @@ def test_seed_reproducibility():
 
     assert goodput(9) == goodput(9)
     assert goodput(9) != goodput(10)
+
+
+@pytest.mark.parametrize("duration_s", [float("nan"), float("inf"), -1.0, 0.0])
+def test_run_rejects_a_non_finite_or_non_positive_duration(duration_s):
+    """A NaN bound never stops a saturated run; a non-positive one runs
+    nothing.  Both are errors, raised before the event loop starts."""
+    s = Scenario()
+    s.add_wireless_node("a")
+    with pytest.raises(ValueError, match="duration_s must be positive and finite"):
+        s.run(duration_s)
+    assert s.sim.now == 0.0

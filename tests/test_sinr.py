@@ -152,3 +152,13 @@ def test_dense_hotspot_grid_diverges_between_the_models():
     pairwise = builder(1, 0.1, channel="pairwise")
     assert sinr != pairwise
     assert sinr["goodput_total"] > 0 and pairwise["goodput_total"] > 0
+
+
+def test_dense_hotspot_channel_none_inherits_the_ambient_model():
+    from repro.campaign.builders import dense_hotspot_sinr
+
+    with use_channel("pairwise"):
+        inherited = dense_hotspot_sinr(1, 0.05, channel=None, cells=1)
+        pinned = dense_hotspot_sinr(1, 0.05, channel="pairwise", cells=1)
+    assert inherited == pinned
+    assert inherited["goodput_total"] > 0
