@@ -8,7 +8,7 @@ for the victim (its sender never falls back to a decodable rate).
 Run:  python examples/autorate_interactions.py
 """
 
-from repro.experiments.ext_autorate import fake_ack_autorate, spoof_autorate
+from repro.campaign.builders import fake_ack_autorate, spoof_autorate
 
 DURATION_S = 3.0
 SEED = 1

@@ -36,7 +36,9 @@ from repro.core.detection.streaming import (
     StreamingDetectionPipeline,
     StreamingRtsFloodDetector,
 )
+from repro.core.baseline import SelfishSenderConfig, make_selfish
 from repro.core.greedy import GreedyConfig
+from repro.core.model import sending_ratio
 from repro.faults import (
     CrashConfig,
     FaultPlan,
@@ -45,10 +47,10 @@ from repro.faults import (
     RtsFloodConfig,
 )
 from repro.mac.frames import FrameKind
-from repro.net.scenario import Scenario, WirelessNodeSpec
+from repro.net.scenario import Scenario
 from repro.phy.channel import ChannelConfig
 from repro.phy.error import set_ber_all_pairs
-from repro.phy.params import PhyParams, dot11b
+from repro.phy.params import MAX_NAV_US, PhyParams, dot11a, dot11b
 from repro.phy.profiles import resolve_phy
 
 US_PER_S = 1_000_000.0
@@ -130,8 +132,9 @@ def builder_for_experiment(experiment_id: str) -> Callable[..., dict[str, float]
     Resolves ``experiment_id`` (e.g. ``"fig8"``) through
     :func:`repro.experiments.get_entry` and returns the registered builder
     that sweeps the same scenario family.  Raises ``KeyError`` for unknown
-    ids and ``ValueError`` for artifacts with no scenario builder (analytic
-    or Monte-Carlo ones such as fig3/table1).
+    ids and ``ValueError`` for artifacts with no single scenario builder
+    (analytic or Monte-Carlo ones such as table1, and ext_autorate, which
+    sweeps two families).
     """
     from repro.experiments import get_entry
 
@@ -139,7 +142,8 @@ def builder_for_experiment(experiment_id: str) -> Callable[..., dict[str, float]
     if entry.builder is None:
         raise ValueError(
             f"experiment {experiment_id!r} ({entry.artifact}) has no campaign "
-            "builder; it is analytic or testbed-derived"
+            "builder; it is analytic or testbed-derived, or it sweeps several "
+            "families"
         )
     return get_builder(entry.builder)
 
@@ -186,6 +190,34 @@ def _check_n_greedy(n_greedy: int, n_pairs: int) -> None:
         )
 
 
+def _start_flows(
+    s: Scenario,
+    pairs: Iterable[tuple[str, str]],
+    transport: str = "udp",
+    **flow_kwargs,
+) -> tuple[list, list]:
+    """Open and start one flow per ``(sender, receiver)`` pair, in order.
+
+    ``transport`` is "udp" (CBR, saturating unless ``rate_bps`` is given) or
+    "tcp"; ``flow_kwargs`` go to every ``udp_flow``/``tcp_flow`` call.
+    Returns the receiving ends (UDP sinks or TCP receivers) and the TCP
+    senders (None for a UDP flow), both in pair order.
+    """
+    if transport not in ("udp", "tcp"):
+        raise ValueError(f"transport must be 'udp' or 'tcp', got {transport!r}")
+    sinks, senders = [], []
+    for src, dst in pairs:
+        if transport == "udp":
+            source, sink = s.udp_flow(src, dst, **flow_kwargs)
+            senders.append(None)
+        else:
+            source, sink = s.tcp_flow(src, dst, **flow_kwargs)
+            senders.append(source)
+        source.start()
+        sinks.append(sink)
+    return sinks, senders
+
+
 # ------------------------------------------------------- NAV inflation -----
 
 
@@ -210,7 +242,6 @@ def nav_pairs(
     nav_inflation_us = _nav_from_alpha(alpha, nav_inflation_us)
     s = Scenario(phy=resolve_phy(phy) or dot11b(), seed=seed)
     frames = frozenset(_frames(inflate_frames))
-    flows = []
     for i in range(n_pairs):
         s.add_wireless_node(f"S{i}")
     for i in range(n_pairs):
@@ -220,19 +251,13 @@ def nav_pairs(
                 nav_inflation_us, frames, greedy_percentage
             )
         s.add_wireless_node(f"R{i}", greedy=greedy)
-    for i in range(n_pairs):
-        if transport == "udp":
-            src, sink = s.udp_flow(f"S{i}", f"R{i}")
-            src.start()
-            flows.append((sink, None))
-        else:
-            snd, rcv = s.tcp_flow(f"S{i}", f"R{i}")
-            snd.start()
-            flows.append((rcv, snd))
+    sinks, senders = _start_flows(
+        s, [(f"S{i}", f"R{i}") for i in range(n_pairs)], transport
+    )
 
     def metrics(us: float) -> dict[str, float]:
         out: dict[str, float] = {}
-        for i, (rx, snd) in enumerate(flows):
+        for i, (rx, snd) in enumerate(zip(sinks, senders)):
             out[f"goodput_R{i}"] = rx.goodput_mbps(us)
             stats = s.macs[f"S{i}"].stats
             out[f"cw_S{i}"] = stats.average_cw
@@ -298,29 +323,55 @@ def nav_shared_sender(
     s = Scenario(phy=resolve_phy(phy) or dot11b(), seed=seed)
     s.add_wireless_node("S")
     frames = frozenset(_frames(inflate_frames))
-    flows = []
     for i in range(n_receivers):
         greedy = None
         if i == greedy_index and nav_inflation_us > 0:
             greedy = GreedyConfig.nav_inflator(nav_inflation_us, frames)
         s.add_wireless_node(f"R{i}", greedy=greedy)
-    for i in range(n_receivers):
-        if transport == "udp":
-            src, sink = s.udp_flow("S", f"R{i}")
-            src.start()
-            flows.append((sink, None))
-        else:
-            snd, rcv = s.tcp_flow("S", f"R{i}")
-            snd.start()
-            flows.append((rcv, snd))
+    sinks, senders = _start_flows(
+        s, [("S", f"R{i}") for i in range(n_receivers)], transport
+    )
 
     def metrics(us: float) -> dict[str, float]:
         out: dict[str, float] = {}
-        for i, (rx, snd) in enumerate(flows):
+        for i, (rx, snd) in enumerate(zip(sinks, senders)):
             out[f"goodput_R{i}"] = rx.goodput_mbps(us)
             if snd is not None:
                 out[f"cwnd_R{i}"] = snd.cwnd_stats.average()
         return out
+
+    return BuiltScenario(s, metrics)
+
+
+@family("rts_share_model")
+def rts_share_model(seed: int, duration_s: float, v_slots: int = 0) -> BuiltScenario:
+    """Figure 3: NS->NR and GS->GR saturated UDP, GR inflating the NAV of its
+    CTS and ACK frames by ``v_slots`` slot times.  Returns GS's measured share
+    of all RTS sent and the share Equations (1)-(2) predict when fed the CW
+    distributions measured in the same run."""
+    s = Scenario(seed=seed)
+    s.add_wireless_node("NS")
+    s.add_wireless_node("GS")
+    s.add_wireless_node("NR")
+    greedy = None
+    if v_slots > 0:
+        greedy = GreedyConfig.nav_inflator(
+            v_slots * s.phy.slot_time, {FrameKind.CTS, FrameKind.ACK}
+        )
+    s.add_wireless_node("GR", greedy=greedy)
+    _start_flows(s, [("NS", "NR"), ("GS", "GR")])
+
+    def metrics(_us: float) -> dict[str, float]:
+        ns, gs = s.macs["NS"].stats, s.macs["GS"].stats
+        total_rts = ns.tx_rts + gs.tx_rts
+        dist_ns = ns.cw_distribution()
+        if not dist_ns:  # NS never transmitted: it was fully starved
+            dist_ns = {s.phy.cw_min: 1.0}
+        predicted, _ = sending_ratio(gs.cw_distribution(), dist_ns, float(v_slots))
+        return {
+            "measured_gs_share": gs.tx_rts / total_rts if total_rts else 0.5,
+            "model_gs_share": predicted,
+        }
 
     return BuiltScenario(s, metrics)
 
@@ -382,12 +433,9 @@ def spoof_tcp_pairs(
         set_ber_all_pairs(s.error_model, list(s.nodes), ber)
     if grc:
         s.enable_spoof_detection(sender_names, threshold_db=grc_threshold_db)
-    receivers = []
-    for i in range(n_pairs):
-        sender = "S0" if shared_ap else f"S{i}"
-        snd, rcv = s.tcp_flow(sender, f"R{i}")
-        snd.start()
-        receivers.append(rcv)
+    receivers, _ = _start_flows(
+        s, [("S0" if shared_ap else f"S{i}", f"R{i}") for i in range(n_pairs)], "tcp"
+    )
 
     def metrics(us: float) -> dict[str, float]:
         out = {f"goodput_R{i}": rcv.goodput_mbps(us) for i, rcv in enumerate(receivers)}
@@ -420,13 +468,10 @@ def spoof_udp_shared_ap(
     # Split the AP's saturating rate between the two flows so the shared MAC
     # queue stays contended but not pathologically overloaded.
     rate = s.saturating_rate_bps() / 2
-    src1, sink1 = s.udp_flow("AP", "NR", rate_bps=rate)
-    src2, sink2 = s.udp_flow("AP", "GR", rate_bps=rate)
-    src1.start()
-    src2.start()
+    (nr, gr), _ = _start_flows(s, [("AP", "NR"), ("AP", "GR")], rate_bps=rate)
     return BuiltScenario(s, lambda us: {
-        "goodput_NR": sink1.goodput_mbps(us),
-        "goodput_GR": sink2.goodput_mbps(us),
+        "goodput_NR": nr.goodput_mbps(us),
+        "goodput_GR": gr.goodput_mbps(us),
     })
 
 
@@ -467,13 +512,12 @@ def remote_tcp(
     s.route_remote_flow("W2", "AP", "GR", link2)
     # A window beyond the path's bandwidth-delay product keeps the wireless
     # hop the bottleneck even at 400 ms wireline latency, as in the paper.
-    snd1, rcv1 = s.tcp_flow("W1", "NR", auto_route=False, window=window)
-    snd2, rcv2 = s.tcp_flow("W2", "GR", auto_route=False, window=window)
-    snd1.start()
-    snd2.start()
+    (nr, gr), _ = _start_flows(
+        s, [("W1", "NR"), ("W2", "GR")], "tcp", auto_route=False, window=window
+    )
     return BuiltScenario(s, lambda us: {
-        "goodput_NR": rcv1.goodput_mbps(us),
-        "goodput_GR": rcv2.goodput_mbps(us),
+        "goodput_NR": nr.goodput_mbps(us),
+        "goodput_GR": gr.goodput_mbps(us),
     })
 
 
@@ -501,11 +545,9 @@ def fake_hidden_terminals(
     for i, gp in enumerate(fake_percentages):
         greedy = GreedyConfig.ack_faker(gp) if gp > 0 else None
         s.add_wireless_node(f"R{i}", position=(54.0, 1.0 - 2.0 * i), greedy=greedy)
-    sinks = []
-    for i in range(len(fake_percentages)):
-        src, sink = s.udp_flow(f"S{i}", f"R{i}")
-        src.start()
-        sinks.append(sink)
+    sinks, _ = _start_flows(
+        s, [(f"S{i}", f"R{i}") for i in range(len(fake_percentages))]
+    )
 
     def metrics(us: float) -> dict[str, float]:
         out: dict[str, float] = {}
@@ -542,11 +584,7 @@ def fake_inherent_loss(
             s.error_model.set_ber(f"S{i}", f"R{i}", ber)
         else:
             s.error_model.set_data_fer(f"S{i}", f"R{i}", data_fer)
-    sinks = []
-    for i in range(n):
-        src, sink = s.udp_flow(f"S{i}", f"R{i}")
-        src.start()
-        sinks.append(sink)
+    sinks, _ = _start_flows(s, [(f"S{i}", f"R{i}") for i in range(n)])
 
     def metrics(us: float) -> dict[str, float]:
         out = {f"goodput_R{i}": sink.goodput_mbps(us) for i, sink in enumerate(sinks)}
@@ -593,20 +631,182 @@ def grc_nav_distance(
     )
     if grc:
         s.enable_nav_validation(["S1", "R1"])
-    results = []
-    for src, dst in (("S1", "R1"), ("S2", "R2")):
-        if transport == "udp":
-            source, sink = s.udp_flow(src, dst)
-            source.start()
-            results.append(sink)
-        else:
-            snd, rcv = s.tcp_flow(src, dst)
-            snd.start()
-            results.append(rcv)
+    (r1, r2), _ = _start_flows(s, [("S1", "R1"), ("S2", "R2")], transport)
     return BuiltScenario(s, lambda us: {
-        "goodput_R1": results[0].goodput_mbps(us),
-        "goodput_R2": results[1].goodput_mbps(us),
+        "goodput_R1": r1.goodput_mbps(us),
+        "goodput_R2": r2.goodput_mbps(us),
         "nav_detections": float(s.report.count("nav")),
+    })
+
+
+# ---------------------------------------------------- testbed emulation ----
+#
+# The paper's MadWifi testbed (Section VI, Tables VI-IX) emulated some
+# misbehaviors with driver modifications; these families apply the same
+# modifications to the simulated MAC, on 802.11a at 6 Mbps:
+#
+# * NAV inflation (Tables VI-VII): R1 inflates the NAV of the chosen frames
+#   to the protocol maximum (32767 us);
+# * ACK spoofing (Table VIII): the sender disables MAC retransmissions toward
+#   the victim only (``mac.no_retransmit_to``);
+# * fake ACKs (Table IX): the greedy receiver's sender clamps CW_max to
+#   CW_min toward it (``mac.cw_max_to``).
+
+
+@family("testbed_pairs")
+def testbed_pairs(
+    seed: int,
+    duration_s: float,
+    transport: str = "udp",
+    rts: bool = True,
+    inflate_frames: Sequence[str | FrameKind] = (),
+    data_fer: float | None = None,
+    clamp_cw: bool = False,
+) -> BuiltScenario:
+    """Tables VI, VII and IX: pairs S1->R1 and S2->R2, R1 the greedy side.
+
+    Non-empty ``inflate_frames`` makes R1 inflate their NAV to the maximum
+    (Table VI: "RTS" over TCP; Table VII: "ACK" without RTS/CTS, "CTS" or
+    "CTS"+"ACK" with it).  ``data_fer`` sets both links' data frame error
+    rate and ``clamp_cw`` clamps S1's CW_max toward R1 (Table IX: fake ACKs
+    only pay off when losses would escalate backoff).  Returns each
+    receiver's goodput as ``R1``/``R2``."""
+    frames = frozenset(_frames(inflate_frames))
+    s = Scenario(phy=dot11a(6.0), seed=seed, rts_enabled=bool(rts))
+    s.add_wireless_node("S1")
+    s.add_wireless_node("S2")
+    greedy = GreedyConfig.nav_inflator(float(MAX_NAV_US), frames) if frames else None
+    s.add_wireless_node("R1", greedy=greedy)
+    s.add_wireless_node("R2")
+    if data_fer is not None:
+        s.error_model.set_data_fer("S1", "R1", data_fer)
+        s.error_model.set_data_fer("S2", "R2", data_fer)
+    if clamp_cw:
+        s.macs["S1"].cw_max_to["R1"] = s.phy.cw_min
+    (r1, r2), _ = _start_flows(s, [("S1", "R1"), ("S2", "R2")], transport)
+    return BuiltScenario(s, lambda us: {
+        "R1": r1.goodput_mbps(us),
+        "R2": r2.goodput_mbps(us),
+    })
+
+
+@family("testbed_shared_sender")
+def testbed_shared_sender(
+    seed: int, duration_s: float, no_retransmit_to_r2: bool = False
+) -> BuiltScenario:
+    """Table VIII: one sender S, TCP flows to R1 and R2, no RTS/CTS.
+
+    ``no_retransmit_to_r2`` disables S's MAC retransmissions toward R2, what
+    a perfect ACK spoofer achieves on R1's behalf: R1 plays the greedy
+    receiver, R2 the victim.  Returns each receiver's goodput as
+    ``R1``/``R2``."""
+    s = Scenario(phy=dot11a(6.0), seed=seed, rts_enabled=False)
+    s.add_wireless_node("S")
+    s.add_wireless_node("R1")
+    s.add_wireless_node("R2")
+    if no_retransmit_to_r2:
+        s.macs["S"].no_retransmit_to.add("R2")
+    (r1, r2), _ = _start_flows(s, [("S", "R1"), ("S", "R2")], "tcp")
+    return BuiltScenario(s, lambda us: {
+        "R1": r1.goodput_mbps(us),
+        "R2": r2.goodput_mbps(us),
+    })
+
+
+# ------------------------------------------------- Section IX extensions ----
+
+
+@family("sender_baseline")
+def sender_baseline(seed: int, duration_s: float, attack: str = "none") -> BuiltScenario:
+    """Two UDP pairs, pair 1 attacking its honest competitor: ``attack`` is
+    "none", "greedy-receiver" (R1 inflates its CTS NAV by 10 ms) or
+    "selfish-sender" (S1 cheats with CW bounds at 1/8 of the standard)."""
+    if attack not in ("none", "greedy-receiver", "selfish-sender"):
+        raise ValueError(f"unknown attack {attack!r}")
+    s = Scenario(seed=seed)
+    s.add_wireless_node("S0")
+    s.add_wireless_node("S1")
+    s.add_wireless_node("R0")
+    greedy = None
+    if attack == "greedy-receiver":
+        greedy = GreedyConfig.nav_inflator(10_000.0, {FrameKind.CTS})
+    s.add_wireless_node("R1", greedy=greedy)
+    if attack == "selfish-sender":
+        make_selfish(s.macs["S1"], SelfishSenderConfig(cw_factor=0.125))
+    (victim, attacker), _ = _start_flows(s, [("S0", "R0"), ("S1", "R1")])
+
+    def metrics(us: float) -> dict[str, float]:
+        v, a = victim.goodput_mbps(us), attacker.goodput_mbps(us)
+        return {
+            "goodput_victim": v,
+            "goodput_attacker": a,
+            "attacker_share": a / max(v + a, 1e-9),
+        }
+
+    return BuiltScenario(s, metrics)
+
+
+#: Per-rate BER profile of a mid-quality link: clean at low rates, marginal
+#: at 5.5 Mbps, bad at 11 Mbps.  (Error-model BERs are per byte-unit.)
+MARGINAL_LINK = {1.0: 0.0, 2.0: 1e-5, 5.5: 2e-4, 11.0: 1.5e-3}
+
+
+@family("fake_ack_autorate")
+def fake_ack_autorate(
+    seed: int, duration_s: float, greedy: bool = False, autorate: bool = False
+) -> BuiltScenario:
+    """Fake ACKs under rate adaptation: pairs S0->R0 and S1->R1 on
+    :data:`MARGINAL_LINK` links, R1 fake-ACKing when ``greedy``.  Senders
+    run ARF when ``autorate``, else sit at 2 Mbps, the best sustainable
+    rate for the profile.  ``gs_rate_final`` is S1's final rate toward R1."""
+    s = Scenario(phy=dot11b() if autorate else dot11b(2.0), seed=seed, rts_enabled=False)
+    s.add_wireless_node("S0")
+    s.add_wireless_node("S1")
+    s.add_wireless_node("R0")
+    s.add_wireless_node("R1", greedy=GreedyConfig.ack_faker() if greedy else None)
+    s.error_model.set_rate_profile("S0", "R0", MARGINAL_LINK)
+    s.error_model.set_rate_profile("S1", "R1", MARGINAL_LINK)
+    if autorate:
+        s.enable_autorate(["S0", "S1"])
+    (k0, k1), _ = _start_flows(s, [("S0", "R0"), ("S1", "R1")])
+    return BuiltScenario(s, lambda us: {
+        "goodput_R0": k0.goodput_mbps(us),
+        "goodput_R1": k1.goodput_mbps(us),
+        "gs_rate_final": (
+            s.macs["S1"].rate_controller.rate_for("R1") if autorate else 2.0
+        ),
+    })
+
+
+@family("spoof_autorate")
+def spoof_autorate(
+    seed: int, duration_s: float, spoof: bool = False, autorate: bool = False
+) -> BuiltScenario:
+    """ACK spoofing under rate adaptation: TCP NS->NR and GS->GR on
+    :data:`MARGINAL_LINK` links, GR spoofing NR's ACKs when ``spoof`` (it
+    overhears NS's data on its own clean path), so under ARF the victim's
+    sender keeps hearing ACKs and never falls back to a rate NR can decode.
+    ``ns_rate_final`` is NS's final rate toward NR (2 Mbps when fixed)."""
+    s = Scenario(phy=dot11b() if autorate else dot11b(2.0), seed=seed)
+    s.add_wireless_node("NS", position=(0.0, 0.0))
+    s.add_wireless_node("GS", position=(60.0, 60.0))
+    s.add_wireless_node("NR", position=(10.0, 0.0))
+    s.add_wireless_node(
+        "GR",
+        position=(48.0, 20.0),
+        greedy=GreedyConfig.ack_spoofer(victims={"NR"}) if spoof else None,
+    )
+    s.error_model.set_rate_profile("NS", "NR", MARGINAL_LINK)
+    s.error_model.set_rate_profile("GS", "GR", MARGINAL_LINK)
+    if autorate:
+        s.enable_autorate(["NS", "GS"])
+    (nr, gr), _ = _start_flows(s, [("NS", "NR"), ("GS", "GR")], "tcp")
+    return BuiltScenario(s, lambda us: {
+        "goodput_NR": nr.goodput_mbps(us),
+        "goodput_GR": gr.goodput_mbps(us),
+        "ns_rate_final": (
+            s.macs["NS"].rate_controller.rate_for("NR") if autorate else 2.0
+        ),
     })
 
 
@@ -638,27 +838,16 @@ def nav_ber_grc(
         if nav_inflation_us > 0
         else None
     )
-    specs = [WirelessNodeSpec(f"S{i}") for i in range(n_pairs)]
-    specs += [
-        WirelessNodeSpec(f"R{i}", greedy=greedy if i == n_pairs - 1 else None)
-        for i in range(n_pairs)
-    ]
-    s.add_wireless_nodes(specs)
+    names = [f"S{i}" for i in range(n_pairs)] + [f"R{i}" for i in range(n_pairs)]
+    for name in names:  # the last receiver is the greedy one
+        s.add_wireless_node(name, greedy=greedy if name == names[-1] else None)
     if ber > 0:
-        set_ber_all_pairs(s.error_model, list(s.nodes), float(ber))
+        set_ber_all_pairs(s.error_model, names, float(ber))
     if grc:
-        honest = [spec.name for spec in specs if spec.greedy is None]
-        s.enable_nav_validation(honest)
-    sinks = []
-    for i in range(n_pairs):
-        if transport == "udp":
-            src, sink = s.udp_flow(f"S{i}", f"R{i}")
-            src.start()
-            sinks.append(sink)
-        else:
-            snd, rcv = s.tcp_flow(f"S{i}", f"R{i}")
-            snd.start()
-            sinks.append(rcv)
+        s.enable_nav_validation(names if greedy is None else names[:-1])
+    sinks, _ = _start_flows(
+        s, [(f"S{i}", f"R{i}") for i in range(n_pairs)], transport
+    )
 
     def metrics(us: float) -> dict[str, float]:
         out = {f"goodput_R{i}": sink.goodput_mbps(us) for i, sink in enumerate(sinks)}
@@ -701,10 +890,7 @@ def bursty_nav(
                 )
             )
         )
-    f0, k0 = s.udp_flow("S0", "R0")
-    f1, k1 = s.udp_flow("S1", "R1")
-    f0.start()
-    f1.start()
+    (k0, k1), _ = _start_flows(s, [("S0", "R0"), ("S1", "R1")])
 
     def metrics(us: float) -> dict[str, float]:
         out = {
@@ -770,11 +956,7 @@ def rts_flood_roc(
                 )
             )
         )
-    sinks = []
-    for i in range(RTS_FLOOD_PAIRS):
-        src, sink = s.udp_flow(f"S{i}", f"R{i}")
-        src.start()
-        sinks.append(sink)
+    sinks, _ = _start_flows(s, [(f"S{i}", f"R{i}") for i in range(RTS_FLOOD_PAIRS)])
 
     def metrics(us: float) -> dict[str, float]:
         offenders = pipeline.report.offenders("rts-flood")
@@ -827,10 +1009,7 @@ def jammer_crash(
     plan = FaultPlan(jammer=jammer, crashes=crashes)
     if not plan.empty:
         s.install_faults(plan)
-    f0, k0 = s.udp_flow("S0", "R0")
-    f1, k1 = s.udp_flow("S1", "R1")
-    f0.start()
-    f1.start()
+    (k0, k1), _ = _start_flows(s, [("S0", "R0"), ("S1", "R1")])
 
     def metrics(us: float) -> dict[str, float]:
         out = {
@@ -878,11 +1057,9 @@ def hidden_node(
     s.add_wireless_node("S0", position=(0.0, 0.0))
     s.add_wireless_node("AP", position=(54.0, 0.0))
     s.add_wireless_node("S1", position=(108.0, 0.0))
-    sinks = []
-    for name in ("S0", "S1"):
-        src, sink = s.udp_flow(name, "AP", packet_size=int(packet_size))
-        src.start()
-        sinks.append(sink)
+    sinks, _ = _start_flows(
+        s, [("S0", "AP"), ("S1", "AP")], packet_size=int(packet_size)
+    )
 
     def metrics(us: float) -> dict[str, float]:
         out: dict[str, float] = {}
@@ -942,7 +1119,7 @@ def dense_hotspot_sinr(
         channel=ChannelConfig(model=channel, ranges=(55.0, 99.0)),
     )
     cells, clients, spacing_m = int(cells), int(clients), float(spacing_m)
-    sinks = []
+    uplinks = []
     side = math.ceil(math.sqrt(cells))
     for c in range(cells):
         cx, cy = (c % side) * spacing_m, (c // side) * spacing_m
@@ -961,9 +1138,8 @@ def dense_hotspot_sinr(
                     cy + 12.0 * math.sin(angle),
                 ),
             )
-            src, sink = s.udp_flow(name, ap, rate_bps=1.2e6, packet_size=400)
-            src.start()
-            sinks.append(sink)
+            uplinks.append((name, ap))
+    sinks, _ = _start_flows(s, uplinks, rate_bps=1.2e6, packet_size=400)
 
     def metrics(us: float) -> dict[str, float]:
         goodputs = [sink.goodput_mbps(us) for sink in sinks]

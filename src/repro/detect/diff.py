@@ -32,17 +32,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.core.detection.offline import analyze_trace
 from repro.core.detection.report import DetectionEvent, DetectionReport
-from repro.core.detection.streaming import (
-    StreamingDetectionPipeline,
-    default_pipeline,
-)
+from repro.core.detection.streaming import default_pipeline
 from repro.phy.params import PhyParams
 
 US_PER_S = 1_000_000.0
@@ -177,15 +175,10 @@ def run_offline(
 def run_streaming(
     records: Sequence[Any],
     phy: PhyParams | None = None,
-    pipeline_factory: "Callable[[PhyParams | None], StreamingDetectionPipeline] | None" = None,
     **params: Any,
 ) -> DetectRun:
     """Straight-line streaming pass: feed every record once, in order."""
-    pipeline = (
-        pipeline_factory(phy)
-        if pipeline_factory is not None
-        else default_pipeline(phy, **params)
-    )
+    pipeline = default_pipeline(phy, **params)
     pipeline.feed_many(records)
     _check_capacity(pipeline.report, len(records))
     return DetectRun(
@@ -491,13 +484,27 @@ def diff_detection(
     trace name like ``grc_nav``/``fault_jammer`` or a perf scenario name);
     ``None`` runs every committed golden trace, every perf scenario live,
     and ``fuzz_cases`` fuzzed workloads — the ``repro detect diff`` default.
+    Unknown targets and a ``fuzz_duration_s`` outside ``0 < d < inf`` raise
+    before any target is diffed.
     """
     from repro.perf.scenarios import SCENARIOS
 
+    if not 0.0 < fuzz_duration_s < math.inf:
+        raise ValueError(
+            f"fuzz_duration_s must be positive and finite, got {fuzz_duration_s}"
+        )
     say = progress if progress is not None else lambda _m: None
     reports: list[DetectDiffReport] = []
     goldens = golden_trace_paths(golden_dir)
     selected = set(targets) if targets is not None else None
+    unknown = (
+        selected - set(goldens) - set(SCENARIOS) if selected is not None else set()
+    )
+    if unknown:
+        raise KeyError(
+            f"unknown detect diff target(s) {sorted(unknown)}; known: "
+            f"{sorted(set(goldens) | set(SCENARIOS))}"
+        )
 
     def wanted(name: str) -> bool:
         return selected is None or name in selected
@@ -525,14 +532,6 @@ def diff_detection(
             report = diff_fuzz_case(case_seed, duration_s=fuzz_duration_s, **params)
             reports.append(report)
             say(report.summary_line())
-    unknown = (
-        selected - set(goldens) - set(SCENARIOS) if selected is not None else set()
-    )
-    if unknown:
-        raise KeyError(
-            f"unknown detect diff target(s) {sorted(unknown)}; known: "
-            f"{sorted(set(goldens) | set(SCENARIOS))}"
-        )
     return reports
 
 

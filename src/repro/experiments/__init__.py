@@ -80,7 +80,7 @@ REGISTRY: dict[str, ExperimentEntry] = {
                ("nav", "udp"), builder="nav_pairs"),
         _entry("fig3", "fig3_model", "Figure 3",
                "RTS sending-ratio model (Eqs. 1-2) vs simulation",
-               ("nav", "model")),
+               ("nav", "model"), builder="rts_share_model"),
         _entry("fig4", "fig4_nav_tcp", "Figure 4",
                "Two TCP flows under NAV inflation per frame kind (802.11b)",
                ("nav", "tcp"), builder="nav_pairs"),
@@ -141,13 +141,17 @@ REGISTRY: dict[str, ExperimentEntry] = {
                "Fake ACKs vs number of pairs at random BER",
                ("fake", "udp"), builder="fake_inherent_loss"),
         _entry("table6", "table6_testbed_nav_tcp", "Table VI",
-               "Testbed emulation: NAV inflation over TCP", ("nav", "testbed")),
+               "Testbed emulation: NAV inflation over TCP", ("nav", "testbed"),
+               builder="testbed_pairs"),
         _entry("table7", "table7_testbed_nav_udp", "Table VII",
-               "Testbed emulation: NAV inflation over UDP", ("nav", "testbed")),
+               "Testbed emulation: NAV inflation over UDP", ("nav", "testbed"),
+               builder="testbed_pairs"),
         _entry("table8", "table8_testbed_spoof", "Table VIII",
-               "Testbed emulation: ACK spoofing", ("spoof", "testbed")),
+               "Testbed emulation: ACK spoofing", ("spoof", "testbed"),
+               builder="testbed_shared_sender"),
         _entry("table9", "table9_testbed_fake", "Table IX",
-               "Testbed emulation: fake ACKs", ("fake", "testbed")),
+               "Testbed emulation: fake ACKs", ("fake", "testbed"),
+               builder="testbed_pairs"),
         _entry("fig21", "fig21_rssi_cdf", "Figure 21",
                "RSSI difference CDF for the spoof detector", ("grc", "rssi")),
         _entry("fig22", "fig22_rssi_roc", "Figure 22",
@@ -163,7 +167,7 @@ REGISTRY: dict[str, ExperimentEntry] = {
                ("fake", "spoof", "autorate"), extension=True),
         _entry("ext_sender_baseline", "ext_sender_baseline", "Extension",
                "Greedy-receiver vs greedy-sender baseline (Section IX)",
-               ("nav", "baseline"), extension=True),
+               ("nav", "baseline"), builder="sender_baseline", extension=True),
         _entry("ext_bursty_nav", "ext_bursty_nav", "Extension",
                "NAV inflation under Gilbert-Elliott bursty interference",
                ("nav", "faults"), builder="bursty_nav", extension=True),

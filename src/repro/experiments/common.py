@@ -24,8 +24,6 @@ __all__ = [
     "seed_job",
 ]
 
-US_PER_S = 1_000_000.0
-
 #: Default run length and seeds: the paper uses 5 repetitions per scenario.
 FULL_DURATION_S = 5.0
 FULL_SEEDS = (1, 2, 3, 4, 5)

@@ -8,42 +8,9 @@ goodput does each attacker capture from the same honest competitor?
 
 from __future__ import annotations
 
-from repro.core.baseline import SelfishSenderConfig, make_selfish
-from repro.core.greedy import GreedyConfig
-from repro.experiments.common import RunSettings, experiment_api, US_PER_S, seed_job
-from repro.mac.frames import FrameKind
-from repro.net.scenario import Scenario
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
-
-
-def run_case(seed: int, duration_s: float, attack: str) -> dict[str, float]:
-    """Two UDP pairs; pair 1 attacks via ``attack`` in
-    {"none", "greedy-receiver", "selfish-sender"}."""
-    s = Scenario(seed=seed)
-    s.add_wireless_node("S0")
-    s.add_wireless_node("S1")
-    s.add_wireless_node("R0")
-    greedy = None
-    if attack == "greedy-receiver":
-        greedy = GreedyConfig.nav_inflator(10_000.0, {FrameKind.CTS})
-    s.add_wireless_node("R1", greedy=greedy)
-    if attack == "selfish-sender":
-        make_selfish(s.macs["S1"], SelfishSenderConfig(cw_factor=0.125))
-    elif attack not in ("none", "greedy-receiver"):
-        raise ValueError(f"unknown attack {attack!r}")
-    f0, k0 = s.udp_flow("S0", "R0")
-    f1, k1 = s.udp_flow("S1", "R1")
-    f0.start()
-    f1.start()
-    s.run(duration_s)
-    us = duration_s * US_PER_S
-    victim = k0.goodput_mbps(us)
-    attacker = k1.goodput_mbps(us)
-    return {
-        "goodput_victim": victim,
-        "goodput_attacker": attacker,
-        "attacker_share": attacker / max(victim + attacker, 1e-9),
-    }
 
 
 @experiment_api
@@ -60,7 +27,9 @@ def run(settings: RunSettings) -> ExperimentResult:
     )
     for attack in ("none", "selfish-sender", "greedy-receiver"):
         med = median_over_seeds(
-            seed_job(run_case, duration_s=settings.duration_s, attack=attack),
+            seed_job(
+                builders.sender_baseline, duration_s=settings.duration_s, attack=attack
+            ),
             settings.seeds,
         )
         result.add_row(attack=attack, **med)

@@ -9,44 +9,12 @@ the CW histograms that feed the model.
 
 from __future__ import annotations
 
-from repro.core.greedy import GreedyConfig
-from repro.core.model import sending_ratio
-from repro.experiments.common import RunSettings, experiment_api, US_PER_S
-from repro.mac.frames import FrameKind
-from repro.net.scenario import Scenario
-from repro.stats import ExperimentResult, median
+from repro.campaign import builders
+from repro.experiments.common import RunSettings, experiment_api, seed_job
+from repro.stats import ExperimentResult, median_over_seeds
 
 FULL_SLOTS = (0, 2, 5, 10, 15, 20, 25, 31)
 QUICK_SLOTS = (0, 10, 25)
-SLOT_US = 20.0
-
-
-def _one_run(seed: int, duration_s: float, v_slots: int) -> tuple[float, float]:
-    """Return (measured GS share, model-predicted GS share)."""
-    s = Scenario(seed=seed)
-    s.add_wireless_node("NS")
-    s.add_wireless_node("GS")
-    s.add_wireless_node("NR")
-    greedy = None
-    if v_slots > 0:
-        greedy = GreedyConfig.nav_inflator(
-            v_slots * SLOT_US, {FrameKind.CTS, FrameKind.ACK}
-        )
-    s.add_wireless_node("GR", greedy=greedy)
-    src1, _sink1 = s.udp_flow("NS", "NR")
-    src2, _sink2 = s.udp_flow("GS", "GR")
-    src1.start()
-    src2.start()
-    s.run(duration_s)
-    ns, gs = s.macs["NS"].stats, s.macs["GS"].stats
-    total_rts = ns.tx_rts + gs.tx_rts
-    measured = gs.tx_rts / total_rts if total_rts else 0.5
-    dist_gs = gs.cw_distribution()
-    dist_ns = ns.cw_distribution()
-    if not dist_ns:  # NS never transmitted: it was fully starved
-        dist_ns = {s.phy.cw_min: 1.0}
-    predicted, _ = sending_ratio(dist_gs, dist_ns, float(v_slots))
-    return measured, predicted
 
 
 @experiment_api
@@ -63,9 +31,13 @@ def run(settings: RunSettings) -> ExperimentResult:
         columns=["v_slots", "measured_gs_share", "model_gs_share", "abs_error"],
     )
     for v in slots:
-        runs = [_one_run(seed, settings.duration_s, v) for seed in settings.seeds]
-        measured = median([r[0] for r in runs])
-        predicted = median([r[1] for r in runs])
+        med = median_over_seeds(
+            seed_job(
+                builders.rts_share_model, duration_s=settings.duration_s, v_slots=v
+            ),
+            settings.seeds,
+        )
+        measured, predicted = med["measured_gs_share"], med["model_gs_share"]
         result.add_row(
             v_slots=v,
             measured_gs_share=measured,

@@ -7,9 +7,9 @@ protocol maximum.
 
 from __future__ import annotations
 
+from repro.campaign import builders
 from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
-from repro.testbed.emulation import table6_nav_rts_tcp
 
 
 @experiment_api
@@ -26,7 +26,10 @@ def run(settings: RunSettings) -> ExperimentResult:
     for case, greedy in (("no GR", False), ("1 GR", True)):
         med = median_over_seeds(
             seed_job(
-                table6_nav_rts_tcp, greedy=greedy, duration_s=settings.duration_s
+                builders.testbed_pairs,
+                duration_s=settings.duration_s,
+                transport="tcp",
+                inflate_frames=("RTS",) if greedy else (),
             ),
             settings.seeds,
         )

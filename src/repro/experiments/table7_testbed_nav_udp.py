@@ -6,14 +6,15 @@ with RTS/CTS, and both.
 
 from __future__ import annotations
 
+from repro.campaign import builders
 from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
-from repro.testbed.emulation import table7_nav_udp
 
+#: (row label, RTS/CTS on, frames whose NAV the greedy receiver inflates).
 VARIANTS = (
-    ("no RTS/CTS, inflated NAV on ACK", "ack_no_rtscts"),
-    ("with RTS/CTS, inflated NAV on CTS", "cts"),
-    ("with RTS/CTS, inflated NAV on CTS/ACK", "cts_ack"),
+    ("no RTS/CTS, inflated NAV on ACK", False, ("ACK",)),
+    ("with RTS/CTS, inflated NAV on CTS", True, ("CTS",)),
+    ("with RTS/CTS, inflated NAV on CTS/ACK", True, ("CTS", "ACK")),
 )
 
 
@@ -28,14 +29,14 @@ def run(settings: RunSettings) -> ExperimentResult:
         ),
         columns=["variant", "case", "goodput_R1", "goodput_R2"],
     )
-    for label, variant in VARIANTS:
+    for label, rts, frames in VARIANTS:
         for case, greedy in (("no GR", False), ("1 GR", True)):
             med = median_over_seeds(
                 seed_job(
-                    table7_nav_udp,
-                    variant=variant,
-                    greedy=greedy,
+                    builders.testbed_pairs,
                     duration_s=settings.duration_s,
+                    rts=rts,
+                    inflate_frames=frames if greedy else (),
                 ),
                 settings.seeds,
             )

@@ -6,9 +6,9 @@ victim are disabled (what a perfectly successful spoofer achieves).
 
 from __future__ import annotations
 
+from repro.campaign import builders
 from repro.experiments.common import RunSettings, experiment_api, seed_job
 from repro.stats import ExperimentResult, median_over_seeds
-from repro.testbed.emulation import table8_spoof_emulation_tcp
 
 
 @experiment_api
@@ -26,7 +26,9 @@ def run(settings: RunSettings) -> ExperimentResult:
     for case, greedy in (("no GR", False), ("1 GR", True)):
         med = median_over_seeds(
             seed_job(
-                table8_spoof_emulation_tcp, greedy=greedy, duration_s=settings.duration_s
+                builders.testbed_shared_sender,
+                duration_s=settings.duration_s,
+                no_retransmit_to_r2=greedy,
             ),
             settings.seeds,
         )

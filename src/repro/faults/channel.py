@@ -81,7 +81,3 @@ class GilbertElliottChannel:
             if self.obs is not None:
                 self.obs.inc("faults.channel.corrupted_frames")
         return corrupted, addr_ok
-
-    def state_of(self, sender: str, receiver: str) -> str:
-        """Current chain state of a link ("good"/"bad"), for tests/debugging."""
-        return "bad" if self._bad.get((sender, receiver), False) else "good"

@@ -72,9 +72,6 @@ class DcfMac:
         policy: ReceiverPolicy | None = None,
         rts_enabled: bool = True,
         queue_limit: int = 50,
-        retransmissions_enabled: bool = True,
-        cw_min: int | None = None,
-        cw_max: int | None = None,
         eifs_enabled: bool = True,
     ) -> None:
         self.sim = sim
@@ -87,18 +84,15 @@ class DcfMac:
         self.policy.attach(self)
         self.rts_enabled = rts_enabled
         self.queue_limit = queue_limit
-        #: False emulates the testbed's "disable MAC retransmissions" trick
-        #: used to study ACK spoofing (Table VIII).
-        self.retransmissions_enabled = retransmissions_enabled
-        #: Destinations toward which MAC retransmission is disabled — the
-        #: per-victim variant of the same testbed emulation.
+        #: Destinations toward which MAC retransmission is disabled: the
+        #: testbed's emulation of ACK spoofing (Table VIII).
         self.no_retransmit_to: set[str] = set()
         #: Per-destination CW_max override: ``{dst: cw_min}`` emulates the
         #: testbed's fake-ACK study (Table IX), where the sender never backs
         #: off when transmitting to the greedy receiver.
         self.cw_max_to: dict[str, int] = {}
-        self.cw_min = phy.cw_min if cw_min is None else cw_min
-        self.cw_max = phy.cw_max if cw_max is None else cw_max
+        self.cw_min = phy.cw_min
+        self.cw_max = phy.cw_max
         #: EIFS deferral after corrupted receptions (802.11 default: on).
         #: Exposed for the ablation study of the fake-ACK dynamics.
         self.eifs_enabled = eifs_enabled
@@ -442,10 +436,7 @@ class DcfMac:
         )
         self._long_retries += 1
         exceeded = self._long_retries > limit
-        no_retransmit = not self.retransmissions_enabled or (
-            self._queue and self._queue[0].dst in self.no_retransmit_to
-        )
-        if no_retransmit:
+        if self._queue and self._queue[0].dst in self.no_retransmit_to:
             # Testbed emulation of spoofed ACKs: give up after one attempt but
             # do not double CW (the sender believes the frame was delivered).
             self._complete_current(success=True)

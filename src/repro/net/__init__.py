@@ -8,6 +8,6 @@ hotspot AP relaying traffic between remote Internet hosts and WLAN clients
 
 from repro.net.node import Node
 from repro.net.wired import WiredLink
-from repro.net.scenario import Scenario, WirelessNodeSpec
+from repro.net.scenario import Scenario
 
-__all__ = ["Node", "WiredLink", "Scenario", "WirelessNodeSpec"]
+__all__ = ["Node", "WiredLink", "Scenario"]

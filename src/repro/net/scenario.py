@@ -8,8 +8,7 @@ stations, APs, wired remote hosts) and a shared GRC detection report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from repro.core.detection import (
     DetectionReport,
@@ -31,15 +30,6 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 
 US_PER_S = 1_000_000.0
-
-
-@dataclass(frozen=True)
-class WirelessNodeSpec:
-    """Declarative description of one station (used by topology helpers)."""
-
-    name: str
-    position: tuple[float, float] = (0.0, 0.0)
-    greedy: GreedyConfig | None = None
 
 
 class Scenario:
@@ -125,9 +115,6 @@ class Scenario:
         position: tuple[float, float] | None = None,
         greedy: GreedyConfig | None = None,
         rts_enabled: bool | None = None,
-        retransmissions_enabled: bool = True,
-        cw_min: int | None = None,
-        cw_max: int | None = None,
         queue_limit: int = 50,
         eifs_enabled: bool = True,
     ) -> Node:
@@ -157,9 +144,6 @@ class Scenario:
             policy=policy,
             rts_enabled=self.rts_enabled if rts_enabled is None else rts_enabled,
             queue_limit=queue_limit,
-            retransmissions_enabled=retransmissions_enabled,
-            cw_min=cw_min,
-            cw_max=cw_max,
             eifs_enabled=eifs_enabled,
         )
         if self.obs is not None:
@@ -170,26 +154,6 @@ class Scenario:
         self.macs[name] = mac
         self.policies[name] = policy
         return node
-
-    def add_wireless_nodes(
-        self, specs: "Iterable[WirelessNodeSpec]", **common_kwargs: Any
-    ) -> list[Node]:
-        """Create one station per :class:`WirelessNodeSpec`, in order.
-
-        ``common_kwargs`` (e.g. ``queue_limit``, ``rts_enabled``) apply to
-        every station; per-station position/greedy config come from the spec.
-        This is the assembly path for declaratively-described topologies
-        (campaign builders hand lists of specs straight to it).
-        """
-        return [
-            self.add_wireless_node(
-                spec.name,
-                position=spec.position,
-                greedy=spec.greedy,
-                **common_kwargs,
-            )
-            for spec in specs
-        ]
 
     def add_wired_node(self, name: str) -> Node:
         """Create a node with no radio (a remote Internet host)."""

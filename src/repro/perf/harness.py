@@ -56,7 +56,6 @@ def time_scenario(
     seed: int = 1,
     repeats: int = 3,
     duration_s: float | None = None,
-    clock: Callable[[], float] = time.perf_counter,
     telemetry: bool = False,
 ) -> dict[str, Any]:
     """Build and run one scenario ``repeats`` times; return its bench entry.
@@ -82,9 +81,9 @@ def time_scenario(
             built = spec.build(seed)
             built.scenario.warm_caches()
             sim = built.scenario.sim
-            start = clock()
+            start = time.perf_counter()
             built.scenario.run(sim_s)
-            runs.append(clock() - start)
+            runs.append(time.perf_counter() - start)
             events = sim.events_processed
             metrics = built.metrics(sim_s * US_PER_S)
         # Free this repeat's topology before the next build.

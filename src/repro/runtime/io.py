@@ -44,15 +44,12 @@ def atomic_write_text(
     path: str | Path,
     text: str,
     *,
-    durable: bool = True,
     backup_suffix: str | None = None,
 ) -> None:
     """Write ``text`` to ``path`` atomically (temp file + fsync + rename).
 
-    ``durable=False`` skips the fsyncs (atomicity against crashes of *this
-    process* is still guaranteed by the rename; a power cut may lose the
-    write).  ``backup_suffix`` preserves the previous content at
-    ``path + suffix`` before the rename.
+    ``backup_suffix`` preserves the previous content at ``path + suffix``
+    before the rename.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -60,14 +57,12 @@ def atomic_write_text(
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-            if durable:
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
         if backup_suffix is not None and path.exists():
             os.replace(path, str(path) + backup_suffix)
         os.replace(tmp_name, path)
-        if durable:
-            fsync_dir(path.parent)
+        fsync_dir(path.parent)
     except BaseException:
         try:
             os.unlink(tmp_name)
@@ -76,7 +71,7 @@ def atomic_write_text(
         raise
 
 
-def durable_append_line(path: str | Path, text: str, *, durable: bool = True) -> None:
+def durable_append_line(path: str | Path, text: str) -> None:
     """Append one line to ``path`` and fsync it — the JSONL journal idiom.
 
     Appends are the write-ahead-log counterpart of :func:`atomic_write_text`:
@@ -90,10 +85,9 @@ def durable_append_line(path: str | Path, text: str, *, durable: bool = True) ->
     created = not path.exists()
     with path.open("a") as handle:
         handle.write(text if text.endswith("\n") else text + "\n")
-        if durable:
-            handle.flush()
-            os.fsync(handle.fileno())
-    if durable and created:
+        handle.flush()
+        os.fsync(handle.fileno())
+    if created:
         fsync_dir(path.parent)
 
 

@@ -19,7 +19,7 @@ trace suite in ``tests/test_golden_traces.py`` holds this down):
   and re-armed within the same tick — are skipped without ever scanning
   the heap.
 * :attr:`Simulator.pending_events` is O(1), not a sweep over the heap (the
-  old sweep was hot in cancel-heavy ``testbed/`` emulation runs, where NAV
+  old sweep was hot in cancel-heavy testbed-emulation runs, where NAV
   timers are re-armed on nearly every overheard frame).  The simulator counts
   the heap's *dead* entries — those orphaned by a cancellation — and reads
   the live count as ``len(heap) - dead``, so a push or a live pop touches no
@@ -382,10 +382,6 @@ class Simulator:
         finally:
             self.events_processed = processed
             self._running = False
-
-    def run_until_idle(self) -> None:
-        """Drain every pending event (no time bound)."""
-        self.run(until=None)
 
     @property
     def pending_events(self) -> int:

@@ -10,10 +10,12 @@ reproduced by a model that exercises the same mechanism:
 * :mod:`repro.testbed.rssi` — a 16-node office RSSI measurement model with
   per-link medians and small temporal jitter (Figures 21-22): the
   feasibility argument for RSSI-based spoofed-ACK detection.
-* :mod:`repro.testbed.emulation` — the MadWifi driver modifications the
-  authors used (disable MAC retransmissions toward a victim; clamp
-  CWmax=CWmin toward the greedy flow; inject inflated-NAV control frames),
-  applied to the simulated MAC (Tables VI-IX).
+
+The MadWifi driver modifications the authors used for Tables VI-IX (disable
+MAC retransmissions toward a victim; clamp CWmax=CWmin toward the greedy
+flow; inject inflated-NAV control frames) are applied to the simulated MAC
+by the ``testbed_pairs`` and ``testbed_shared_sender`` families of
+:mod:`repro.campaign.builders`.
 """
 
 from repro.testbed.corruption import (

@@ -32,15 +32,15 @@ def test_make_selfish_rewrites_mac_bounds():
 
 
 def test_selfish_sender_beats_honest_competitor():
-    from repro.experiments.ext_sender_baseline import run_case
+    from repro.campaign.builders import sender_baseline
 
-    honest = run_case(1, 1.5, "none")
-    selfish = run_case(1, 1.5, "selfish-sender")
+    honest = sender_baseline(1, 1.5, attack="none")
+    selfish = sender_baseline(1, 1.5, attack="selfish-sender")
     assert selfish["attacker_share"] > honest["attacker_share"] + 0.15
 
 
 def test_unknown_attack_rejected():
-    from repro.experiments.ext_sender_baseline import run_case
+    from repro.campaign.builders import sender_baseline
 
     with pytest.raises(ValueError):
-        run_case(1, 0.1, "bogus")
+        sender_baseline(1, 0.1, attack="bogus")

@@ -134,6 +134,30 @@ def test_every_simulating_builder_is_a_family():
     assert {fn.__name__ for fn in builders.BUILDERS.values()} - {
         fn.__name__ for fn in FAMILY_RUNNERS
     } == {"nav_pairs_sorted", "chaos_sleeper"}
+    # The testbed tables, Figure 3 and the Section IX extensions included.
+    assert {
+        "testbed_pairs", "testbed_shared_sender", "rts_share_model",
+        "sender_baseline", "fake_ack_autorate", "spoof_autorate",
+    } <= {fn.__name__ for fn in FAMILY_RUNNERS}
+
+
+def test_no_experiment_module_builds_its_own_scenario():
+    """Experiments sweep builder families; none constructs a Scenario."""
+    import ast
+    from pathlib import Path
+
+    import repro.experiments
+
+    package = Path(repro.experiments.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Scenario":
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 @pytest.mark.parametrize("runner", FAMILY_RUNNERS, ids=lambda fn: fn.__name__)

@@ -146,3 +146,26 @@ def test_cli_detect_diff_passes_on_named_targets(capsys):
 def test_cli_detect_diff_rejects_unknown_target(capsys):
     assert main(["detect", "diff", "no_such_target"]) == 2
     assert "unknown detect diff target" in capsys.readouterr().err
+
+
+def test_cli_detect_diff_rejects_bad_fuzz_duration_before_any_target(capsys):
+    assert main(["detect", "diff", "--fuzz-cases", "1", "--fuzz-duration", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == (
+        "fuzz_duration_s must be positive and finite, got -1.0"
+    )
+
+
+def test_cli_detect_diff_unknown_target_diffs_no_known_one(capsys, monkeypatch):
+    import repro.detect.diff as diff
+
+    diffed = []
+    monkeypatch.setattr(
+        diff, "diff_golden_trace", lambda name, *_a, **_k: diffed.append(name)
+    )
+    assert main(["detect", "diff", "grc_nav", "nosuch"]) == 2
+    captured = capsys.readouterr()
+    assert diffed == []
+    assert captured.out == ""
+    assert "unknown detect diff target(s) ['nosuch']" in captured.err
