@@ -50,7 +50,7 @@ class GilbertElliottChannel:
     ) -> tuple[bool, bool]:
         """Advance the link's chain and possibly corrupt this delivery.
 
-        Called by :meth:`repro.phy.medium.Medium._deliver` after the base
+        Called by :meth:`repro.phy.medium.Radio._on_tx_end` after the base
         collision/FER verdict; may only flip a clean frame to corrupted,
         never launder a corrupted one.  When this model (and not the base
         one) corrupts the frame, the address-survival roll (paper Table I)

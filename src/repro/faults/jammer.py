@@ -3,7 +3,7 @@
 The jammer is a bare :class:`~repro.phy.medium.Radio` with no MAC — it does
 not carrier-sense, defer or back off; it just transmits.  Its emissions are
 :class:`JamFrame` instances, which the fault hook in
-:meth:`repro.phy.medium.Medium._deliver` always marks as corrupted with
+:meth:`repro.phy.medium.Radio._on_tx_end` always marks as corrupted with
 unreadable addresses, so receivers that lock onto a burst take the EIFS
 deferral path and nothing else.  The interesting damage is indirect and
 comes entirely from existing medium mechanics:

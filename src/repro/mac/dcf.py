@@ -149,7 +149,7 @@ class DcfMac:
         self._access_timer = sim.timer(self._access_granted)
         self._cts_timer = sim.timer(self._cts_timeout)
         self._ack_timer = sim.timer(self._ack_timeout)
-        self._nav_timer = sim.timer(self._nav_expired)
+        self._nav_timer = sim.timer(self._try_start_access)
         self._access_start = 0.0
         self._access_ifs = 0.0
         #: The armed response timeout (the CTS or the ACK timer), or None.
@@ -266,18 +266,6 @@ class DcfMac:
 
     # -------------------------------------------------------- carrier sense --
 
-    def phy_busy(self) -> None:
-        """Radio reports energy on the channel: freeze any countdown."""
-        if self._offline:
-            return
-        self._freeze_access()
-
-    def phy_idle(self) -> None:
-        """Radio reports the channel went quiet."""
-        if self._offline:
-            return
-        self._try_start_access()
-
     def _update_nav(self, until: float) -> None:
         """Grow the NAV to ``until``; callers check that it grows."""
         if self.obs is not None:
@@ -293,12 +281,14 @@ class DcfMac:
             self._freeze_access()
         self.sim.rearm_at(self._nav_timer, until)
 
-    def _nav_expired(self) -> None:
-        self._try_start_access()
-
     # ------------------------------------------------------- backoff engine --
 
     def _try_start_access(self) -> None:
+        """Start the DIFS/EIFS + backoff countdown if the channel allows.
+
+        Also the NAV timer's callback and, as :meth:`phy_idle`, the radio's
+        idle edge.
+        """
         if self._state != CONTEND or self._access_timer.pending:
             return
         radio = self.radio
@@ -320,6 +310,10 @@ class DcfMac:
         radio.wants_idle = False
 
     def _freeze_access(self) -> None:
+        """Stop a running countdown, keeping the backoff slots left.
+
+        Also the radio's busy edge, as :meth:`phy_busy`.
+        """
         if not self._access_timer.pending:
             return
         elapsed = self.sim.now - self._access_start
@@ -331,6 +325,12 @@ class DcfMac:
         radio = self.radio
         radio.wants_busy = False
         radio.wants_idle = self._state == CONTEND
+
+    # The radio's carrier-sense edges.  No offline guard: crash() leaves the
+    # MAC IDLE with no countdown armed, so both return at once until the
+    # station sends again.
+    phy_busy = _freeze_access
+    phy_idle = _try_start_access
 
     def _access_granted(self) -> None:
         radio = self.radio
@@ -355,11 +355,6 @@ class DcfMac:
 
     # ----------------------------------------------------------- transmit ----
 
-    def _transmit(self, frame: Frame, airtime: float) -> None:
-        self._last_tx_kind = frame.kind
-        radio = self.radio
-        radio.medium.transmit(radio, frame, airtime)
-
     def _send_rts(self, msdu: _Msdu) -> None:
         size = msdu.size_bytes
         nav = self._rts_navs.get(size)
@@ -371,7 +366,9 @@ class DcfMac:
             frame.duration = policy.outgoing_nav(frame)
         self._state = WAIT_CTS
         self.stats.tx_rts += 1
-        self._transmit(frame, self._rts_airtime)
+        self._last_tx_kind = FrameKind.RTS
+        radio = self.radio
+        radio.medium.transmit(radio, frame, self._rts_airtime)
 
     def _send_data(self, msdu: _Msdu) -> None:
         rate = None
@@ -398,7 +395,9 @@ class DcfMac:
         self._state = WAIT_ACK
         self.stats.tx_data += 1
         self.stats.data_attempts_by_dst[msdu.dst] += 1
-        self._transmit(frame, airtime)
+        self._last_tx_kind = FrameKind.DATA
+        radio = self.radio
+        radio.medium.transmit(radio, frame, airtime)
 
     def phy_tx_done(self) -> None:
         """Our own transmission ended: arm the matching response timeout."""
@@ -474,7 +473,10 @@ class DcfMac:
         self._backoff_slots = None
 
     def _complete_current(self, success: bool) -> None:
-        self._cancel_timeout()
+        timeout = self._timeout_event  # _cancel_timeout(), inline
+        if timeout is not None:
+            self.sim.cancel(timeout)
+            self._timeout_event = None
         msdu = self._queue.popleft()
         self._reset_exchange()
         if success:
@@ -614,11 +616,14 @@ class DcfMac:
     def _send_response(self, frame: Frame) -> None:
         if self._offline:
             return  # crashed within SIFS of the frame that asked for it
-        if self.radio.transmitting:
+        radio = self.radio
+        if radio.transmitting:
             return  # half-duplex conflict: the response is lost
-        if frame.kind is FrameKind.CTS:
+        kind = self._last_tx_kind = frame.kind
+        if kind is FrameKind.CTS:
             self.stats.tx_cts += 1
-            self._transmit(frame, self._cts_airtime)
+            airtime = self._cts_airtime
         else:  # responses are CTS or ACK
             self.stats.tx_ack += 1
-            self._transmit(frame, self._ack_airtime)
+            airtime = self._ack_airtime
+        radio.medium.transmit(radio, frame, airtime)

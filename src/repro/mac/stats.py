@@ -34,7 +34,7 @@ class MacStats:
     crashes: int = 0
     reboots: int = 0
     crash_dropped_msdus: int = 0
-    cw_samples: list[int] = field(default_factory=list)
+    #: Attempts per contention window in force (Figures 2 and 3).
     cw_histogram: Counter = field(default_factory=Counter)
     # Per-destination data-transmission attempts and ACK failures, used by the
     # GRC fake-ACK detector to estimate per-transmission MAC loss rate.
@@ -50,15 +50,16 @@ class MacStats:
 
     def sample_cw(self, cw: int) -> None:
         """Record the contention window in force at a transmission attempt."""
-        self.cw_samples.append(cw)
         self.cw_histogram[cw] += 1
 
     @property
     def average_cw(self) -> float:
         """Mean CW over all attempts (Figure 2 / Table IV metric)."""
-        if not self.cw_samples:
+        # Integer sums, so the same float as the mean of the samples.
+        attempts = sum(self.cw_histogram.values())
+        if attempts == 0:
             return 0.0
-        return sum(self.cw_samples) / len(self.cw_samples)
+        return sum(cw * n for cw, n in self.cw_histogram.items()) / attempts
 
     def as_metrics(self) -> dict[str, float]:
         """Flatten the counters for the telemetry gauge sweep.

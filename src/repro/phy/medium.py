@@ -11,7 +11,8 @@ for ACK spoofing (Section IV-B).
 Corrupted frames are *delivered* to the MAC with a ``corrupted`` flag (and a
 model of whether the MAC address fields survived, per the paper's Table I)
 instead of being silently dropped, so that fake-ACK misbehavior and EIFS
-deferral can react to them.
+deferral can react to them.  The radio that decoded a frame delivers it
+itself, when the frame's airtime ends (:meth:`Radio._on_tx_end`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.phy.propagation import (
     rss_to_db,
 )
 from repro.sim.engine import Simulator
-from repro.sim.rng import BatchedUniform
 
 #: Table I of the paper: fraction of corrupted frames whose destination MAC
 #: address survives, and — among those — whose source address also survives.
@@ -156,16 +156,61 @@ class Radio:
         self._lock_collided = True  # comparable power: garbles the locked frame
 
     def _on_tx_end(self, tx: _Transmission, rss: float) -> None:
-        was_busy = self.transmitting or bool(self._energy)
         del self._energy[tx]
         if self._lock_tx is tx:
+            # The frame this radio decoded ends here: deliver it.  The rolls
+            # draw from the medium's stream in a fixed order — corruption,
+            # then the two address-survival uniforms — ahead of the fault
+            # hook, the telemetry counters and the RSSI jitter.
             self._lock_tx = None
-            self.medium._deliver(tx, self, self._lock_rss, self._lock_collided)
-        # Removing energy can only end a busy period: an idle edge happened
-        # exactly when the carrier is idle now and was busy before.
+            medium = self.medium
+            frame = tx.frame
+            collided = corrupted = self._lock_collided
+            error_model = medium.error_model
+            if not collided and not error_model.trivial:
+                # ``kind._name_`` is the enum's plain attribute behind ``name``.
+                corrupted = error_model.is_corrupted(
+                    tx.sender.name,
+                    self.name,
+                    frame.size_bytes,
+                    frame.kind._name_ == "DATA",
+                    medium.rng,
+                    rate=getattr(frame, "rate", None),
+                )
+            addr_ok = True
+            if corrupted:
+                draw = medium.rng.random
+                addr_ok = (
+                    draw() < medium.addr_dst_survival
+                    and draw() < medium.addr_src_survival
+                )
+            faults = medium.faults
+            if faults is not None:
+                corrupted, addr_ok = faults.on_deliver(
+                    tx, self, frame, corrupted, addr_ok
+                )
+            obs = medium.obs
+            if obs is not None:
+                name = self.name
+                obs.inc(f"phy.{name}.rx_frames")
+                if corrupted:
+                    obs.inc(f"phy.{name}.rx_corrupted")
+                    if collided:
+                        obs.inc(f"phy.{name}.rx_collisions")
+                    else:
+                        obs.inc(f"phy.{name}.rx_fer_drops")
+            lock_rss = self._lock_rss
+            rssi_db = medium._rss_db.get(lock_rss)
+            if rssi_db is None:
+                rssi_db = medium._rss_db[lock_rss] = rss_to_db(lock_rss)
+            if medium.rssi_jitter is not None:
+                rssi_db += medium.rssi_jitter(medium.rng)
+            if self.mac is not None:
+                self.mac.phy_receive(frame, corrupted, addr_ok, rssi_db)
+        # ``tx`` was on the air until now, so the carrier was busy: an idle
+        # edge happened exactly when no energy is left without it.
         if (
-            was_busy
-            and not (self.transmitting or self._energy)
+            not (self.transmitting or self._energy)
             and self.wants_idle
             and self.mac is not None
         ):
@@ -233,11 +278,6 @@ class Medium:
         #: ``is not None`` guarded and fault models draw only from their own
         #: dedicated RNG streams, so a fault-free run is byte-identical.
         self.faults: Any = None
-        # Batched uniform draws for the corruption / address-survival rolls.
-        # When a jitter callable shares the stream (it draws Gaussians
-        # directly from ``rng``), fall back to draw-on-demand (batch=1) so
-        # the interleaving of uniform and Gaussian draws is untouched.
-        self._uniform = BatchedUniform(rng, batch=256 if rssi_jitter is None else 1)
         self._names: set[str] = set()
         # (on_tx_start, on_tx_end) per radio, in attach order: bound once,
         # shared by every hearer list the radio appears in.
@@ -403,52 +443,6 @@ class Medium:
         if hearers is None:
             hearers = self._hearers_from(sender)
         sim.call_fanout(duration, sender._end_transmit, tx, hearers)
-
-    def _deliver(
-        self, tx: _Transmission, receiver: Radio, rss: float, collided: bool
-    ) -> None:
-        frame = tx.frame
-        corrupted = collided
-        error_model = self.error_model
-        if not corrupted and not error_model.trivial:
-            # ``kind._name_`` is the enum's plain attribute behind ``name``.
-            corrupted = error_model.is_corrupted(
-                tx.sender.name,
-                receiver.name,
-                frame.size_bytes,
-                frame.kind._name_ == "DATA",
-                self._uniform,
-                rate=getattr(frame, "rate", None),
-            )
-        addr_ok = True
-        if corrupted:
-            uniform = self._uniform
-            addr_ok = (
-                uniform.random() < self.addr_dst_survival
-                and uniform.random() < self.addr_src_survival
-            )
-        faults = self.faults
-        if faults is not None:
-            corrupted, addr_ok = faults.on_deliver(
-                tx, receiver, frame, corrupted, addr_ok
-            )
-        obs = self.obs
-        if obs is not None:
-            name = receiver.name
-            obs.inc(f"phy.{name}.rx_frames")
-            if corrupted:
-                obs.inc(f"phy.{name}.rx_corrupted")
-                if collided:
-                    obs.inc(f"phy.{name}.rx_collisions")
-                else:
-                    obs.inc(f"phy.{name}.rx_fer_drops")
-        rssi_db = self._rss_db.get(rss)
-        if rssi_db is None:
-            rssi_db = self._rss_db[rss] = rss_to_db(rss)
-        if self.rssi_jitter is not None:
-            rssi_db += self.rssi_jitter(self.rng)
-        if receiver.mac is not None:
-            receiver.mac.phy_receive(frame, corrupted, addr_ok, rssi_db)
 
 
 class SinrRadio(Radio):

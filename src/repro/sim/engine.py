@@ -6,11 +6,15 @@ schedule callbacks on one shared :class:`Simulator` instance.
 Fast-path design (bit-identical to the original implementation — the golden
 trace suite in ``tests/test_golden_traces.py`` holds this down):
 
-* The heap stores plain ``(time, seq, payload)`` tuples, never objects with
-  a Python-level ``__lt__``.  ``seq`` is a unique monotonically increasing
-  integer, so tuple comparison is decided entirely inside C on the first two
-  elements — the ``payload`` is never compared.  Event ordering is therefore
-  the exact total order ``(time, seq)`` the original ``Event.__lt__`` used.
+* The heap stores flat four-element tuples, never objects with a
+  Python-level ``__lt__``: ``(time, seq, fn, args)`` for a fire-and-forget
+  callback and ``(time, seq, event, gen)`` for a cancellable
+  :class:`Event` handle, told apart by ``entry[2].__class__ is Event``.  No
+  push builds a nested payload tuple.  ``seq`` is a unique monotonically
+  increasing integer, so tuple comparison is decided entirely inside C on
+  the first two elements — the last two are never compared.  Event ordering
+  is therefore the exact total order ``(time, seq)`` the original
+  ``Event.__lt__`` used.
 * Cancellation is O(1) via **generation counters**: every :class:`Event`
   handle carries a generation, the heap entry records the generation it was
   scheduled with, and a popped entry fires only when the two still match.
@@ -28,7 +32,9 @@ trace suite in ``tests/test_golden_traces.py`` holds this down):
   and writes it back when it returns (or raises).
 * Dead entries left behind by cancellations are compacted away once they
   outnumber live ones (amortized O(1) per cancellation), so cancel/re-arm
-  storms cannot degrade ``heappush``/``heappop`` to log of garbage.
+  storms cannot degrade ``heappush``/``heappop`` to log of garbage.  The
+  compaction rewrites the heap list in place, so :meth:`Simulator.run`
+  keeps one reference to it for the whole run.
 * Timers live with their owner.  A component that arms the same callback
   again and again — the MAC's access countdown, CTS/ACK timeouts and NAV,
   the TCP retransmission timer — takes one idle handle from
@@ -36,13 +42,15 @@ trace suite in ``tests/test_golden_traces.py`` holds this down):
   whether it is pending, fired or cancelled, instead of allocating a new
   :class:`Event` per arm.  The counters and the event order are exactly
   those of a cancel (when pending) plus a fresh :meth:`schedule_at`, and
-  :meth:`Simulator.run` fires a handle inline, without a method call.
+  :meth:`Simulator.run` fires a handle inline, without a method call;
+  :meth:`Simulator.rearm_at` does a pending handle's cancel bookkeeping
+  inline too.
 * Fire-and-forget callbacks — the overwhelming majority: frame arrivals,
   transmit-end notifications, SIFS responses — can skip the handle
-  allocation entirely via :meth:`Simulator.call_after` / :meth:`call_at`;
-  their payload is a bare ``(fn, args)`` tuple.  One transmitted frame's
-  whole fan-out — the sender's end of transmission and every hearer's start
-  and end — is pushed by one :meth:`Simulator.call_fanout`.
+  allocation entirely via :meth:`Simulator.call_after` / :meth:`call_at`.
+  One transmitted frame's whole fan-out — the sender's end of transmission
+  and every hearer's start and end — is pushed by one
+  :meth:`Simulator.call_fanout`.
 """
 
 from __future__ import annotations
@@ -100,9 +108,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        # Heap entries: (time, seq, payload) where payload is either an
-        # (fn, args) tuple scheduled at generation 0 — the fire-and-forget
-        # fast path — or (gen, Event) for cancellable handles.
+        # Heap entries: (time, seq, fn, args) — the fire-and-forget fast
+        # path — or (time, seq, event, gen) for cancellable handles.
         self._heap: list[tuple] = []
         self._seq: int = 0
         self._running = False
@@ -140,7 +147,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, fn, args, self)
-        heappush(self._heap, (time, seq, (0, event)))
+        heappush(self._heap, (time, seq, event, 0))
         if self.track_heap and len(self._heap) > self.heap_high_water:
             self.heap_high_water = len(self._heap)
         return event
@@ -152,7 +159,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, fn, args, self)
-        heappush(self._heap, (time, seq, (0, event)))
+        heappush(self._heap, (time, seq, event, 0))
         if self.track_heap and len(self._heap) > self.heap_high_water:
             self.heap_high_water = len(self._heap)
         return event
@@ -184,7 +191,7 @@ class Simulator:
             self._reject_time(time)
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._heap, (time, seq, (fn, args)))
+        heappush(self._heap, (time, seq, fn, args))
         if self.track_heap and len(self._heap) > self.heap_high_water:
             self.heap_high_water = len(self._heap)
 
@@ -194,7 +201,7 @@ class Simulator:
             self._reject_time(time)
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._heap, (time, seq, (fn, args)))
+        heappush(self._heap, (time, seq, fn, args))
         if self.track_heap and len(self._heap) > self.heap_high_water:
             self.heap_high_water = len(self._heap)
 
@@ -223,7 +230,7 @@ class Simulator:
         seq = self._seq
         push = heappush
         inf = _INF
-        push(heap, (end, seq, (on_end, ())))
+        push(heap, (end, seq, on_end, ()))
         for on_start, on_stop, rss, delay, decodable in hearers:
             stop = now + (duration + delay)
             if not (delay >= 0.0 and stop < inf):
@@ -232,8 +239,8 @@ class Simulator:
                 self._seq = seq + 1
                 self.call_after(delay, on_start, tx, rss, decodable)
                 self.call_after(duration + delay, on_stop, tx, rss)
-            push(heap, (now + delay, seq + 1, (on_start, (tx, rss, decodable))))
-            push(heap, (stop, seq + 2, (on_stop, (tx, rss))))
+            push(heap, (now + delay, seq + 1, on_start, (tx, rss, decodable)))
+            push(heap, (stop, seq + 2, on_stop, (tx, rss)))
             seq += 2
         self._seq = seq + 1
         if self.track_heap and len(heap) > self.heap_high_water:
@@ -251,9 +258,8 @@ class Simulator:
         :attr:`pending_events` reads 0.
         """
         for entry in self._heap:
-            payload = entry[2]
-            if payload[0].__class__ is int:  # (gen, Event): unhook the handle
-                event = payload[1]
+            event = entry[2]
+            if event.__class__ is Event:  # a handle's entry: unhook it
                 event.fn = None
                 event.pending = False
         for event in self._timers:
@@ -297,14 +303,21 @@ class Simulator:
         if not (self.now <= time < _INF):
             self._reject_time(time)
         if event.pending:
-            self.cancel(event)  # orphans the live entry (may compact)
-        event.pending = True
+            # cancel(event), inline and in its order: orphan the live entry
+            # (which a compaction here keeps), then bump the generation.
+            dead = self._dead = self._dead + 1
+            self.events_cancelled += 1
+            if dead > 64 and dead + dead > len(self._heap):  # dead > live
+                self._compact()
+            event.gen += 1
+        else:
+            event.pending = True
         seq = self._seq
         self._seq = seq + 1
         event.time = time
         event.seq = seq
         heap = self._heap
-        heappush(heap, (time, seq, (event.gen, event)))
+        heappush(heap, (time, seq, event, event.gen))
         if self.track_heap and len(heap) > self.heap_high_water:
             self.heap_high_water = len(heap)
 
@@ -318,17 +331,14 @@ class Simulator:
         heap = self._heap
         live = len(heap) - self._dead
         self.compactions += 1
-        self._heap = [
+        # In place: a running :meth:`run` holds this very list.
+        heap[:] = [
             entry
             for entry in heap
-            if not (
-                entry[2].__class__ is tuple
-                and entry[2][1].__class__ is Event
-                and entry[2][0] != entry[2][1].gen
-            )
+            if not (entry[2].__class__ is Event and entry[3] != entry[2].gen)
         ]
-        heapq.heapify(self._heap)
-        self._dead = len(self._heap) - live
+        heapq.heapify(heap)
+        self._dead = len(heap) - live
 
     # ----------------------------------------------------------------- run --
 
@@ -350,33 +360,26 @@ class Simulator:
         processed = self.events_processed
         try:
             while heap:
-                if heap is not self._heap:  # compaction swapped the list
-                    heap = self._heap
-                    continue
-                entry = pop(heap)
-                payload = entry[2]
-                tag = payload[0]
-                if tag.__class__ is int:  # cancellable handle: check its gen
-                    event = payload[1]
-                    if event.gen != tag:
+                time, seq, fn, args = pop(heap)
+                if fn.__class__ is Event:  # a handle: ``args`` is its gen
+                    if fn.gen != args:
                         self._dead -= 1
                         continue  # cancelled: drop the stale entry
-                    time = entry[0]
                     if time > bound:
-                        heappush(heap, entry)  # once per run(): restore & stop
+                        # once per run(): restore & stop
+                        heappush(heap, (time, seq, fn, args))
                         break
                     self.now = time
                     processed += 1
-                    event.pending = False
-                    event.fn(*event.args)
-                else:  # fire-and-forget (fn, args) payload
-                    time = entry[0]
+                    fn.pending = False
+                    fn.fn(*fn.args)
+                else:  # fire-and-forget callback
                     if time > bound:
-                        heappush(heap, entry)
+                        heappush(heap, (time, seq, fn, args))
                         break
                     self.now = time
                     processed += 1
-                    tag(*payload[1])
+                    fn(*args)
             if until is not None and until > self.now:
                 self.now = until
         finally:

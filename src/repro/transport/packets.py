@@ -36,6 +36,7 @@ class Packet:
         "seq",
         "ack",
         "payload_bytes",
+        "size_bytes",
         "created_at",
         "uid",
     )
@@ -58,13 +59,10 @@ class Packet:
         self.seq = seq
         self.ack = ack
         self.payload_bytes = payload_bytes
+        #: On-the-wire size: payload plus transport/IP headers.
+        self.size_bytes = payload_bytes + HEADER_BYTES
         self.created_at = created_at
         self.uid = next(_packet_ids)
-
-    @property
-    def size_bytes(self) -> int:
-        """On-the-wire size: payload plus transport/IP headers."""
-        return self.payload_bytes + HEADER_BYTES
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -173,7 +173,8 @@ class TcpSender:
         self._backoff = 1
         self._dupacks = 0
         self.snd_una = ackno
-        self._retransmitted = {s for s in self._retransmitted if s >= ackno}
+        if self._retransmitted:
+            self._retransmitted = {s for s in self._retransmitted if s >= ackno}
         if self._recover >= 0:
             # Reno: leave fast recovery on the first new ACK, deflate cwnd.
             self.cwnd = self.ssthresh
@@ -253,8 +254,9 @@ class TcpReceiver:
         self.flow_id = flow_id
         self.src = src
         self.rcv_next = 0
+        # Segments received above ``rcv_next``: everything below it has
+        # arrived, so these two say whether a segment is a duplicate.
         self._out_of_order: set[int] = set()
-        self._received: set[int] = set()
         self.segments_received = 0  # new (non-duplicate) segments: goodput
         self.bytes_received = 0
         self.duplicates = 0
@@ -267,10 +269,9 @@ class TcpReceiver:
         if packet.kind is not PacketKind.TCP_DATA:
             return
         seq = packet.seq
-        if seq in self._received or seq < self.rcv_next:
+        if seq < self.rcv_next or seq in self._out_of_order:
             self.duplicates += 1
         else:
-            self._received.add(seq)
             self.segments_received += 1
             self.bytes_received += packet.payload_bytes
             if self.obs is not None:
@@ -282,7 +283,6 @@ class TcpReceiver:
                 self.rcv_next += 1
                 while self.rcv_next in self._out_of_order:
                     self._out_of_order.discard(self.rcv_next)
-                    self._received.discard(self.rcv_next - 1)
                     self.rcv_next += 1
             else:
                 self._out_of_order.add(seq)

@@ -85,7 +85,9 @@ class CbrSource:
         interval = self.interval_us
         if self.rng is not None and self.jitter_fraction > 0:
             spread = self.jitter_fraction
-            interval *= 1.0 + self.rng.uniform(-spread, spread)
+            # rng.uniform(-spread, spread), evaluated as random.uniform does
+            # it (a + (b - a) * random()) without the extra call.
+            interval *= 1.0 + (-spread + (spread - -spread) * self.rng.random())
         # Never cancelled (stop() flips a flag checked on fire), so the
         # fire-and-forget scheduling fast path applies.
         self.sim.call_after(interval, self._emit)

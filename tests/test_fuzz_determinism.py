@@ -41,6 +41,8 @@ from repro.net.scenario import Scenario
 from repro.phy.channel import ChannelConfig
 from repro.phy.error import set_ber_all_pairs
 from repro.stats.trace import FrameTracer
+from repro.transport.tcp import TcpReceiver, TcpSender
+from repro.transport.udp import UdpSink
 
 ROOT = Path(__file__).resolve().parent.parent
 CASE_DURATION_S = 0.05
@@ -187,6 +189,58 @@ def test_quick_cases_do_not_depend_on_run_order():
     forward = _fingerprints_in_fresh_process("forward")
     backward = _fingerprints_in_fresh_process("backward")
     assert forward == backward
+
+
+@pytest.mark.parametrize("case_seed", QUICK_CASES)
+def test_quick_fuzz_case_keeps_topology_invariants(case_seed):
+    """Conservation and bound invariants that hold on any topology.
+
+    * per MAC, MSDUs accepted = acknowledged + dropped + still queued (the
+      MSDU in an exchange stays at the queue's head until it completes);
+    * no NAV update ever sets a negative ``nav_until``;
+    * every TCP sender keeps ``snd_una <= snd_max`` after each ACK;
+    * the flows' total goodput stays within the PHY data rate (every
+      station of the fuzz space is within decode range of every other, so
+      they share one channel).
+    """
+    scenario = _build_case(case_seed)
+    accepted = dict.fromkeys(scenario.macs, 0)
+    navs = []
+    for name, mac in scenario.macs.items():
+
+        def counted_send(payload, dst, size, _send=mac.send, _name=name):
+            ok = _send(payload, dst, size)
+            accepted[_name] += ok
+            return ok
+
+        def recorded_nav(until, _update=mac._update_nav):
+            navs.append(until)
+            _update(until)
+
+        mac.send = counted_send
+        mac._update_nav = recorded_nav
+    agents = [a for node in scenario.nodes.values() for a in node._agents.values()]
+    senders = [a for a in agents if isinstance(a, TcpSender)]
+    for sender in senders:
+
+        def checked_receive(packet, _receive=sender.receive, _sender=sender):
+            _receive(packet)
+            assert _sender.snd_una <= _sender.snd_max
+
+        sender.receive = checked_receive
+    scenario.run(CASE_DURATION_S)
+
+    for name, mac in scenario.macs.items():
+        stats = mac.stats
+        assert stats.crashes == 0  # the fuzz space injects no crashes
+        assert accepted[name] == stats.msdu_sent + stats.drops + mac.queue_length
+        assert mac.nav_until >= 0.0
+    assert all(until >= 0.0 for until in navs)
+    assert any(accepted.values()) and all(s.snd_una <= s.snd_max for s in senders)
+    delivered_bits = 8 * sum(
+        a.bytes_received for a in agents if isinstance(a, (UdpSink, TcpReceiver))
+    )
+    assert delivered_bits / (CASE_DURATION_S * 1e6) <= scenario.phy.data_rate
 
 
 @given(case_seed=st.integers(min_value=10, max_value=5_000))

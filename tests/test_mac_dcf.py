@@ -306,7 +306,7 @@ def test_per_destination_cw_clamp():
     sim.run(until=1_000_000)
     # Despite many retries, CW never grew past the clamp.
     assert a.stats.retries > 0
-    assert all(cw == a.phy.cw_min for cw in a.stats.cw_samples)
+    assert all(cw == a.phy.cw_min for cw in a.stats.cw_histogram)
 
 
 def test_backoff_drawn_within_cw():
@@ -367,7 +367,7 @@ def test_crashed_mac_is_never_restarted_before_reboot():
     assert (a.radio.wants_busy, a.radio.wants_idle) == (False, False)
     b.send("y", "n2", 1024)  # b <-> c traffic: busy and idle edges at a
     sim.run(until=20_000)
-    a._nav_expired()  # a NAV timer firing after the crash
+    a._nav_timer.fn()  # a NAV timer firing after the crash
     a.phy_busy()  # edges from a radio that ignores the filter
     a.phy_idle()
     sim.run(until=40_000)

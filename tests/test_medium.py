@@ -518,7 +518,7 @@ def test_transmit_pushes_the_keys_of_the_per_callback_sequence():
     reference.run()
     duration = 957.1
     radios[0].transmit(data_frame(), duration)
-    tx = next(args[0] for _, _, (_, args) in sim._heap if args)
+    tx = next(args[0] for _, _, _, args in sim._heap if args)
     reference.call_after(duration, radios[0]._end_transmit)
     for on_tx_start, on_tx_end, rss, delay, decodable in hearers:
         reference.call_after(delay, on_tx_start, tx, rss, decodable)

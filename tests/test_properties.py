@@ -77,7 +77,7 @@ def test_mac_counter_consistency(params):
         # Retries and drops never exceed attempts.
         assert stats.drops <= stats.retries
         # CW samples stay within protocol bounds.
-        assert all(mac.cw_min <= cw <= mac.cw_max for cw in stats.cw_samples)
+        assert all(mac.cw_min <= cw <= mac.cw_max for cw in stats.cw_histogram)
         # Per-destination failures never exceed attempts.
         for dst, attempts in stats.data_attempts_by_dst.items():
             assert stats.ack_failures_by_dst[dst] <= attempts

@@ -1,5 +1,15 @@
 """Unit tests for named RNG substreams."""
 
+import random
+
+import pytest
+
+from repro.mac.frames import Frame, FrameKind
+from repro.phy.error import BitErrorModel
+from repro.phy.medium import Medium, Radio
+from repro.phy.params import dot11b
+from repro.phy.propagation import rss_to_db
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 
 
@@ -50,43 +60,76 @@ def test_spawn_derives_independent_family():
     assert RngStreams(seed=5).spawn(1).seed == same_child.seed
 
 
-# ------------------------------------------------------- batched uniforms --
+# ------------------------------------------------- the medium's stream --
 
 
-def test_batched_uniform_matches_direct_draws():
-    """Batch refills must hand out the exact sequence rng.random() yields."""
-    import random
+class _Recorder:
+    """A MAC stub that keeps what the radio delivers."""
 
-    from repro.sim.rng import BatchedUniform
+    def __init__(self):
+        self.received = []
 
-    reference = random.Random(42)
-    direct = [reference.random() for _ in range(1000)]
-    batched = BatchedUniform(random.Random(42), batch=256)
-    assert [batched.random() for _ in range(1000)] == direct
+    def phy_busy(self):
+        pass
 
+    def phy_idle(self):
+        pass
 
-def test_batched_uniform_batch_one_preserves_interleaving():
-    """batch=1 degenerates to draw-on-demand: another consumer of the same
-    stream (the RSSI-jitter Gaussian) sees an untouched interleaving."""
-    import random
+    def phy_tx_done(self):
+        pass
 
-    from repro.sim.rng import BatchedUniform
-
-    reference = random.Random(7)
-    expected = [reference.random(), reference.gauss(0, 1), reference.random()]
-
-    shared = random.Random(7)
-    uniform = BatchedUniform(shared, batch=1)
-    got = [uniform.random(), shared.gauss(0, 1), uniform.random()]
-    assert got == expected
+    def phy_receive(self, frame, corrupted, addr_ok, rssi_db):
+        self.received.append((corrupted, addr_ok, rssi_db))
 
 
-def test_batched_uniform_rejects_bad_batch():
-    import random
+@pytest.mark.parametrize("jitter", [False, True])
+def test_medium_rolls_draw_the_medium_stream_in_order(jitter):
+    """A lossy link's corruption and address-survival rolls (and the RSSI
+    jitter, when set) are drawn from the medium's stream on demand, in
+    delivery order: they equal the draws of a fresh ``random.Random`` with
+    the same seed, and the stream is left exactly where those draws end."""
+    sim = Simulator()
+    model = BitErrorModel()
+    model.set_ber("r0", "r1", 1e-3)  # r0 -> r2 stays clean: no roll
+    medium = Medium(
+        sim,
+        dot11b(),
+        random.Random(11),
+        error_model=model,
+        rssi_jitter=(lambda rng: rng.gauss(0.0, 2.0)) if jitter else None,
+    )
+    radios = []
+    for i, x in enumerate((0.0, 10.0, 20.0)):
+        radio = Radio(medium, f"r{i}", (x, 0.0))
+        radio.mac = _Recorder()
+        radios.append(radio)
+    frames = []
+    for k in range(40):
+        if k % 2:
+            frame = Frame(FrameKind.ACK, "r0", "r1", 0.0, 14)
+        else:
+            frame = Frame(FrameKind.DATA, "r0", "r1", 314.0, 1052, seq=k)
+        frames.append(frame)
+        sim.call_at(2000.0 * k, radios[0].transmit, frame, 957.0)
+    sim.run()
 
-    import pytest
-
-    from repro.sim.rng import BatchedUniform
-
-    with pytest.raises(ValueError):
-        BatchedUniform(random.Random(1), batch=0)
+    reference = random.Random(11)
+    p_dst, p_src = medium.addr_dst_survival, medium.addr_src_survival
+    expected = {"r1": [], "r2": []}
+    for frame in frames:
+        for name, x in (("r1", 10.0), ("r2", 20.0)):  # r1 ends first
+            is_data = frame.kind is FrameKind.DATA
+            p = model.corruption_plan("r0", name, frame.size_bytes, is_data)
+            corrupted = p is not None and reference.random() < p
+            addr_ok = True
+            if corrupted:
+                addr_ok = reference.random() < p_dst and reference.random() < p_src
+            rssi_db = rss_to_db(medium.pathloss.rss(1.0, x))
+            if jitter:
+                rssi_db += reference.gauss(0.0, 2.0)
+            expected[name].append((corrupted, addr_ok, rssi_db))
+    assert radios[1].mac.received == expected["r1"]
+    assert radios[2].mac.received == expected["r2"]
+    assert medium.rng.getstate() == reference.getstate()
+    outcomes = {(c, a) for c, a, _ in expected["r1"]}
+    assert (True, True) in outcomes and (False, True) in outcomes

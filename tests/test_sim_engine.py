@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 
 
 def test_events_fire_in_time_order():
@@ -197,8 +197,8 @@ def live_entries(sim):
     """Heap entries that will still fire, by a sweep over the heap."""
     return sum(
         1
-        for _, _, payload in sim._heap
-        if payload[0].__class__ is not int or payload[0] == payload[1].gen
+        for _, _, fn, gen in sim._heap
+        if fn.__class__ is not Event or gen == fn.gen
     )
 
 
@@ -453,6 +453,28 @@ def test_compaction_preserves_order_and_counts():
     sim.run()
     assert fired == keep
     assert sim.events_processed == len(keep)
+
+
+def test_compaction_during_run_keeps_firing_the_live_heap():
+    """A callback whose cancellations compact the heap mid-run: the run goes
+    on over the compacted heap, firing the survivors and an event pushed
+    after the compaction in (time, FIFO) order."""
+    sim = Simulator()
+    fired = []
+    events = [sim.schedule(10.0 + i, fired.append, i) for i in range(200)]
+
+    def storm():
+        fired.append("storm")
+        for i, event in enumerate(events):
+            if i % 4:
+                sim.cancel(event)
+        sim.call_after(0.5, fired.append, "after")
+
+    sim.call_at(5.0, storm)
+    sim.run()
+    assert sim.compactions == 1
+    assert fired == ["storm", "after"] + [i for i in range(200) if i % 4 == 0]
+    assert sim.events_processed == 52 and sim.pending_events == 0
 
 
 def test_cancel_inside_callback_prevents_same_time_event():

@@ -1,5 +1,7 @@
 """Unit tests for result containers and statistics helpers."""
 
+import random
+
 import pytest
 
 from repro.experiments.common import seed_job
@@ -92,3 +94,17 @@ def test_mac_loss_rate():
     stats.data_attempts_by_dst["r"] = 10
     stats.ack_failures_by_dst["r"] = 3
     assert stats.mac_loss_rate("r") == 0.3
+
+
+def test_mac_stats_cw_record_matches_the_sampled_sequence():
+    """average_cw and cw_distribution, read off the one CW histogram, equal
+    the mean and the empirical distribution of the sampled sequence."""
+    rng = random.Random(4)
+    samples = [rng.choice((15, 31, 63, 127, 255, 511, 1023)) for _ in range(5000)]
+    stats = MacStats()
+    for cw in samples:
+        stats.sample_cw(cw)
+    assert stats.average_cw == sum(samples) / len(samples)
+    reference = {cw: samples.count(cw) / len(samples) for cw in sorted(set(samples))}
+    assert stats.cw_distribution() == reference
+    assert list(stats.cw_distribution()) == sorted(reference)

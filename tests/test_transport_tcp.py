@@ -1,9 +1,12 @@
 """Unit tests for the TCP Reno implementation."""
 
+import random
+
 import pytest
 
 from repro.net.scenario import Scenario
 from repro.sim.engine import Simulator
+from repro.transport.packets import Packet, PacketKind
 from repro.transport.tcp import CwndTracker, TcpReceiver, TcpSender
 
 
@@ -115,3 +118,69 @@ def test_receiver_acks_every_segment():
     snd.start()
     s.run(1.0)
     assert rcv.acks_sent == rcv.segments_received + rcv.duplicates
+
+
+class _Node:
+    """The two methods a transport agent calls on its node."""
+
+    name = "b"
+
+    def __init__(self):
+        self.sent = []
+
+    def bind_agent(self, flow_id, agent):
+        pass
+
+    def send_packet(self, packet):
+        self.sent.append(packet.ack)
+
+
+def _reference_receiver(seqs):
+    """Duplicates, new segments, rcv_next and ACKs of a receiver that keeps
+    every segment it has accepted in a set."""
+    received, out_of_order = set(), set()
+    rcv_next = duplicates = new = 0
+    acks = []
+    for seq in seqs:
+        if seq in received or seq < rcv_next:
+            duplicates += 1
+        else:
+            received.add(seq)
+            new += 1
+            if seq == rcv_next:
+                rcv_next += 1
+                while rcv_next in out_of_order:
+                    out_of_order.discard(rcv_next)
+                    rcv_next += 1
+            else:
+                out_of_order.add(seq)
+        acks.append(rcv_next)
+    return duplicates, new, rcv_next, acks
+
+
+@pytest.mark.parametrize("case", ["in_order", "reordered", "duplicates"])
+def test_receiver_counts_and_acks_match_a_full_received_set(case):
+    """The receiver keeps only out-of-order state, yet counts duplicates and
+    new segments and ACKs exactly as a receiver remembering every segment."""
+    rng = random.Random(case)
+    seqs = list(range(200))
+    if case == "reordered":
+        for i in range(0, 190, 7):  # local swaps and short holes
+            j = i + rng.randrange(1, 9)
+            seqs[i], seqs[j] = seqs[j], seqs[i]
+    elif case == "duplicates":
+        seqs = [s for s in seqs for _ in range(rng.choice((1, 1, 2, 3)))]
+        seqs += [rng.randrange(250) for _ in range(300)]
+        rng.shuffle(seqs)
+    node = _Node()
+    rcv = TcpReceiver(Simulator(), node, "f", "a")
+    for seq in seqs:
+        rcv.receive(Packet(PacketKind.TCP_DATA, "f", "a", "b", seq=seq, payload_bytes=8))
+    duplicates, new, rcv_next, acks = _reference_receiver(seqs)
+    assert (rcv.duplicates, rcv.segments_received, rcv.rcv_next) == (
+        duplicates, new, rcv_next
+    )
+    assert node.sent == acks
+    assert rcv.bytes_received == 8 * new
+    assert rcv._out_of_order == {s for s in seqs if s > rcv.rcv_next}
+    assert not hasattr(rcv, "_received")
