@@ -240,6 +240,17 @@ def _working_src_tree() -> str:
         return _git("write-tree", "--prefix=src/", env=env)
 
 
+def _identify(rev: str | None) -> tuple[str, str]:
+    """``(short commit, tree id of src/)`` of ``rev``.
+
+    ``None`` is the tree being measured: ``HEAD`` and ``src/`` as it is in
+    the working tree.
+    """
+    if rev is None:
+        return _git("rev-parse", "--short=7", "HEAD"), _working_src_tree()
+    return _git("rev-parse", "--short=7", rev), _git("rev-parse", f"{rev}:src")
+
+
 def _export(rev: str, into: Path) -> None:
     with subprocess.Popen(["git", "archive", rev], cwd=ROOT,
                           stdout=subprocess.PIPE) as archive:
@@ -295,8 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     seconds = benchmark()["run_seconds"]
-    commit = _git("rev-parse", "--short=7", "HEAD")
-    src_tree = _working_src_tree()
+    commit, src_tree = _identify(None)
     revs = [ANCHOR] if args.baseline is None else [ANCHOR, args.baseline]
     with tempfile.TemporaryDirectory(prefix="perfbench-trees-") as tmp:
         checkouts = [Path(tmp) / str(i) for i in range(len(revs))]
@@ -309,10 +319,8 @@ def main(argv: list[str] | None = None) -> int:
                           seconds, runs[-1], anchor)]
     if args.baseline is not None:
         entries.insert(0, make_entry(
-            _git("rev-parse", "--short=7", args.baseline),
-            _git("rev-parse", f"{args.baseline}:src"),
-            f"baseline for: {args.label}", args.workload, args.seeds, seconds,
-            runs[0], anchor))
+            *_identify(args.baseline), f"baseline for: {args.label}",
+            args.workload, args.seeds, seconds, runs[0], anchor))
     append(entries)
     print_summary(args.workload, runs, entries)
     return 0

@@ -63,6 +63,68 @@ class _Msdu:
 class DcfMac:
     """802.11 DCF MAC for one station."""
 
+    # A fixed layout: CPython 3.11 keeps ``self.x`` on its specialised path
+    # only for instances with fewer than 30 dict attributes, and a MAC has
+    # 54.  ``__dict__`` stays, empty, for callers that wrap a method of one
+    # MAC (tests/test_layout.py checks both).
+    __slots__ = (
+        "sim",
+        "phy",
+        "radio",
+        "name",
+        "rng",
+        "policy",
+        "rts_enabled",
+        "queue_limit",
+        "no_retransmit_to",
+        "cw_max_to",
+        "cw_min",
+        "cw_max",
+        "eifs_enabled",
+        "nav_validator",
+        "ack_inspector",
+        "rate_controller",
+        "on_deliver",
+        "on_msdu_sent",
+        "on_msdu_dropped",
+        "stats",
+        "obs",
+        "_difs",
+        "_eifs",
+        "_slot_time",
+        "_sifs",
+        "_cts_timeout_us",
+        "_ack_timeout_us",
+        "_randrange",
+        "_cts_time",
+        "_rts_airtime",
+        "_cts_airtime",
+        "_ack_airtime",
+        "_data_nav",
+        "_data_airtimes",
+        "_rts_navs",
+        "_queue",
+        "_state",
+        "cw",
+        "_short_retries",
+        "_long_retries",
+        "_seq",
+        "_backoff_slots",
+        "_access_timer",
+        "_cts_timer",
+        "_ack_timer",
+        "_nav_timer",
+        "_access_start",
+        "_access_ifs",
+        "_timeout_event",
+        "_use_eifs",
+        "nav_until",
+        "_rx_cache",
+        "_last_tx_kind",
+        "_offline",
+        "__dict__",
+    )
+
     def __init__(
         self,
         sim: Simulator,

@@ -13,6 +13,11 @@ model of whether the MAC address fields survived, per the paper's Table I)
 instead of being silently dropped, so that fake-ACK misbehavior and EIFS
 deferral can react to them.  The radio that decoded a frame delivers it
 itself, when the frame's airtime ends (:meth:`Radio._on_tx_end`).
+
+Radios have a fixed layout (``__slots__``): every hearer callback reads
+several of their attributes.  The medium keeps its instance dict, because
+the frame tracer and the detection tap wrap ``medium.transmit`` on one
+instance.
 """
 
 from __future__ import annotations
@@ -70,6 +75,22 @@ class Radio:
     set a flag True before the matching edge could change anything (True
     only costs a call; a stale False loses an edge).
     """
+
+    __slots__ = (
+        "medium",
+        "name",
+        "position",
+        "tx_power",
+        "mac",
+        "transmitting",
+        "_tx_end_time",
+        "wants_busy",
+        "wants_idle",
+        "_energy",
+        "_lock_tx",
+        "_lock_rss",
+        "_lock_collided",
+    )
 
     def __init__(
         self,
@@ -155,7 +176,7 @@ class Radio:
             return
         self._lock_collided = True  # comparable power: garbles the locked frame
 
-    def _on_tx_end(self, tx: _Transmission, rss: float) -> None:
+    def _on_tx_end(self, tx: _Transmission) -> None:
         del self._energy[tx]
         if self._lock_tx is tx:
             # The frame this radio decoded ends here: deliver it.  The rolls
@@ -456,6 +477,8 @@ class SinrRadio(Radio):
     whole airtime — no check is needed at transmission end, and the
     ``collided`` flag stays sticky exactly as in the pairwise model.
     """
+
+    __slots__ = ()
 
     def _on_tx_start(self, tx: _Transmission, rss: float, decodable: bool) -> None:
         was_idle = not (self.transmitting or self._energy)

@@ -3,13 +3,9 @@
 from __future__ import annotations
 
 import enum
-import itertools
-from typing import Optional
 
 #: Bytes of TCP/IP (or UDP/IP) header added to each payload.
 HEADER_BYTES = 40
-
-_packet_ids = itertools.count()
 
 
 class PacketKind(enum.Enum):
@@ -38,7 +34,6 @@ class Packet:
         "payload_bytes",
         "size_bytes",
         "created_at",
-        "uid",
     )
 
     def __init__(
@@ -62,7 +57,6 @@ class Packet:
         #: On-the-wire size: payload plus transport/IP headers.
         self.size_bytes = payload_bytes + HEADER_BYTES
         self.created_at = created_at
-        self.uid = next(_packet_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

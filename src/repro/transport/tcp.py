@@ -52,6 +52,43 @@ class CwndTracker:
 class TcpSender:
     """Reno sender with an unbounded (FTP-like) supply of data."""
 
+    # A fixed layout: its 30 attributes are one past the most CPython 3.11
+    # specialises on an instance dict (see DcfMac).  ``__dict__`` stays,
+    # empty, for callers that wrap a method of one sender.
+    __slots__ = (
+        "sim",
+        "node",
+        "flow_id",
+        "dst",
+        "mss",
+        "window",
+        "min_rto_us",
+        "max_rto_us",
+        "cwnd",
+        "ssthresh",
+        "snd_una",
+        "snd_nxt",
+        "snd_max",
+        "_dupacks",
+        "_recover",
+        "_srtt",
+        "_rttvar",
+        "_rto",
+        "_backoff",
+        "_timed_seq",
+        "_timed_at",
+        "_retransmitted",
+        "_rto_timer",
+        "cwnd_stats",
+        "segments_sent",
+        "retransmits",
+        "timeouts",
+        "fast_retransmits",
+        "on_retransmit",
+        "obs",
+        "__dict__",
+    )
+
     def __init__(
         self,
         sim: Simulator,

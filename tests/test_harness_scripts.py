@@ -195,8 +195,9 @@ def fake_metrics(record, value):
 
 @pytest.fixture
 def stubbed_recorder(tmp_path, monkeypatch):
-    """record_perfbench with git archive and the benchmark run stubbed out:
-    each exported tree runs at its own speed, the working tree at 1.0."""
+    """record_perfbench with git and the benchmark run stubbed out: each
+    exported tree runs at its own speed, the working tree at 1.0, and no
+    lookup needs a git checkout."""
     record = load_script("record_perfbench")
     trajectory = tmp_path / "BENCH_perfbench.json"
     trajectory.write_text(record.TRAJECTORY.read_text())
@@ -214,6 +215,10 @@ def stubbed_recorder(tmp_path, monkeypatch):
         return {"metrics": fake_metrics(record, value), "failed": 0,
                 "outputs_digest": f"digest-{seed}"}
 
+    def identify(rev):
+        return ("abc1234" if rev is None else rev), "f" * 40
+
+    monkeypatch.setattr(record, "_identify", identify)
     monkeypatch.setattr(record, "_export", export)
     monkeypatch.setattr(record, "run_once", run_once)
     return record, trajectory, calls

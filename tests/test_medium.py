@@ -522,7 +522,7 @@ def test_transmit_pushes_the_keys_of_the_per_callback_sequence():
     reference.call_after(duration, radios[0]._end_transmit)
     for on_tx_start, on_tx_end, rss, delay, decodable in hearers:
         reference.call_after(delay, on_tx_start, tx, rss, decodable)
-        reference.call_after(duration + delay, on_tx_end, tx, rss)
+        reference.call_after(duration + delay, on_tx_end, tx)
     assert sorted(sim._heap) == sorted(reference._heap)
     assert sim._seq == reference._seq
     assert sim.pending_events == reference.pending_events == 7

@@ -23,6 +23,7 @@ from repro.perf.scenarios import get_scenario, scenario_names
 from repro.stats.trace import FrameTracer
 from repro.transport.udp import BacklogSource, UdpSink
 from tests.test_fuzz_determinism import QUICK_CASES, _build_case
+from tests.test_layout import instance_fields
 
 RUN_S = 0.02
 
@@ -75,7 +76,7 @@ def _read(sim, medium, macs, report, agents, tracer=None):
         "agents": [
             {
                 key: value
-                for key, value in vars(agent).items()
+                for key, value in instance_fields(agent)
                 if type(value) in (int, float)
             }
             for agent in agents

@@ -620,7 +620,7 @@ def _fanout_reference(sim, duration, on_end, tx, hearers):
     sim.call_after(duration, on_end)
     for on_start, on_stop, rss, delay, decodable in hearers:
         sim.call_after(delay, on_start, tx, rss, decodable)
-        sim.call_after(duration + delay, on_stop, tx, rss)
+        sim.call_after(duration + delay, on_stop, tx)
 
 
 def _fanout_sims(hearers, duration, now=1234.567):
