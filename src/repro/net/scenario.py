@@ -346,13 +346,17 @@ class Scenario:
     # ---------------------------------------------------------------- run ----
 
     def warm_caches(self) -> None:
-        """Precompute per-sender link geometry before the first frame flies.
+        """Bind every sender's hearer list before the first frame flies.
 
-        Purely a cache warm — the same tables are built lazily on first
+        Purely a cache warm — the same lists are bound lazily on first
         transmit otherwise, with identical contents (no RNG is involved), so
-        running this changes wall time, never behavior.  The perf harness
-        calls it so timed regions measure the event loop, not the one-time
-        hearer-list build (O(nodes x hearers) through the medium's grid).
+        running this changes wall time, never behavior.  The geometry comes
+        from the process-wide link table of this layout
+        (:func:`repro.phy.medium.link_table`): the first scenario with a
+        layout builds its rows (O(nodes x hearers) through the table's
+        grid), later ones, such as the other seeds of one campaign point,
+        only bind their radios' callbacks to them.  The perf harness calls
+        it so timed regions measure the event loop, not that one-time work.
         """
         medium = self.medium
         for radio in medium.radios:

@@ -63,7 +63,10 @@ def time_scenario(
     Only the event loop (``Simulator.run``) is timed — scenario construction
     (and :meth:`~repro.net.scenario.Scenario.warm_caches`) is excluded, so
     the number tracks the per-seed inner-loop cost that dominates
-    ``run_all.py`` and campaign grids.  ``telemetry=True``
+    ``run_all.py`` and campaign grids.  From the second repeat on, the
+    scenario's layout is a hit in the process-wide link-table memo, so
+    ``warm_caches`` only binds; either way the timed loop starts with every
+    hearer list bound and runs the same events.  ``telemetry=True``
     builds each run inside a live :func:`repro.obs.capture`, which is how
     the 2x regression gate measures the instrumented (hooks-on) code path.
     """

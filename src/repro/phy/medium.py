@@ -22,6 +22,7 @@ instance.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import Any, Callable, Optional
@@ -46,6 +47,156 @@ ADDRESS_SURVIVAL = {
 #: Relative slack on the carrier-sense range in the hearer-list distance
 #: prune — far above pow/hypot rounding, far below any topology's geometry.
 _PRUNE_SLACK = 1e-6
+
+
+#: Layouts whose link tables :func:`link_table` keeps, least recently used
+#: first out.  A fixed bound: the memo holds at most this many topologies'
+#: hearer geometry, whatever runs in the process.
+LINK_TABLE_LAYOUTS = 8
+
+
+def _sense_limit(
+    pathloss: PathLossModel, cs_threshold: float, tx_power: float
+) -> float:
+    """Distance beyond which nothing sent at ``tx_power`` is sensed.
+
+    The slack absorbs rounding in the range's pow and in the distance, so
+    the hearer-list prune never drops a hearer (``tests/test_medium.py``
+    pins this at the boundary).
+    """
+    if cs_threshold <= 0:
+        return math.inf
+    limit = pathloss.range_for_threshold(tx_power, cs_threshold)
+    return limit * (1.0 + _PRUNE_SLACK)
+
+
+class LinkTable:
+    """The hearer geometry of one layout, shared by every medium with it.
+
+    ``row(i)`` holds sender attach index ``i``'s hearers as four columns,
+    ``(receivers, rss, delays, decodable)``: one entry per receiver index
+    inside carrier-sense range, in attach order.  A row is built on first
+    use and kept.  Finding
+    it looks only at the radios in the grid cells the sender's reach
+    touches, so building every row costs O(radios x hearers).  The grid is
+    uniform, of square cells: ``edge`` is half the widest carrier-sense
+    reach, and ``cells`` maps a cell to the attach indices in it.  With no
+    ranges the edge is infinite and one cell holds every radio.
+
+    It holds numbers only, never a radio or a bound method, so keeping it
+    keeps no topology alive.  Two threads that build one row at once build
+    equal tuples, and the last store wins.
+    """
+
+    __slots__ = (
+        "pathloss",
+        "cs_threshold",
+        "rx_threshold",
+        "propagation_delay",
+        "layout",
+        "edge",
+        "cells",
+        "_rows",
+    )
+
+    def __init__(
+        self,
+        pathloss: PathLossModel,
+        cs_threshold: float,
+        rx_threshold: float,
+        propagation_delay: bool,
+        layout: tuple[tuple[float, float, float], ...],
+    ) -> None:
+        self.pathloss = pathloss
+        self.cs_threshold = cs_threshold
+        self.rx_threshold = rx_threshold
+        self.propagation_delay = propagation_delay
+        self.layout = layout
+        widest = max(
+            (_sense_limit(pathloss, cs_threshold, p) for _x, _y, p in layout),
+            default=0.0,
+        )
+        edge = widest / 2 if 0.0 < widest < math.inf else math.inf
+        cells: dict[tuple[int, int], list[int]] = {}
+        for index, (x, y, _p) in enumerate(layout):
+            cell = (math.floor(x / edge), math.floor(y / edge))
+            cells.setdefault(cell, []).append(index)
+        self.edge = edge
+        self.cells = cells
+        self._rows: list[tuple | None] = [None] * len(layout)
+
+    def row(self, sender: int) -> tuple:
+        """Sender ``sender``'s hearers; see the class docstring."""
+        row = self._rows[sender]
+        if row is None:
+            row = self._rows[sender] = self._build_row(sender)
+        return row
+
+    def _build_row(self, sender: int) -> tuple:
+        cs_threshold = self.cs_threshold
+        rx_threshold = self.rx_threshold
+        rss_fn = self.pathloss.rss
+        layout = self.layout
+        x, y, tx_power = layout[sender]
+        position = (x, y)
+        # Candidates: the radios in the cells within ``reach`` of the sender's
+        # cell, back in attach order.  No radio within the limit lies further
+        # away than that, and no sender's limit spans more than two cell
+        # edges, so at most 5x5 cells are visited.
+        limit = _sense_limit(self.pathloss, cs_threshold, tx_power)
+        edge, cells = self.edge, self.cells
+        reach = math.ceil(limit / edge) if edge < math.inf else 0
+        cx = math.floor(x / edge)
+        cy = math.floor(y / edge)
+        candidates = []
+        for gx in range(cx - reach, cx + reach + 1):
+            for gy in range(cy - reach, cy + reach + 1):
+                cell = cells.get((gx, gy))
+                if cell is not None:
+                    candidates.extend(cell)
+        candidates.sort()
+        # Cheap prune ahead of the exact rule: no receiver beyond the limit
+        # can reach ``cs_threshold``.
+        limit_sq = limit**2
+        receivers, powers, delays, decodable = [], [], [], []
+        for index in candidates:
+            if index == sender:
+                continue
+            rx, ry, _p = layout[index]
+            dx = rx - x
+            dy = ry - y
+            if dx * dx + dy * dy > limit_sq:
+                continue
+            d = distance(position, (rx, ry))
+            rss = rss_fn(tx_power, d)
+            if rss < cs_threshold:
+                continue  # out of interference range: hears nothing
+            receivers.append(index)
+            powers.append(rss)
+            delays.append(
+                d / SPEED_OF_LIGHT_M_PER_US if self.propagation_delay else 0.0
+            )
+            decodable.append(rss >= rx_threshold)
+        return tuple(receivers), tuple(powers), tuple(delays), tuple(decodable)
+
+
+@functools.lru_cache(maxsize=LINK_TABLE_LAYOUTS)
+def link_table(
+    pathloss: PathLossModel,
+    cs_threshold: float,
+    rx_threshold: float,
+    propagation_delay: bool,
+    layout: tuple[tuple[float, float, float], ...],
+) -> LinkTable:
+    """The :class:`LinkTable` of one layout, memoized process-wide.
+
+    ``layout`` is ``((x, y, tx_power), ...)`` in attach order.  Every seed
+    of a topology has the same layout, so its media share one table and
+    only bind their radios' callbacks to it (``Medium._hearers_from``).  A
+    hit is bit-exact: the table is a pure function of the key, computed by
+    the same float operations a miss runs.  The cache is thread-safe.
+    """
+    return LinkTable(pathloss, cs_threshold, rx_threshold, propagation_delay, layout)
 
 
 class _Transmission:
@@ -79,6 +230,7 @@ class Radio:
     __slots__ = (
         "medium",
         "name",
+        "index",
         "position",
         "tx_power",
         "mac",
@@ -90,6 +242,8 @@ class Radio:
         "_lock_tx",
         "_lock_rss",
         "_lock_collided",
+        # Weakly referenceable, so a dropped topology can be watched dying.
+        "__weakref__",
     )
 
     def __init__(
@@ -101,6 +255,8 @@ class Radio:
     ) -> None:
         self.medium = medium
         self.name = name
+        #: Attach order on the medium, set by ``Medium._attach``.
+        self.index = -1
         self.position = position
         self.tx_power = tx_power
         self.mac: Any = None
@@ -306,16 +462,13 @@ class Medium:
         # sender -> [(on_tx_start, on_tx_end, rss, delay, decodable), ...]:
         # one entry per receiver inside carrier-sense range, in attach order.
         # Positions and the path-loss model are fixed once traffic starts, so
-        # a sender's list is built on its first frame and only rebuilt after
-        # the topology (``_attach``) or the thresholds (``configure_ranges``)
-        # change.  Each build looks only at the radios in the ``_grid`` cells
-        # its range reaches, so building every list costs O(radios x hearers).
+        # a sender's list is bound on its first frame, from its row of
+        # ``_links``, and only rebound after the topology (``_attach``) or the
+        # thresholds (``configure_ranges``) change.
         self._hearers: dict[Radio, list[tuple]] = {}
-        # (edge, {cell: [attach index, ...]}): a uniform grid of square cells
-        # over the radios, built with the first hearer list and dropped with
-        # ``_hearers``.  The edge is half the widest carrier-sense reach; with
-        # no ranges it is infinite and one cell holds every radio.
-        self._grid: tuple[float, dict[tuple[int, int], list[int]]] | None = None
+        # This layout's process-wide LinkTable (``link_table``), looked up
+        # with the first hearer list and dropped with ``_hearers``.
+        self._links: LinkTable | None = None
         # rss (linear) -> dB, memoized: each link contributes one value.
         self._rss_db: dict[float, float] = {}
 
@@ -325,11 +478,12 @@ class Medium:
         if radio.name in self._names:
             raise ValueError(f"duplicate radio name: {radio.name}")
         self._names.add(radio.name)
+        radio.index = len(self.radios)
         self.radios.append(radio)
         self._callbacks.append((radio._on_tx_start, radio._on_tx_end))
-        # Topology changed: rebuild the grid and every hearer list.
+        # Topology changed: look the layout up again and rebind every list.
         self._hearers.clear()
-        self._grid = None
+        self._links = None
 
     def configure_ranges(
         self, comm_range_m: float, interference_range_m: float, tx_power: float = 1.0
@@ -344,7 +498,7 @@ class Medium:
             tx_power, interference_range_m
         )
         self._hearers.clear()
-        self._grid = None
+        self._links = None
 
     def _captures(self, strong: float, weak: float) -> bool:
         if not self.capture_enabled:
@@ -367,82 +521,32 @@ class Medium:
 
     # -- transmission ----------------------------------------------------------
 
-    def _sense_limit(self, tx_power: float) -> float:
-        """Distance beyond which nothing sent at ``tx_power`` is sensed.
-
-        The slack absorbs rounding in the range's pow and in the distance, so
-        the hearer-list prune never drops a hearer (``tests/test_medium.py``
-        pins this at the boundary).
-        """
-        if self.cs_threshold <= 0:
-            return math.inf
-        limit = self.pathloss.range_for_threshold(tx_power, self.cs_threshold)
-        return limit * (1.0 + _PRUNE_SLACK)
-
-    def _build_grid(self) -> tuple[float, dict[tuple[int, int], list[int]]]:
-        """Bucket the radios' attach indices into cells; see ``_grid``."""
-        limits = [self._sense_limit(r.tx_power) for r in self.radios]
-        widest = max(limits, default=0.0)
-        edge = widest / 2 if 0.0 < widest < math.inf else math.inf
-        cells: dict[tuple[int, int], list[int]] = {}
-        for index, radio in enumerate(self.radios):
+    def _layout_links(self) -> LinkTable:
+        """Look this medium's layout up in :func:`link_table`; see ``_links``."""
+        layout = []
+        for radio in self.radios:
             x, y = radio.position
-            cell = (math.floor(x / edge), math.floor(y / edge))
-            cells.setdefault(cell, []).append(index)
-        self._grid = (edge, cells)
-        return self._grid
+            layout.append((float(x), float(y), float(radio.tx_power)))
+        self._links = link_table(
+            self.pathloss,
+            float(self.cs_threshold),
+            float(self.rx_threshold),
+            bool(self.propagation_delay),
+            tuple(layout),
+        )
+        return self._links
 
     def _hearers_from(self, sender: Radio) -> list[tuple]:
         """Cached hearer list for ``sender``; see ``_hearers`` in ``__init__``."""
         hearers = self._hearers.get(sender)
         if hearers is not None:
             return hearers
-        cs_threshold = self.cs_threshold
-        rx_threshold = self.rx_threshold
-        rss_fn = self.pathloss.rss
-        tx_power = sender.tx_power
-        position = sender.position
-        x, y = position
-        # Candidates: the radios in the cells within ``reach`` of the sender's
-        # cell, back in attach order.  No radio within the limit lies further
-        # away than that, and no sender's limit spans more than two cell
-        # edges, so at most 5x5 cells are visited.
-        limit = self._sense_limit(tx_power)
-        edge, cells = self._grid or self._build_grid()
-        reach = math.ceil(limit / edge) if edge < math.inf else 0
-        cx = math.floor(x / edge)
-        cy = math.floor(y / edge)
-        candidates = []
-        for gx in range(cx - reach, cx + reach + 1):
-            for gy in range(cy - reach, cy + reach + 1):
-                cell = cells.get((gx, gy))
-                if cell is not None:
-                    candidates.extend(cell)
-        candidates.sort()
-        # Cheap prune ahead of the exact rule: no receiver beyond the limit
-        # can reach ``cs_threshold``.
-        limit_sq = limit**2
-        radios = self.radios
+        links = self._links or self._layout_links()
         callbacks = self._callbacks
-        hearers = []
-        for index in candidates:
-            receiver = radios[index]
-            if receiver is sender:
-                continue
-            rx, ry = receiver.position
-            dx = rx - x
-            dy = ry - y
-            if dx * dx + dy * dy > limit_sq:
-                continue
-            d = distance(position, receiver.position)
-            rss = rss_fn(tx_power, d)
-            if rss < cs_threshold:
-                continue  # out of interference range: hears nothing
-            delay = d / SPEED_OF_LIGHT_M_PER_US if self.propagation_delay else 0.0
-            on_tx_start, on_tx_end = callbacks[index]
-            hearers.append(
-                (on_tx_start, on_tx_end, rss, delay, rss >= rx_threshold)
-            )
+        hearers = [
+            (*callbacks[receiver], rss, delay, decodable)
+            for receiver, rss, delay, decodable in zip(*links.row(sender.index))
+        ]
         self._hearers[sender] = hearers
         return hearers
 

@@ -1,17 +1,19 @@
 """Unit tests for the broadcast medium: ranges, capture, collisions."""
 
 import math
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.campaign import builders
 from repro.faults import FaultPlan, JammerConfig
 from repro.mac.frames import Frame, FrameKind
 from repro.net.scenario import Scenario
 from repro.phy.channel import ChannelConfig
 from repro.phy.error import BitErrorModel, frame_error_rate
-from repro.phy.medium import Medium, Radio, SinrMedium
+from repro.phy.medium import LINK_TABLE_LAYOUTS, Medium, Radio, SinrMedium, link_table
 from repro.phy.params import dot11b
 from repro.phy.propagation import SPEED_OF_LIGHT_M_PER_US, PathLossModel, distance
 from repro.sim.engine import Simulator
@@ -325,20 +327,40 @@ def assert_hearers_match_brute_force(medium):
         assert cached_hearers(medium, sender) == brute_force_hearers(medium, sender)
 
 
+def build_layout(medium_cls, radios, ranges=None, **kwargs):
+    """A medium with ``radios`` (``(position, tx_power)`` pairs) attached."""
+    sim, medium, _ = make_medium([], medium_cls, **kwargs)
+    for i, (position, tx_power) in enumerate(radios):
+        medium.radio_class(medium, f"r{i}", position, tx_power)
+    if ranges is not None:
+        medium.configure_ranges(*ranges)
+    return medium
+
+
 @MEDIA
 @settings(max_examples=150, deadline=None)
 @given(topology=hearer_topologies())
 def test_hearer_lists_match_brute_force_filter(medium_cls, topology):
     ranges, radios, borders, pathloss, propagation_delay = topology
-    sim, medium, _ = make_medium(
-        [], medium_cls, pathloss=pathloss, propagation_delay=propagation_delay
+    link_table.cache_clear()
+    # The first medium builds the layout's link table (a miss), the second
+    # one only binds its own radios to the same table (a hit).
+    cold, warm = (
+        build_layout(
+            medium_cls,
+            radios,
+            ranges,
+            pathloss=pathloss,
+            propagation_delay=propagation_delay,
+        )
+        for _ in range(2)
     )
-    for i, (position, tx_power) in enumerate(radios):
-        medium.radio_class(medium, f"r{i}", position, tx_power)
-    if ranges is not None:
-        medium.configure_ranges(*ranges)
-    assert_hearers_match_brute_force(medium)
-    edge = medium._grid[0]
+    assert_hearers_match_brute_force(cold)
+    assert_hearers_match_brute_force(warm)
+    assert warm._links is cold._links
+    assert link_table.cache_info()[:2] == (1, 1)  # hits, misses
+    medium = warm
+    edge = medium._links.edge
     # With no ranges the grid is one infinite cell: use unit corners.
     corner = edge if edge < math.inf else 1.0
     for k, (i, j, radius, angle, power) in enumerate(borders):
@@ -348,7 +370,7 @@ def test_hearer_lists_match_brute_force_filter(medium_cls, topology):
         )
         medium.radio_class(medium, f"b{k}", position, radios[power][1])
     assert_hearers_match_brute_force(medium)
-    assert medium._grid[0] == edge  # the late radios sat on this grid's borders
+    assert medium._links.edge == edge  # the late radios sat on this grid's borders
 
 
 @MEDIA
@@ -369,6 +391,174 @@ def test_hearer_lists_rebuilt_after_late_attach_and_new_ranges(medium_cls):
     medium.configure_ranges(100.0, 400.0)
     assert_hearers_match_brute_force(medium)
     assert all(len(medium._hearers_from(r)) == len(positions) for r in radios)
+
+
+# A readable layout for the memo's key tests: (position, tx_power) per radio.
+# r1 sits inside the reference distance, r2 on the 55 m circle, r3 between
+# the circles, r4 on the 99 m one and r5 out of reach of everyone but r3.
+KEY_LAYOUT = [
+    ((0.0, 0.0), 1.0),
+    ((3.0, 0.0), 1.0),
+    ((0.0, 55.0), 1.0),
+    ((70.0, 0.0), 2.0),
+    ((-99.0, 0.0), 1.0),
+    ((150.0, 40.0), 1.0),
+]
+KEY_RANGES = (55.0, 99.0)
+
+
+def _nudged(radios, k, dx=0.5):
+    (x, y), power = radios[k]
+    return radios[:k] + [((x + dx, y), power)] + radios[k + 1 :]
+
+
+#: One change to one component of the layout key each: (radios, ranges,
+#: medium kwargs) -> the same, changed.
+KEY_CHANGES = {
+    "nudge_radio": lambda r, g, kw: (_nudged(r, 4, -0.5), g, kw),
+    "tx_power": lambda r, g, kw: (r[:3] + [(r[3][0], 0.5)] + r[4:], g, kw),
+    "ranges": lambda r, g, kw: (r, (40.0, 99.0), kw),
+    "exponent": lambda r, g, kw: (
+        r, g, {**kw, "pathloss": PathLossModel(exponent=3.0)}
+    ),
+    "reference_distance": lambda r, g, kw: (
+        r, g, {**kw, "pathloss": PathLossModel(reference_distance=5.0)}
+    ),
+    "propagation_delay": lambda r, g, kw: (
+        r, g, {**kw, "propagation_delay": not kw["propagation_delay"]}
+    ),
+    "attach_order": lambda r, g, kw: ([r[1], r[0]] + r[2:], g, kw),
+}
+
+
+@MEDIA
+@pytest.mark.parametrize("change", sorted(KEY_CHANGES))
+def test_changing_one_key_component_misses_the_link_memo(medium_cls, change):
+    link_table.cache_clear()
+    kwargs = {"pathloss": PathLossModel(), "propagation_delay": True}
+    base = build_layout(medium_cls, KEY_LAYOUT, KEY_RANGES, **kwargs)
+    assert_hearers_match_brute_force(base)
+    radios, ranges, changed_kwargs = KEY_CHANGES[change](KEY_LAYOUT, KEY_RANGES, kwargs)
+    misses = link_table.cache_info().misses
+    medium = build_layout(medium_cls, radios, ranges, **changed_kwargs)
+    assert_hearers_match_brute_force(medium)
+    assert link_table.cache_info().misses == misses + 1
+    assert medium._links is not base._links
+
+
+def brute_force_hearers_by_index(medium, sender):
+    return [
+        (receiver.index, rss, delay, decodable)
+        for receiver, rss, delay, decodable in brute_force_hearers(medium, sender)
+    ]
+
+
+def test_key_changes_each_move_some_hearer_list():
+    """Each change above alters at least one hearer list, so a memo that
+    ignored that component would fail the brute-force check."""
+
+    def snapshot(radios, ranges, kwargs):
+        medium = build_layout(Medium, radios, ranges, **kwargs)
+        return [brute_force_hearers_by_index(medium, r) for r in medium.radios]
+
+    kwargs = {"pathloss": PathLossModel(), "propagation_delay": True}
+    base = snapshot(KEY_LAYOUT, KEY_RANGES, kwargs)
+    for change, apply in KEY_CHANGES.items():
+        assert snapshot(*apply(KEY_LAYOUT, KEY_RANGES, kwargs)) != base, change
+
+
+@MEDIA
+def test_list_positions_key_like_tuples(medium_cls):
+    as_lists = [(list(position), power) for position, power in KEY_LAYOUT]
+    medium = build_layout(medium_cls, as_lists, KEY_RANGES)
+    assert type(medium.radios[0].position) is list  # kept as given
+    assert_hearers_match_brute_force(medium)
+    twin = build_layout(medium_cls, KEY_LAYOUT, KEY_RANGES)
+    assert_hearers_match_brute_force(twin)
+    assert twin._links is medium._links
+    sim = medium.sim
+    for radio in medium.radios:
+        radio.mac = RecordingMac()
+    a, b = medium.radios[:2]
+    assert frame_outcome(sim, a, b, 1) == "decoded"
+
+
+def test_link_memo_holds_numbers_only():
+    medium = build_layout(SinrMedium, KEY_LAYOUT, KEY_RANGES)
+    for radio in medium.radios:
+        medium._hearers_from(radio)
+    table = medium._links
+    leaves = []
+
+    def walk(value):
+        if isinstance(value, (tuple, list)):
+            for item in value:
+                walk(item)
+        elif isinstance(value, dict):
+            walk(list(value.items()))
+        else:
+            leaves.append(value)
+
+    walk([table.layout, table.edge, table.cells, table._rows])
+    walk([table.cs_threshold, table.rx_threshold, table.propagation_delay])
+    walk(list(vars(table.pathloss).values()))
+    assert leaves and {type(v) for v in leaves} <= {int, float, bool}
+
+
+def test_link_memo_never_exceeds_its_bound():
+    assert link_table.cache_info().maxsize == LINK_TABLE_LAYOUTS
+    link_table.cache_clear()
+    first = build_layout(Medium, KEY_LAYOUT, KEY_RANGES)
+    first._hearers_from(first.radios[0])
+    for k in range(1, LINK_TABLE_LAYOUTS + 4):
+        medium = build_layout(Medium, _nudged(KEY_LAYOUT, 5, k), KEY_RANGES)
+        medium._hearers_from(medium.radios[0])
+        assert link_table.cache_info().currsize == min(k + 1, LINK_TABLE_LAYOUTS)
+    # The first layout was the least recently used: it went first.
+    again = build_layout(Medium, KEY_LAYOUT, KEY_RANGES)
+    misses = link_table.cache_info().misses
+    assert_hearers_match_brute_force(again)
+    assert link_table.cache_info().misses == misses + 1
+    assert again._links is not first._links
+
+
+def test_threads_building_one_layout_get_the_serial_geometry():
+    """Fleet shards may build on threads: four concurrent builds of the
+    SINR grid, racing on a cold memo, bind the geometry a serial build does."""
+    def geometry(scenario):
+        medium = scenario.medium
+        return [
+            [
+                (start.__self__.name, rss.hex(), delay.hex(), decodable)
+                for start, _end, rss, delay, decodable in medium._hearers_from(radio)
+            ]
+            for radio in medium.radios
+        ]
+
+    link_table.cache_clear()
+    expected = geometry(builders.dense_hotspot_sinr.build(1, 0.01).scenario)
+    link_table.cache_clear()
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+    errors = []
+
+    def work(k):
+        try:
+            built = builders.dense_hotspot_sinr.build(10 + k, 0.01)
+            barrier.wait()
+            built.scenario.run(0.005)  # lists bind on first frames, in the race
+            results[k] = geometry(built.scenario)
+        except BaseException as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    assert results == [expected] * 4
+    assert link_table.cache_info().currsize == 1
 
 
 def frame_outcome(sim, sender, receiver, seq):

@@ -19,6 +19,7 @@ import pytest
 
 from repro.campaign.builders import builder_names, get_builder
 from repro.net.scenario import Scenario
+from repro.phy.medium import link_table
 from repro.perf.scenarios import get_scenario, scenario_names
 from repro.stats.trace import FrameTracer
 from repro.transport.udp import BacklogSource, UdpSink
@@ -177,6 +178,21 @@ def test_dropped_scenario_with_idle_timers_leaves_no_cyclic_garbage():
         return scenario, None
 
     _assert_drop_frees_everything(make)
+
+
+def test_link_memo_keeps_no_dropped_topology_alive():
+    """The process-wide link tables outlive every scenario that used them,
+    so they must hold no radio: a dropped scenario's radios die with it."""
+    gc.collect()
+    built = get_scenario("dense_hotspot_sinr").build(3)
+    built.scenario.warm_caches()
+    built.scenario.run(RUN_S)
+    medium = built.scenario.medium
+    assert medium._links is not None and link_table.cache_info().currsize >= 1
+    radio = weakref.ref(medium.radios[7])
+    del built, medium
+    assert radio() is None, "something still holds a dropped radio"
+    assert gc.collect() == 0
 
 
 def test_dropped_scenario_with_detection_tap_leaves_no_cyclic_garbage():

@@ -23,9 +23,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.campaign.builders import hidden_node
+from repro.mac.frames import Frame, FrameKind
 from repro.net.scenario import Scenario
 from repro.phy.channel import ChannelConfig, use_channel
+from repro.phy.error import BitErrorModel
+from repro.phy.medium import SinrMedium
 from repro.phy.params import dot11a, dot11b
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngStreams
 from repro.stats.trace import FrameTracer
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -81,6 +86,102 @@ def test_sinr_decision_is_monotonic_in_interference(rss, threshold, noise_floor,
         decisions.append(rss >= threshold * (noise_floor + interference))
     for earlier, later in zip(decisions, decisions[1:]):
         assert earlier or not later  # once False, never True again
+
+
+# ------------------------------------------------------- capture oracle --
+
+#: Two transmitters A and B, one receiver R at the origin, on the x axis:
+#: A at ``d_a`` m, B at ``-d_b`` m, both at unit power, path-loss exponent
+#: 4, no ranges (everything is decodable), noise floor 1e-10.  The margin
+#: column is the SINR threshold the frame kind gets on 802.11b: a data
+#: frame at 11 Mbps needs 10 x 11/1 = 110, an ACK at the 1 Mbps basic rate
+#: the bare capture margin (10, or 4 when the medium sets one).  Each row
+#: sits just inside or just outside that margin: (d_b / d_a)^4 against it.
+#:
+#:   kind   margin   d_a    d_b    (d_b/d_a)^4   A captures R?
+CAPTURE_LINKS = [
+    ("DATA", None, 10.0, 33.0),  #   118.6       yes
+    ("DATA", None, 10.0, 32.0),  #   104.9       no
+    ("DATA", None, 20.0, 66.0),  #   118.6       yes
+    ("ACK", None, 10.0, 18.0),  #     10.5       yes
+    ("ACK", None, 10.0, 17.0),  #      8.35      no
+    ("ACK", 4.0, 10.0, 14.2),  #      4.07      yes
+    ("ACK", 4.0, 10.0, 14.1),  #      3.95      no
+    ("ACK", 4.0, 30.0, 30.0),  #      1         no (equal power: both lost)
+]
+NOISE_FLOOR = 1e-10
+
+
+def _frame(kind, src):
+    if kind == "DATA":
+        return Frame(FrameKind.DATA, src, "R", 314.0, 1052)
+    return Frame(FrameKind.ACK, src, "R", 0.0, 14)
+
+
+def _captures(phy, kind, margin, rss, interference):
+    """The closed form: ``rss >= sinr_threshold(rate, margin) * (N + I)``."""
+    rate = phy.data_rate if kind == "DATA" else phy.basic_rate
+    return rss >= phy.sinr_threshold(rate, margin) * (NOISE_FLOOR + interference)
+
+
+@pytest.mark.parametrize("a_first", [True, False], ids=["A_first", "B_first"])
+@pytest.mark.parametrize("link", CAPTURE_LINKS, ids=lambda link: "-".join(map(str, link)))
+def test_two_transmitter_capture_matches_the_closed_form(link, a_first):
+    """Whichever frame arrives first, R decodes a frame iff its power clears
+    its SINR margin over the noise floor plus the other frame's power."""
+
+    class Recorder:
+        def __init__(self):
+            self.received = []
+
+        def phy_busy(self):
+            pass
+
+        phy_idle = phy_tx_done = phy_busy
+
+        def phy_receive(self, frame, corrupted, addr_ok, rssi_db):
+            self.received.append((frame.src, corrupted))
+
+    kind, margin, d_a, d_b = link
+    sim = Simulator()
+    phy = dot11b()
+    medium = SinrMedium(
+        sim,
+        phy,
+        RngStreams(1).stream("phy.medium"),
+        error_model=BitErrorModel(),
+        propagation_delay=False,
+        noise_floor=NOISE_FLOOR,
+        capture_margin=margin,
+    )
+    receiver = medium.radio_class(medium, "R", (0.0, 0.0))
+    a = medium.radio_class(medium, "A", (d_a, 0.0))
+    b = medium.radio_class(medium, "B", (-d_b, 0.0))
+    for radio in (receiver, a, b):
+        radio.mac = Recorder()
+    first, second = (a, b) if a_first else (b, a)
+    sim.call_at(0.0, first.transmit, _frame(kind, first.name), 957.0)
+    sim.call_at(100.0, second.transmit, _frame(kind, second.name), 957.0)
+    sim.run()
+
+    rss_a, rss_b = 1.0 / d_a**4, 1.0 / d_b**4
+    expected = {
+        "A": _captures(phy, kind, margin, rss_a, rss_b),
+        "B": _captures(phy, kind, margin, rss_b, rss_a),
+    }
+    decoded = {src: not corrupted for src, corrupted in receiver.mac.received}
+    assert {src: decoded.get(src, False) for src in "AB"} == expected
+
+
+def test_capture_links_sit_on_both_sides_of_each_margin():
+    phy = dot11b()
+    sides = {}
+    for kind, margin, d_a, d_b in CAPTURE_LINKS:
+        rss_a, rss_b = 1.0 / d_a**4, 1.0 / d_b**4
+        sides.setdefault((kind, margin), set()).add(
+            _captures(phy, kind, margin, rss_a, rss_b)
+        )
+    assert all(outcomes == {True, False} for outcomes in sides.values())
 
 
 # ------------------------------------------------- equivalence contracts --
