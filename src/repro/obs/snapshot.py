@@ -177,6 +177,10 @@ def sweep_scenario(registry: "MetricsRegistry", scenario: "Scenario") -> None:
     """
     gauge = registry.gauge
     sim = scenario.sim
+    # sim.engine.*: events_processed counts callbacks, one per hearer even
+    # where a group of equal-delay hearers shares a heap entry;
+    # heap_high_water and pending_at_end count heap entries, so a group
+    # counts once each way (``repro.sim.engine``).
     gauge("sim.engine.events_processed", float(sim.events_processed))
     gauge("sim.engine.events_cancelled", float(sim.events_cancelled))
     gauge("sim.engine.compactions", float(sim.compactions))

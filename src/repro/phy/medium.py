@@ -18,6 +18,29 @@ Radios have a fixed layout (``__slots__``): every hearer callback reads
 several of their attributes.  The medium keeps its instance dict, because
 the frame tracer and the detection tap wrap ``medium.transmit`` on one
 instance.
+
+Equal-delay hearer groups.  Hearers at one spot, or on a ring around the
+sender, receive its frames at the same float time.  Each link-table row
+partitions the sender's hearers by their exact delay, and a frame pushes
+one start and one end entry per group (:class:`_HearerGroup`), not per
+hearer.  The events fire in the per-hearer order, byte for byte:
+
+* ``Simulator.call_fanout`` numbers the entries in list order, and the
+  list is ordered by each group's first member, so a group entry takes its
+  first member's key: the same time, and a seq that orders it among the
+  frame's entries as the member's seq did.  Members run in attach order.
+* Every entry pushed before the frame has a lower seq and every later push
+  a higher one, so at a group's time the only entries whose seq falls
+  inside the frame's range are the group's own members, which the
+  per-hearer fan-out also fired back to back.
+* That needs one condition: within one frame no other start or end may
+  share a group's time.  It holds while the spread of the sender's delays
+  is below the airtime and distinct delays stay apart at the precision of
+  the clock; :func:`_group_bounds` turns both into a horizon and a minimum
+  airtime per row, and ``Medium.transmit`` sends a frame outside them (none
+  in any shipped scenario) through the per-hearer list.
+* A group's callbacks add the members beyond the first to
+  ``Simulator.grouped_events``, so ``events_processed`` is unchanged.
 """
 
 from __future__ import annotations
@@ -32,7 +55,6 @@ from repro.phy.params import PhyParams
 from repro.phy.propagation import (
     SPEED_OF_LIGHT_M_PER_US,
     PathLossModel,
-    distance,
     rss_to_db,
 )
 from repro.sim.engine import Simulator
@@ -73,15 +95,22 @@ def _sense_limit(
 class LinkTable:
     """The hearer geometry of one layout, shared by every medium with it.
 
-    ``row(i)`` holds sender attach index ``i``'s hearers as four columns,
-    ``(receivers, rss, delays, decodable)``: one entry per receiver index
-    inside carrier-sense range, in attach order.  A row is built on first
-    use and kept.  Finding
-    it looks only at the radios in the grid cells the sender's reach
-    touches, so building every row costs O(radios x hearers).  The grid is
-    uniform, of square cells: ``edge`` is half the widest carrier-sense
-    reach, and ``cells`` maps a cell to the attach indices in it.  With no
-    ranges the edge is infinite and one cell holds every radio.
+    ``row(i)`` is sender attach index ``i``'s hearers, every receiver index
+    inside carrier-sense range, partitioned by the exact ``delay`` float:
+    ``(groups, horizon, min_airtime)``, where ``groups`` holds one
+    ``(delay, receivers, rss, decodable)`` per distinct delay, ordered by
+    first member, with its members' columns (lists, never changed once
+    built) in attach order.  ``horizon`` and ``min_airtime`` are the frames
+    the groups hold for (:func:`_group_bounds`; infinite and 0 when every
+    delay is distinct).  ``hearers(i)`` lists the same hearers one
+    ``(receiver, rss, delay, decodable)`` each, in attach order.
+
+    A row is built on first use and kept.  Finding it looks only at the
+    radios in the grid cells the sender's reach touches, so building every
+    row costs O(radios x hearers).  The grid is uniform, of square cells:
+    ``edge`` is half the widest carrier-sense reach, and ``cells`` maps a
+    cell to the attach indices in it.  With no ranges the edge is infinite
+    and one cell holds every radio.
 
     It holds numbers only, never a radio or a bound method, so keeping it
     keeps no topology alive.  Two threads that build one row at once build
@@ -126,19 +155,27 @@ class LinkTable:
         self._rows: list[tuple | None] = [None] * len(layout)
 
     def row(self, sender: int) -> tuple:
-        """Sender ``sender``'s hearers; see the class docstring."""
+        """Sender ``sender``'s row; see the class docstring."""
         row = self._rows[sender]
         if row is None:
             row = self._rows[sender] = self._build_row(sender)
         return row
 
+    def hearers(self, sender: int) -> list[tuple]:
+        """Sender ``sender``'s ``(receiver, rss, delay, decodable)`` entries."""
+        return sorted(
+            (receiver, rss, delay, decodable)
+            for delay, receivers, powers, flags in self.row(sender)[0]
+            for receiver, rss, decodable in zip(receivers, powers, flags)
+        )
+
     def _build_row(self, sender: int) -> tuple:
         cs_threshold = self.cs_threshold
         rx_threshold = self.rx_threshold
         rss_fn = self.pathloss.rss
+        delayed = self.propagation_delay
         layout = self.layout
         x, y, tx_power = layout[sender]
-        position = (x, y)
         # Candidates: the radios in the cells within ``reach`` of the sender's
         # cell, back in attach order.  No radio within the limit lies further
         # away than that, and no sender's limit spans more than two cell
@@ -158,7 +195,11 @@ class LinkTable:
         # Cheap prune ahead of the exact rule: no receiver beyond the limit
         # can reach ``cs_threshold``.
         limit_sq = limit**2
-        receivers, powers, delays, decodable = [], [], [], []
+        hypot = math.hypot
+        # delay -> (delay, receivers, rss, decodable): the groups, in
+        # first-member order, each one's columns in attach order.
+        groups: dict[float, tuple] = {}
+        grouped = False
         for index in candidates:
             if index == sender:
                 continue
@@ -167,17 +208,47 @@ class LinkTable:
             dy = ry - y
             if dx * dx + dy * dy > limit_sq:
                 continue
-            d = distance(position, (rx, ry))
+            # ``distance((x, y), (rx, ry))`` exactly: hypot ignores signs.
+            d = hypot(dx, dy)
             rss = rss_fn(tx_power, d)
             if rss < cs_threshold:
                 continue  # out of interference range: hears nothing
-            receivers.append(index)
-            powers.append(rss)
-            delays.append(
-                d / SPEED_OF_LIGHT_M_PER_US if self.propagation_delay else 0.0
-            )
-            decodable.append(rss >= rx_threshold)
-        return tuple(receivers), tuple(powers), tuple(delays), tuple(decodable)
+            delay = d / SPEED_OF_LIGHT_M_PER_US if delayed else 0.0
+            group = groups.get(delay)
+            if group is None:
+                groups[delay] = (delay, [index], [rss], [rss >= rx_threshold])
+            else:
+                grouped = True
+                group[1].append(index)
+                group[2].append(rss)
+                group[3].append(rss >= rx_threshold)
+        bounds = _group_bounds(groups) if grouped else (math.inf, 0.0)
+        return (tuple(groups.values()), *bounds)
+
+
+def _group_bounds(groups: dict[float, tuple]) -> tuple[float, float]:
+    """``(horizon, min_airtime)`` of a row with an equal-delay group.
+
+    One heap entry per group fires its members exactly when the per-hearer
+    entries would (``Medium.transmit``), provided no other entry of the
+    frame takes the time of a group's start or end.  Another delay's start
+    or end can only round onto it when the delays differ by less than a
+    few units in the last place of the frame's end time, and a start can
+    only meet an end of the same frame when the airtime barely exceeds the
+    spread of the delays.  Both are ruled out, with an 8x margin on the
+    rounding, for a frame that ends by ``horizon`` and is on the air for
+    more than ``min_airtime``: ``reach`` bounds the frame's end plus the
+    largest delay, and 2**-48 of it covers the rounding of every sum.
+    Only the gaps next to a group of two or more count: a lone hearer
+    keeps its own entry.
+    """
+    delays = sorted(groups)
+    gap = math.inf
+    for low, high in zip(delays, delays[1:]):
+        if len(groups[low][1]) > 1 or len(groups[high][1]) > 1:
+            gap = min(gap, high - low)
+    reach = min(gap * 2.0**47, 2.0**40)
+    return reach - delays[-1], delays[-1] - delays[0] + reach * 2.0**-48
 
 
 @functools.lru_cache(maxsize=LINK_TABLE_LAYOUTS)
@@ -209,6 +280,52 @@ class _Transmission:
         self.frame = frame
         self.start = start
         self.end = end
+
+
+class _HearerGroup:
+    """Hearers of one sender that its frames reach at the same instant.
+
+    One heap entry each way stands for the group (``Medium.transmit``):
+    :meth:`start` runs each member's ``_on_tx_start`` and :meth:`stop` each
+    member's ``_on_tx_end``, in attach order, and each adds the members
+    beyond the first to ``Simulator.grouped_events``, so
+    ``events_processed`` still counts one event per member callback.
+    """
+
+    __slots__ = ("starts", "stops", "sim", "extra")
+
+    def __init__(self, sim: Simulator, starts: tuple, stops: tuple) -> None:
+        #: ``(on_tx_start, rss, decodable)`` per member.
+        self.starts = starts
+        #: ``on_tx_end`` per member.
+        self.stops = stops
+        self.sim = sim
+        self.extra = len(stops) - 1
+
+    def start(self, tx: _Transmission, _rss: Any, _decodable: Any) -> None:
+        for on_tx_start, rss, decodable in self.starts:
+            on_tx_start(tx, rss, decodable)
+        self.sim.grouped_events += self.extra
+
+    def stop(self, tx: _Transmission) -> None:
+        for on_tx_end in self.stops:
+            on_tx_end(tx)
+        self.sim.grouped_events += self.extra
+
+
+class _Fanout(list):
+    """A sender's bound hearer list, as ``Simulator.call_fanout`` takes it.
+
+    One ``(on_tx_start, on_tx_end, rss, delay, decodable)`` entry per group
+    of its link-table row: a lone hearer's own callbacks, or a
+    :class:`_HearerGroup`'s ``start`` and ``stop`` (``rss`` and
+    ``decodable`` None).  A frame that ends after ``horizon`` or is on the
+    air for ``min_airtime`` or less takes ``ungrouped`` instead, one entry
+    per hearer in attach order, bound by ``Medium._ungrouped`` when a frame
+    first needs it (:func:`_group_bounds`).
+    """
+
+    __slots__ = ("horizon", "min_airtime", "ungrouped")
 
 
 class Radio:
@@ -456,16 +573,17 @@ class Medium:
         #: dedicated RNG streams, so a fault-free run is byte-identical.
         self.faults: Any = None
         self._names: set[str] = set()
-        # (on_tx_start, on_tx_end) per radio, in attach order: bound once,
-        # shared by every hearer list the radio appears in.
-        self._callbacks: list[tuple] = []
-        # sender -> [(on_tx_start, on_tx_end, rss, delay, decodable), ...]:
-        # one entry per receiver inside carrier-sense range, in attach order.
-        # Positions and the path-loss model are fixed once traffic starts, so
-        # a sender's list is bound on its first frame, from its row of
-        # ``_links``, and only rebound after the topology (``_attach``) or the
-        # thresholds (``configure_ranges``) change.
-        self._hearers: dict[Radio, list[tuple]] = {}
+        # Each radio's _on_tx_start and _on_tx_end, in attach order: bound
+        # once, shared by every hearer list the radio appears in.
+        self._on_starts: list[Callable] = []
+        self._on_ends: list[Callable] = []
+        # sender -> its _Fanout: one entry per equal-delay group of hearers
+        # inside carrier-sense range.  Positions and the path-loss model are
+        # fixed once traffic starts, so a sender's list is bound on its first
+        # frame, from its row of ``_links``, and only rebound after the
+        # topology (``_attach``) or the thresholds (``configure_ranges``)
+        # change.
+        self._hearers: dict[Radio, _Fanout] = {}
         # This layout's process-wide LinkTable (``link_table``), looked up
         # with the first hearer list and dropped with ``_hearers``.
         self._links: LinkTable | None = None
@@ -480,7 +598,8 @@ class Medium:
         self._names.add(radio.name)
         radio.index = len(self.radios)
         self.radios.append(radio)
-        self._callbacks.append((radio._on_tx_start, radio._on_tx_end))
+        self._on_starts.append(radio._on_tx_start)
+        self._on_ends.append(radio._on_tx_end)
         # Topology changed: look the layout up again and rebind every list.
         self._hearers.clear()
         self._links = None
@@ -536,19 +655,48 @@ class Medium:
         )
         return self._links
 
-    def _hearers_from(self, sender: Radio) -> list[tuple]:
+    def _hearers_from(self, sender: Radio) -> _Fanout:
         """Cached hearer list for ``sender``; see ``_hearers`` in ``__init__``."""
         hearers = self._hearers.get(sender)
         if hearers is not None:
             return hearers
         links = self._links or self._layout_links()
-        callbacks = self._callbacks
-        hearers = [
-            (*callbacks[receiver], rss, delay, decodable)
-            for receiver, rss, delay, decodable in zip(*links.row(sender.index))
-        ]
+        groups, horizon, min_airtime = links.row(sender.index)
+        on_starts, on_ends = self._on_starts, self._on_ends
+        sim = self.sim
+        hearers = _Fanout()
+        append = hearers.append
+        for delay, receivers, rss, decodable in groups:
+            if len(receivers) == 1:
+                receiver = receivers[0]
+                append(
+                    (on_starts[receiver], on_ends[receiver], rss[0], delay, decodable[0])
+                )
+            else:
+                starts = []
+                for receiver, power, flag in zip(receivers, rss, decodable):
+                    starts.append((on_starts[receiver], power, flag))
+                group = _HearerGroup(
+                    sim, tuple(starts), tuple([on_ends[r] for r in receivers])
+                )
+                append((group.start, group.stop, None, delay, None))
+        hearers.horizon = horizon
+        hearers.min_airtime = min_airtime
+        hearers.ungrouped = None
         self._hearers[sender] = hearers
         return hearers
+
+    def _ungrouped(self, sender: Radio, hearers: _Fanout) -> list[tuple]:
+        """``hearers.ungrouped``, bound on first use; see :class:`_Fanout`."""
+        if hearers.ungrouped is None:
+            on_starts, on_ends = self._on_starts, self._on_ends
+            hearers.ungrouped = [
+                (on_starts[receiver], on_ends[receiver], rss, delay, decodable)
+                for receiver, rss, delay, decodable in self._links.hearers(
+                    sender.index
+                )
+            ]
+        return hearers.ungrouped
 
     def transmit(self, sender: Radio, frame: Any, duration: float) -> None:
         """Broadcast ``frame`` from ``sender`` for ``duration`` microseconds."""
@@ -567,6 +715,8 @@ class Medium:
         hearers = self._hearers.get(sender)
         if hearers is None:
             hearers = self._hearers_from(sender)
+        if not (hearers.min_airtime < duration and tx.end <= hearers.horizon):
+            hearers = self._ungrouped(sender, hearers)
         sim.call_fanout(duration, sender._end_transmit, tx, hearers)
 
 

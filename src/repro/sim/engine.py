@@ -51,8 +51,15 @@ trace suite in ``tests/test_golden_traces.py`` holds this down):
   One transmitted frame's whole fan-out — the sender's end of transmission
   and every hearer's start and end — is pushed by one
   :meth:`Simulator.call_fanout`; a hearer's end entry carries only the
-  transmission.
-* The simulator keeps a plain instance dict: with 11 attributes it sits
+  transmission.  The medium hands it one entry per group of hearers the
+  frame reaches at the same instant, and that entry's callback runs every
+  member (``repro.phy.medium``, "Equal-delay hearer groups", says why the
+  order is unchanged).  Such a callback adds its members beyond the first
+  to :attr:`Simulator.grouped_events`, which :meth:`Simulator.run` folds
+  into :attr:`~Simulator.events_processed`: events count callbacks, while
+  :attr:`~Simulator.pending_events` and :attr:`~Simulator.heap_high_water`
+  count heap entries, a group once.
+* The simulator keeps a plain instance dict: with 12 attributes it sits
   well below the 30 at which CPython 3.11 stops specialising attribute
   loads on a dict, and slots measured no faster (DESIGN.md §9,
   "Fixed-layout station state, measured").  The DCF MAC, the TCP sender
@@ -122,11 +129,16 @@ class Simulator:
         self._running = False
         self._dead: int = 0  # heap entries orphaned by a cancellation
         #: Events fired so far; :meth:`run` keeps its own count while it runs
-        #: and stores it here when it returns, so read it between runs.
+        #: and stores it here when it returns, so read it between runs.  A
+        #: callback that one heap entry runs for several (a hearer group)
+        #: adds the callbacks beyond the first to :attr:`grouped_events`,
+        #: which :meth:`run` folds in here, so the count is per callback.
         self.events_processed: int = 0
+        self.grouped_events: int = 0
         self.events_cancelled: int = 0
         self.compactions: int = 0
-        #: Largest heap size observed while :attr:`track_heap` is True.
+        #: Largest heap size observed while :attr:`track_heap` is True, in
+        #: heap entries: a group of hearers is one entry each way.
         #: Tracking is opt-in (telemetry attaches it): the counter itself
         #: never affects event ordering, only the schedule paths pay one
         #: predictable branch.
@@ -390,10 +402,14 @@ class Simulator:
             if until is not None and until > self.now:
                 self.now = until
         finally:
-            self.events_processed = processed
+            self.events_processed = processed + self.grouped_events
+            self.grouped_events = 0
             self._running = False
 
     @property
     def pending_events(self) -> int:
-        """Number of not-yet-cancelled events still scheduled (O(1))."""
+        """Number of not-yet-cancelled heap entries still scheduled (O(1)).
+
+        A group of hearers is one entry each way, so this counts it once.
+        """
         return len(self._heap) - self._dead

@@ -88,6 +88,18 @@ def test_count_calls_totals_exact_counts():
     assert 0 < result["python_calls_per_tx"] <= result["all_calls_per_tx"]
 
 
+def test_count_calls_counts_heap_pushes_of_named_scenarios(capsys):
+    """``heap_pushes_per_tx`` reads the profile's ``heappush`` calls, an
+    exact count.  fig1's four stations sit at one spot, so each frame's
+    three hearers are one group: one start and one end entry instead of
+    three each, 4 pushes fewer than the per-hearer fan-out's 11.1."""
+    count_calls = load_script("count_calls")
+    assert count_calls.main(["fig1_nav_udp"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["topologies"] == ["fig1_nav_udp"]
+    assert result["heap_pushes_per_tx"] == 7.1
+
+
 def test_write_atomic_never_leaves_partial_files(tmp_path, monkeypatch):
     run_all = load_script("run_all")
     target = tmp_path / "out.txt"
