@@ -523,6 +523,7 @@ def _cmd_fleet_worker(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.fleet import ShardTask, run_shard_inprocess
+    from repro.fleet.executor import chaos_kill_hook
 
     task = ShardTask(
         spec_path=Path(args.spec),
@@ -532,7 +533,7 @@ def _cmd_fleet_worker(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
     )
-    return run_shard_inprocess(task)
+    return run_shard_inprocess(task, progress=chaos_kill_hook(task))
 
 
 def _cmd_fleet_status(args: argparse.Namespace) -> int:

@@ -23,6 +23,7 @@ register under a new name.
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -117,33 +118,35 @@ class LocalExecutor(FleetExecutor):
         return ShardOutcome(task.shard, returncode=code)
 
 
-#: Environment variable naming one shard index; the subprocess executor kills
-#: that shard's worker after its first point completes (exactly once per out
+#: Environment variable naming one shard index; that shard's subprocess
+#: worker kills itself after its first point completes (exactly once per out
 #: dir).  CI's fleet-smoke job uses it to prove campaign-level healing.
 CHAOS_KILL_ENV = "REPRO_FLEET_CHAOS_KILL"
 
 
-def _chaos_watch(task: ShardTask, proc: subprocess.Popen) -> None:
-    """Kill ``proc`` once its shard manifest shows a first DONE point."""
-    import time
+def chaos_kill_hook(task: ShardTask) -> Callable[[str], None] | None:
+    """A ``progress`` callback that SIGKILLs this worker, or None.
 
-    from repro.campaign.manifest import DONE, Manifest, ManifestError
-
+    Only when :data:`CHAOS_KILL_ENV` names ``task.shard`` and the shard has
+    no ``.chaos-killed`` marker yet.  The campaign calls ``progress`` right
+    after the manifest save that settles a point, so the worker writes the
+    marker and kills itself as soon as its manifest shows a DONE point,
+    before it can finish and exit.  ``repro fleet worker`` installs it; the
+    local executor runs shards in the service's own process and never does.
+    """
     marker = task.out_dir / ".chaos-killed"
-    manifest_path = task.out_dir / "manifest.json"
-    while proc.poll() is None:
-        try:
-            manifest = Manifest.load(manifest_path)
-        except (ManifestError, OSError):
-            time.sleep(0.02)
-            continue
+    if os.environ.get(CHAOS_KILL_ENV) != str(task.shard) or marker.exists():
+        return None
+
+    def kill_after_first_done(_message: str) -> None:
+        from repro.campaign.manifest import DONE, Manifest
+
+        manifest = Manifest.load(task.out_dir / "manifest.json")
         if any(point.status == DONE for point in manifest.points):
-            try:
-                marker.write_text("killed after first DONE point\n")
-            finally:
-                proc.kill()
-            return
-        time.sleep(0.02)
+            marker.write_text("killed after first DONE point\n")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    return kill_after_first_done
 
 
 @register_executor("subprocess")
@@ -199,15 +202,6 @@ class SubprocessExecutor(FleetExecutor):
             proc = subprocess.Popen(cmd, stdout=log, stderr=subprocess.STDOUT, env=env)
             with self._procs_lock:
                 self._procs.add(proc)
-            chaos = (
-                os.environ.get(CHAOS_KILL_ENV) == str(task.shard)
-                and not (task.out_dir / ".chaos-killed").exists()
-            )
-            if chaos:
-                watcher = threading.Thread(
-                    target=_chaos_watch, args=(task, proc), daemon=True
-                )
-                watcher.start()
             if self.on_spawn is not None:
                 self.on_spawn(task, proc)
             try:

@@ -77,13 +77,15 @@ def load_spec_document(path: str | Path) -> CampaignSpec:
     return spec_from_dict(document, source=str(path))
 
 
-def run_shard_inprocess(task: ShardTask) -> int:
+def run_shard_inprocess(
+    task: ShardTask, progress: Callable[[str], None] | None = None
+) -> int:
     """Worker entry point: run one shard's points; 0 = every point done.
 
     Always resumes — a fresh shard directory has no manifest and starts
     clean, while a re-dispatched one skips everything the dead attempt
     finished.  This is what ``repro fleet worker`` calls, and what the local
-    executor calls directly.
+    executor calls directly.  ``progress`` goes to :func:`run_campaign`.
     """
     spec = load_spec_document(task.spec_path)
     plan = plan_shards(spec, task.n_shards)
@@ -96,6 +98,7 @@ def run_shard_inprocess(task: ShardTask) -> int:
         resume=True,
         cache_dir=task.cache_dir,
         point_ids=frozenset(plan.shards[task.shard]),
+        progress=progress,
     )
     return 0 if run.manifest.complete else 1
 

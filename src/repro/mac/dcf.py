@@ -65,8 +65,8 @@ class DcfMac:
 
     # A fixed layout: CPython 3.11 keeps ``self.x`` on its specialised path
     # only for instances with fewer than 30 dict attributes, and a MAC has
-    # 54.  ``__dict__`` stays, empty, for callers that wrap a method of one
-    # MAC (tests/test_layout.py checks both).
+    # 54.  There is no ``__dict__``: code that wraps a method wraps it on
+    # the class (tests/test_layout.py checks both).
     __slots__ = (
         "sim",
         "phy",
@@ -122,7 +122,6 @@ class DcfMac:
         "_rx_cache",
         "_last_tx_kind",
         "_offline",
-        "__dict__",
     )
 
     def __init__(

@@ -23,22 +23,18 @@ Equal-delay hearer groups.  Hearers at one spot, or on a ring around the
 sender, receive its frames at the same float time.  Each link-table row
 partitions the sender's hearers by their exact delay, and a frame pushes
 one start and one end entry per group (:class:`_HearerGroup`), not per
-hearer.  The events fire in the per-hearer order, byte for byte:
+hearer.  The events fire as one entry per hearer would, with the hearers
+numbered in group order (by first member, then attach order), for every
+airtime and every clock:
 
-* ``Simulator.call_fanout`` numbers the entries in list order, and the
-  list is ordered by each group's first member, so a group entry takes its
-  first member's key: the same time, and a seq that orders it among the
-  frame's entries as the member's seq did.  Members run in attach order.
-* Every entry pushed before the frame has a lower seq and every later push
-  a higher one, so at a group's time the only entries whose seq falls
-  inside the frame's range are the group's own members, which the
-  per-hearer fan-out also fired back to back.
-* That needs one condition: within one frame no other start or end may
-  share a group's time.  It holds while the spread of the sender's delays
-  is below the airtime and distinct delays stay apart at the precision of
-  the clock; :func:`_group_bounds` turns both into a horizon and a minimum
-  airtime per row, and ``Medium.transmit`` sends a frame outside them (none
-  in any shipped scenario) through the per-hearer list.
+* ``Simulator.call_fanout`` numbers a frame's entries in three blocks: the
+  sender's end, then every start in list order, then every end in list
+  order.  Per hearer, a group's members would take consecutive seqs among
+  the frame's starts, and again among its ends, all at the group's time.
+* Every entry pushed before the frame has a lower seq, and every later
+  push, a member's own included, a higher one.  So nothing would pop
+  between the members, and one entry with the first member's key fires
+  them in their order.
 * A group's callbacks add the members beyond the first to
   ``Simulator.grouped_events``, so ``events_processed`` is unchanged.
 """
@@ -96,14 +92,10 @@ class LinkTable:
     """The hearer geometry of one layout, shared by every medium with it.
 
     ``row(i)`` is sender attach index ``i``'s hearers, every receiver index
-    inside carrier-sense range, partitioned by the exact ``delay`` float:
-    ``(groups, horizon, min_airtime)``, where ``groups`` holds one
-    ``(delay, receivers, rss, decodable)`` per distinct delay, ordered by
-    first member, with its members' columns (lists, never changed once
-    built) in attach order.  ``horizon`` and ``min_airtime`` are the frames
-    the groups hold for (:func:`_group_bounds`; infinite and 0 when every
-    delay is distinct).  ``hearers(i)`` lists the same hearers one
-    ``(receiver, rss, delay, decodable)`` each, in attach order.
+    inside carrier-sense range, partitioned by the exact ``delay`` float: a
+    tuple of one ``(delay, receivers, rss, decodable)`` group per distinct
+    delay, ordered by first member, with its members' columns (lists, never
+    changed once built) in attach order.
 
     A row is built on first use and kept.  Finding it looks only at the
     radios in the grid cells the sender's reach touches, so building every
@@ -161,14 +153,6 @@ class LinkTable:
             row = self._rows[sender] = self._build_row(sender)
         return row
 
-    def hearers(self, sender: int) -> list[tuple]:
-        """Sender ``sender``'s ``(receiver, rss, delay, decodable)`` entries."""
-        return sorted(
-            (receiver, rss, delay, decodable)
-            for delay, receivers, powers, flags in self.row(sender)[0]
-            for receiver, rss, decodable in zip(receivers, powers, flags)
-        )
-
     def _build_row(self, sender: int) -> tuple:
         cs_threshold = self.cs_threshold
         rx_threshold = self.rx_threshold
@@ -199,7 +183,6 @@ class LinkTable:
         # delay -> (delay, receivers, rss, decodable): the groups, in
         # first-member order, each one's columns in attach order.
         groups: dict[float, tuple] = {}
-        grouped = False
         for index in candidates:
             if index == sender:
                 continue
@@ -218,37 +201,10 @@ class LinkTable:
             if group is None:
                 groups[delay] = (delay, [index], [rss], [rss >= rx_threshold])
             else:
-                grouped = True
                 group[1].append(index)
                 group[2].append(rss)
                 group[3].append(rss >= rx_threshold)
-        bounds = _group_bounds(groups) if grouped else (math.inf, 0.0)
-        return (tuple(groups.values()), *bounds)
-
-
-def _group_bounds(groups: dict[float, tuple]) -> tuple[float, float]:
-    """``(horizon, min_airtime)`` of a row with an equal-delay group.
-
-    One heap entry per group fires its members exactly when the per-hearer
-    entries would (``Medium.transmit``), provided no other entry of the
-    frame takes the time of a group's start or end.  Another delay's start
-    or end can only round onto it when the delays differ by less than a
-    few units in the last place of the frame's end time, and a start can
-    only meet an end of the same frame when the airtime barely exceeds the
-    spread of the delays.  Both are ruled out, with an 8x margin on the
-    rounding, for a frame that ends by ``horizon`` and is on the air for
-    more than ``min_airtime``: ``reach`` bounds the frame's end plus the
-    largest delay, and 2**-48 of it covers the rounding of every sum.
-    Only the gaps next to a group of two or more count: a lone hearer
-    keeps its own entry.
-    """
-    delays = sorted(groups)
-    gap = math.inf
-    for low, high in zip(delays, delays[1:]):
-        if len(groups[low][1]) > 1 or len(groups[high][1]) > 1:
-            gap = min(gap, high - low)
-    reach = min(gap * 2.0**47, 2.0**40)
-    return reach - delays[-1], delays[-1] - delays[0] + reach * 2.0**-48
+        return tuple(groups.values())
 
 
 @functools.lru_cache(maxsize=LINK_TABLE_LAYOUTS)
@@ -311,21 +267,6 @@ class _HearerGroup:
         for on_tx_end in self.stops:
             on_tx_end(tx)
         self.sim.grouped_events += self.extra
-
-
-class _Fanout(list):
-    """A sender's bound hearer list, as ``Simulator.call_fanout`` takes it.
-
-    One ``(on_tx_start, on_tx_end, rss, delay, decodable)`` entry per group
-    of its link-table row: a lone hearer's own callbacks, or a
-    :class:`_HearerGroup`'s ``start`` and ``stop`` (``rss`` and
-    ``decodable`` None).  A frame that ends after ``horizon`` or is on the
-    air for ``min_airtime`` or less takes ``ungrouped`` instead, one entry
-    per hearer in attach order, bound by ``Medium._ungrouped`` when a frame
-    first needs it (:func:`_group_bounds`).
-    """
-
-    __slots__ = ("horizon", "min_airtime", "ungrouped")
 
 
 class Radio:
@@ -577,13 +518,14 @@ class Medium:
         # once, shared by every hearer list the radio appears in.
         self._on_starts: list[Callable] = []
         self._on_ends: list[Callable] = []
-        # sender -> its _Fanout: one entry per equal-delay group of hearers
+        # sender -> its hearer list: one ``(on_tx_start, on_tx_end, rss,
+        # delay, decodable)`` entry per equal-delay group of hearers
         # inside carrier-sense range.  Positions and the path-loss model are
         # fixed once traffic starts, so a sender's list is bound on its first
         # frame, from its row of ``_links``, and only rebound after the
         # topology (``_attach``) or the thresholds (``configure_ranges``)
         # change.
-        self._hearers: dict[Radio, _Fanout] = {}
+        self._hearers: dict[Radio, list[tuple]] = {}
         # This layout's process-wide LinkTable (``link_table``), looked up
         # with the first hearer list and dropped with ``_hearers``.
         self._links: LinkTable | None = None
@@ -655,16 +597,16 @@ class Medium:
         )
         return self._links
 
-    def _hearers_from(self, sender: Radio) -> _Fanout:
+    def _hearers_from(self, sender: Radio) -> list[tuple]:
         """Cached hearer list for ``sender``; see ``_hearers`` in ``__init__``."""
         hearers = self._hearers.get(sender)
         if hearers is not None:
             return hearers
         links = self._links or self._layout_links()
-        groups, horizon, min_airtime = links.row(sender.index)
+        groups = links.row(sender.index)
         on_starts, on_ends = self._on_starts, self._on_ends
         sim = self.sim
-        hearers = _Fanout()
+        hearers = []
         append = hearers.append
         for delay, receivers, rss, decodable in groups:
             if len(receivers) == 1:
@@ -680,23 +622,8 @@ class Medium:
                     sim, tuple(starts), tuple([on_ends[r] for r in receivers])
                 )
                 append((group.start, group.stop, None, delay, None))
-        hearers.horizon = horizon
-        hearers.min_airtime = min_airtime
-        hearers.ungrouped = None
         self._hearers[sender] = hearers
         return hearers
-
-    def _ungrouped(self, sender: Radio, hearers: _Fanout) -> list[tuple]:
-        """``hearers.ungrouped``, bound on first use; see :class:`_Fanout`."""
-        if hearers.ungrouped is None:
-            on_starts, on_ends = self._on_starts, self._on_ends
-            hearers.ungrouped = [
-                (on_starts[receiver], on_ends[receiver], rss, delay, decodable)
-                for receiver, rss, delay, decodable in self._links.hearers(
-                    sender.index
-                )
-            ]
-        return hearers.ungrouped
 
     def transmit(self, sender: Radio, frame: Any, duration: float) -> None:
         """Broadcast ``frame`` from ``sender`` for ``duration`` microseconds."""
@@ -715,8 +642,6 @@ class Medium:
         hearers = self._hearers.get(sender)
         if hearers is None:
             hearers = self._hearers_from(sender)
-        if not (hearers.min_airtime < duration and tx.end <= hearers.horizon):
-            hearers = self._ungrouped(sender, hearers)
         sim.call_fanout(duration, sender._end_transmit, tx, hearers)
 
 

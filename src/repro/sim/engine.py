@@ -50,15 +50,16 @@ trace suite in ``tests/test_golden_traces.py`` holds this down):
   allocation entirely via :meth:`Simulator.call_after` / :meth:`call_at`.
   One transmitted frame's whole fan-out — the sender's end of transmission
   and every hearer's start and end — is pushed by one
-  :meth:`Simulator.call_fanout`; a hearer's end entry carries only the
-  transmission.  The medium hands it one entry per group of hearers the
+  :meth:`Simulator.call_fanout`, numbered in three blocks: the sender's
+  end, then every start, then every end; a hearer's end entry carries only
+  the transmission.  The medium hands it one entry per group of hearers the
   frame reaches at the same instant, and that entry's callback runs every
   member (``repro.phy.medium``, "Equal-delay hearer groups", says why the
-  order is unchanged).  Such a callback adds its members beyond the first
-  to :attr:`Simulator.grouped_events`, which :meth:`Simulator.run` folds
-  into :attr:`~Simulator.events_processed`: events count callbacks, while
-  :attr:`~Simulator.pending_events` and :attr:`~Simulator.heap_high_water`
-  count heap entries, a group once.
+  blocks make that the per-hearer order).  Such a callback adds its
+  members beyond the first to :attr:`Simulator.grouped_events`, which
+  :meth:`Simulator.run` folds into :attr:`~Simulator.events_processed`:
+  events count callbacks, while :attr:`~Simulator.pending_events` and
+  :attr:`~Simulator.heap_high_water` count heap entries, a group once.
 * The simulator keeps a plain instance dict: with 12 attributes it sits
   well below the 30 at which CPython 3.11 stops specialising attribute
   loads on a dict, and slots measured no faster (DESIGN.md §9,
@@ -234,12 +235,13 @@ class Simulator:
         """Push one transmitted frame's whole fan-out in one call.
 
         ``hearers`` holds ``(on_start, on_stop, rss, delay, decodable)``
-        tuples.  Exactly ``call_after(duration, on_end)`` followed, hearer by
-        hearer, by ``call_after(delay, on_start, tx, rss, decodable)`` and
-        ``call_after(duration + delay, on_stop, tx)``: the same
-        ``(time, seq)`` keys (a start at ``now + delay``, an end at
-        ``now + (duration + delay)``), the same checks and the same
-        counters.  An invalid ``duration`` raises before anything is pushed.
+        tuples.  Exactly ``call_after(duration, on_end)``, then
+        ``call_after(delay, on_start, tx, rss, decodable)`` for every entry
+        in list order, then ``call_after(duration + delay, on_stop, tx)`` for
+        every entry in list order: the same ``(time, seq)`` keys (a start at
+        ``now + delay``, an end at ``now + (duration + delay)``), the same
+        checks and the same counters.  An invalid ``duration`` raises before
+        anything is pushed.
         """
         now = self.now
         end = now + duration
@@ -250,17 +252,22 @@ class Simulator:
         push = heappush
         inf = _INF
         push(heap, (end, seq, on_end, ()))
-        for on_start, on_stop, rss, delay, decodable in hearers:
-            stop = now + (duration + delay)
-            if not (delay >= 0.0 and stop < inf):
-                # Replay this hearer through call_after, which pushes and
-                # raises exactly where the sequence of calls would.
-                self._seq = seq + 1
+        # A failing check replays its call through call_after, which raises
+        # exactly where the sequence of calls would.
+        for on_start, _on_stop, rss, delay, decodable in hearers:
+            seq += 1
+            start = now + delay
+            if not (delay >= 0.0 and start < inf):
+                self._seq = seq
                 self.call_after(delay, on_start, tx, rss, decodable)
+            push(heap, (start, seq, on_start, (tx, rss, decodable)))
+        for _on_start, on_stop, _rss, delay, _decodable in hearers:
+            seq += 1
+            stop = now + (duration + delay)
+            if not stop < inf:
+                self._seq = seq
                 self.call_after(duration + delay, on_stop, tx)
-            push(heap, (now + delay, seq + 1, on_start, (tx, rss, decodable)))
-            push(heap, (stop, seq + 2, on_stop, (tx,)))
-            seq += 2
+            push(heap, (stop, seq, on_stop, (tx,)))
         self._seq = seq + 1
         if self.track_heap and len(heap) > self.heap_high_water:
             self.heap_high_water = len(heap)

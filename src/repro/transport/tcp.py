@@ -53,8 +53,8 @@ class TcpSender:
     """Reno sender with an unbounded (FTP-like) supply of data."""
 
     # A fixed layout: its 30 attributes are one past the most CPython 3.11
-    # specialises on an instance dict (see DcfMac).  ``__dict__`` stays,
-    # empty, for callers that wrap a method of one sender.
+    # specialises on an instance dict (see DcfMac).  There is no
+    # ``__dict__``: code that wraps a method wraps it on the class.
     __slots__ = (
         "sim",
         "node",
@@ -86,7 +86,6 @@ class TcpSender:
         "fast_retransmits",
         "on_retransmit",
         "obs",
-        "__dict__",
     )
 
     def __init__(

@@ -36,6 +36,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.greedy import GreedyConfig
+from repro.mac.dcf import DcfMac
 from repro.mac.frames import FrameKind
 from repro.net.scenario import Scenario
 from repro.phy.channel import ChannelConfig
@@ -191,9 +192,8 @@ def test_quick_cases_do_not_depend_on_run_order():
     assert forward == backward
 
 
-@pytest.mark.parametrize("case_seed", QUICK_CASES)
-def test_quick_fuzz_case_keeps_topology_invariants(case_seed):
-    """Conservation and bound invariants that hold on any topology.
+def check_topology_invariants(scenario: Scenario, duration_s: float) -> None:
+    """Run ``scenario`` and assert invariants that hold on any topology.
 
     * per MAC, MSDUs accepted = acknowledged + dropped + still queued (the
       MSDU in an exchange stays at the queue's head until it completes);
@@ -202,45 +202,52 @@ def test_quick_fuzz_case_keeps_topology_invariants(case_seed):
     * the flows' total goodput stays within the PHY data rate (every
       station of the fuzz space is within decode range of every other, so
       they share one channel).
+
+    The checks wrap ``DcfMac`` and ``TcpSender`` methods at class level for
+    the run, keyed by instance.
     """
-    scenario = _build_case(case_seed)
-    accepted = dict.fromkeys(scenario.macs, 0)
+    accepted = dict.fromkeys(scenario.macs.values(), 0)
     navs = []
-    for name, mac in scenario.macs.items():
+    send, update_nav = DcfMac.send, DcfMac._update_nav
+    receive = TcpSender.receive
 
-        def counted_send(payload, dst, size, _send=mac.send, _name=name):
-            ok = _send(payload, dst, size)
-            accepted[_name] += ok
-            return ok
+    def counted_send(mac, payload, dst, size):
+        ok = send(mac, payload, dst, size)
+        accepted[mac] += ok
+        return ok
 
-        def recorded_nav(until, _update=mac._update_nav):
-            navs.append(until)
-            _update(until)
+    def recorded_nav(mac, until):
+        navs.append(until)
+        update_nav(mac, until)
 
-        mac.send = counted_send
-        mac._update_nav = recorded_nav
+    def checked_receive(sender, packet):
+        receive(sender, packet)
+        assert sender.snd_una <= sender.snd_max
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DcfMac, "send", counted_send)
+        patch.setattr(DcfMac, "_update_nav", recorded_nav)
+        patch.setattr(TcpSender, "receive", checked_receive)
+        scenario.run(duration_s)
+
     agents = [a for node in scenario.nodes.values() for a in node._agents.values()]
     senders = [a for a in agents if isinstance(a, TcpSender)]
-    for sender in senders:
-
-        def checked_receive(packet, _receive=sender.receive, _sender=sender):
-            _receive(packet)
-            assert _sender.snd_una <= _sender.snd_max
-
-        sender.receive = checked_receive
-    scenario.run(CASE_DURATION_S)
-
-    for name, mac in scenario.macs.items():
+    for mac in scenario.macs.values():
         stats = mac.stats
         assert stats.crashes == 0  # the fuzz space injects no crashes
-        assert accepted[name] == stats.msdu_sent + stats.drops + mac.queue_length
+        assert accepted[mac] == stats.msdu_sent + stats.drops + mac.queue_length
         assert mac.nav_until >= 0.0
     assert all(until >= 0.0 for until in navs)
     assert any(accepted.values()) and all(s.snd_una <= s.snd_max for s in senders)
     delivered_bits = 8 * sum(
         a.bytes_received for a in agents if isinstance(a, (UdpSink, TcpReceiver))
     )
-    assert delivered_bits / (CASE_DURATION_S * 1e6) <= scenario.phy.data_rate
+    assert delivered_bits / (duration_s * 1e6) <= scenario.phy.data_rate
+
+
+@pytest.mark.parametrize("case_seed", QUICK_CASES)
+def test_quick_fuzz_case_keeps_topology_invariants(case_seed):
+    check_topology_invariants(_build_case(case_seed), CASE_DURATION_S)
 
 
 @given(case_seed=st.integers(min_value=10, max_value=5_000))
@@ -261,3 +268,4 @@ def test_hypothesis_fuzz_short_sweep(case_seed):
 )
 def test_hypothesis_fuzz_full_sweep(case_seed):
     _assert_case_repeats(case_seed)
+    check_topology_invariants(_build_case(case_seed), CASE_DURATION_S)

@@ -1,15 +1,17 @@
 """Equal-delay hearer groups push one heap entry where the per-hearer
 fan-out pushed one per hearer, and must change nothing else.
 
-``UngroupedMedium`` and ``UngroupedSinrMedium`` bind the per-hearer lists
-the media bound before groups existed: one ``(on_tx_start, on_tx_end, rss,
-delay, decodable)`` entry per hearer, in attach order.  They live here
-only, as the reference every grouped run is compared with: the frame
-trace, every MAC's statistics, the event count, the frames sent and the
-final clock must be equal.  The heap-key tests check the argument behind
-that one frame at a time: a group entry takes its first member's
-``(time, seq)`` key, and expanding each group entry into its members gives
-the per-hearer order.
+``UngroupedMedium`` and ``UngroupedSinrMedium`` bind per-hearer lists: one
+``(on_tx_start, on_tx_end, rss, delay, decodable)`` entry per hearer, in
+group order (the link-table row's groups by first member, then each
+group's members in attach order).  They live here only, as the reference
+every grouped run is compared with: the frame trace, every MAC's
+statistics, the event count, the frames sent and the final clock must be
+equal.  The heap-key tests check the argument behind that one frame at a
+time: a group entry takes its first member's ``(time, seq)`` key, and
+expanding each group entry into its members gives the per-hearer order of
+``Simulator.call_fanout``'s blocks (the sender's end, every start, every
+end), for any airtime and any clock.
 """
 
 from __future__ import annotations
@@ -17,13 +19,15 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.net.scenario as scenario_module
 from repro.campaign import builders
 from repro.net.scenario import Scenario
 from repro.perf.scenarios import get_scenario
 from repro.phy.channel import ChannelConfig
-from repro.phy.medium import Medium, SinrMedium, _Fanout, _HearerGroup
+from repro.phy.medium import Medium, SinrMedium, _HearerGroup
 from repro.phy.propagation import SPEED_OF_LIGHT_M_PER_US
 from repro.sim.engine import Simulator
 from repro.stats.trace import FrameTracer
@@ -32,25 +36,23 @@ from tests.test_medium import data_frame, make_medium
 
 
 def per_hearer(medium, sender):
-    """``sender``'s hearers, one bound entry each, in attach order."""
+    """``sender``'s hearers, one bound entry each, in group order."""
     links = medium._links or medium._layout_links()
+    on_starts, on_ends = medium._on_starts, medium._on_ends
     return [
-        (medium._on_starts[receiver], medium._on_ends[receiver], rss, delay, decodable)
-        for receiver, rss, delay, decodable in links.hearers(sender.index)
+        (on_starts[receiver], on_ends[receiver], rss, delay, decodable)
+        for delay, receivers, powers, flags in links.row(sender.index)
+        for receiver, rss, decodable in zip(receivers, powers, flags)
     ]
 
 
 class _Ungrouped:
-    """Binds one entry per hearer, in attach order, from the link table."""
+    """Binds one entry per hearer, in group order, from the link table."""
 
     def _hearers_from(self, sender):
         hearers = self._hearers.get(sender)
         if hearers is None:
-            hearers = _Fanout(per_hearer(self, sender))
-            hearers.horizon = math.inf
-            hearers.min_airtime = 0.0
-            hearers.ungrouped = list(hearers)
-            self._hearers[sender] = hearers
+            hearers = self._hearers[sender] = per_hearer(self, sender)
         return hearers
 
 
@@ -214,7 +216,8 @@ def pop_order(heap):
 def transmit_and_reference(positions, duration, now=1234.567, medium_cls=Medium):
     """Transmit one frame from radio 0 at ``now``; return its simulator, a
     reference simulator holding the per-hearer ``call_after`` sequence of
-    the same frame, and the medium."""
+    the same frame (the sender's end, every start, every end), and the
+    medium."""
     sim, medium, radios = make_medium(positions, medium_cls)
     sim.call_at(now, lambda: None)
     sim.run()
@@ -227,8 +230,9 @@ def transmit_and_reference(positions, duration, now=1234.567, medium_cls=Medium)
     sender.transmit(data_frame(), duration)
     tx = next(args[0] for _, _, _, args in sim._heap if args)
     reference.call_after(duration, sender._end_transmit)
-    for on_tx_start, on_tx_end, rss, delay, decodable in hearers:
+    for on_tx_start, _on_tx_end, rss, delay, decodable in hearers:
         reference.call_after(delay, on_tx_start, tx, rss, decodable)
+    for _on_tx_start, on_tx_end, _rss, delay, _decodable in hearers:
         reference.call_after(duration + delay, on_tx_end, tx)
     return sim, reference, medium
 
@@ -285,31 +289,56 @@ NEAR_EQUAL = [(0.0, 0.0), (12.0, 0.0), (12.000000000000002, 0.0), (-12.0, 0.0)]
         (EQUAL_DELAYS, 30.0 / SPEED_OF_LIGHT_M_PER_US, 1234.567),
         # r2's start rounds onto the r1/r3 group's start.
         (NEAR_EQUAL, 957.1, 1234.567),
+        # Past 2**40 us distinct delays round together.
+        (EQUAL_DELAYS, 957.1, 2.0**41),
+        # Every start and end rounds onto the clock.
+        (EQUAL_DELAYS, 1e-9, 2.0**30),
     ],
-    ids=["airtime_within_delay_spread", "near_equal_delays"],
+    ids=["airtime_within_delay_spread", "near_equal_delays", "late_clock", "tiny_airtime"],
 )
-def test_frame_a_group_would_misorder_takes_the_per_hearer_list(
+def test_tied_entries_pop_in_the_reference_order(
     positions, duration, now
 ):
     sim, reference, medium = transmit_and_reference(positions, duration, now)
     hearers = medium._hearers_from(medium.radios[0])
     assert any(isinstance(entry[0].__self__, _HearerGroup) for entry in hearers)
-    assert not (hearers.min_airtime < duration and now + duration <= hearers.horizon)
-    assert sorted(sim._heap) == sorted(reference._heap)
-    # Pushed as groups, the same frame would pop in another order.
-    tx = next(args[0] for _, _, _, args in sim._heap if args)
-    grouped = Simulator()
-    grouped.call_at(now, lambda: None)
-    grouped.run()
-    grouped.call_fanout(duration, medium.radios[0]._end_transmit, tx, hearers)
-    assert pop_order(grouped._heap) != pop_order(reference._heap)
+    assert len(sim._heap) < len(reference._heap)
+    assert pop_order(sim._heap) == pop_order(reference._heap)
 
 
-def test_frame_ending_past_the_horizon_takes_the_per_hearer_list():
-    now = 2.0**41  # beyond every row's horizon (at most 2**40 us)
-    sim, reference, medium = transmit_and_reference(EQUAL_DELAYS, 957.1, now)
-    assert now + 957.1 > medium._hearers_from(medium.radios[0]).horizon
-    assert sorted(sim._heap) == sorted(reference._heap)
+def _ring(radii):
+    """Radio 0 at the origin and hearers every 45 degrees on each radius."""
+    positions = [(0.0, 0.0)]
+    for radius in radii:
+        for k in range(8):
+            angle = math.radians(45.0 * k)
+            positions.append((radius * math.cos(angle), radius * math.sin(angle)))
+    return positions
+
+
+_COORD = st.floats(-60.0, 60.0, allow_nan=False)
+_LAYOUTS = st.one_of(
+    st.integers(2, 8).map(lambda n: [(0.0, 0.0)] * n),
+    st.lists(st.sampled_from([12.0, 30.0, 45.0]), min_size=1, max_size=3).map(_ring),
+    st.lists(st.tuples(_COORD, _COORD), min_size=2, max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    positions=_LAYOUTS,
+    medium_cls=st.sampled_from([Medium, SinrMedium]),
+    duration=st.floats(-12.0, math.log10(957.1)).map(lambda e: min(10.0**e, 957.1)),
+    now=st.one_of(
+        st.just(0.0),
+        st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-10, 44)),
+    ),
+)
+def test_group_entries_pop_in_the_reference_order(positions, medium_cls, duration, now):
+    sim, reference, _medium = transmit_and_reference(
+        positions, duration, now, medium_cls=medium_cls
+    )
+    assert pop_order(sim._heap) == pop_order(reference._heap)
 
 
 def test_group_counts_one_event_per_member():

@@ -4,8 +4,8 @@ CPython 3.11 keeps ``self.x`` on its specialised path only while an
 instance's class holds fewer than 30 dict attributes; from 30 on, every
 attribute load of every instance takes the generic path (DESIGN.md §9,
 "Fixed-layout station state, measured").  The hot classes declare
-``__slots__``; two of them keep a ``__dict__`` for callers that wrap a
-method of one instance, and nothing may fill it.
+``__slots__`` and no ``__dict__``: code that wraps one of their methods
+wraps it on the class.
 
 Each case runs one registered perf scenario briefly and walks every
 ``repro`` object it can reach from the scenario: the simulator, medium,
@@ -31,8 +31,8 @@ DICT_CLIFF = 30
 
 #: The slotted hot classes, and whether each keeps a ``__dict__``.
 SLOTTED = {
-    DcfMac: True,
-    TcpSender: True,
+    DcfMac: False,
+    TcpSender: False,
     Radio: False,
     SinrRadio: False,
 }

@@ -737,8 +737,8 @@ def test_plan_memo_never_reaches_pickles_or_cache_keys():
 
 def test_transmit_pushes_the_keys_of_the_per_callback_sequence():
     """One ``call_fanout`` leaves the heap exactly as the 1 + 2n ``call_after``
-    calls it replaces would, on a medium whose hearers all have distinct
-    non-zero propagation delays."""
+    calls it replaces would (the sender's end, every start, every end), on
+    a medium whose hearers all have distinct non-zero propagation delays."""
     positions = [(0.0, 0.0), (31.0, 0.0), (0.0, 67.0), (77.0, 12.0)]
     sim, medium, radios = make_medium(positions)
     hearers = medium._hearers_from(radios[0])
@@ -755,8 +755,9 @@ def test_transmit_pushes_the_keys_of_the_per_callback_sequence():
     radios[0].transmit(data_frame(), duration)
     tx = next(args[0] for _, _, _, args in sim._heap if args)
     reference.call_after(duration, radios[0]._end_transmit)
-    for on_tx_start, on_tx_end, rss, delay, decodable in hearers:
+    for on_tx_start, _on_tx_end, rss, delay, decodable in hearers:
         reference.call_after(delay, on_tx_start, tx, rss, decodable)
+    for _on_tx_start, on_tx_end, _rss, delay, _decodable in hearers:
         reference.call_after(duration + delay, on_tx_end, tx)
     assert sorted(sim._heap) == sorted(reference._heap)
     assert sim._seq == reference._seq

@@ -616,10 +616,12 @@ def test_events_processed_counts_through_a_raising_callback():
 
 
 def _fanout_reference(sim, duration, on_end, tx, hearers):
-    """The per-callback sequence ``Simulator.call_fanout`` replaces."""
+    """The per-callback sequence ``Simulator.call_fanout`` replaces: the
+    sender's end, then every start, then every end."""
     sim.call_after(duration, on_end)
-    for on_start, on_stop, rss, delay, decodable in hearers:
+    for on_start, _on_stop, rss, delay, decodable in hearers:
         sim.call_after(delay, on_start, tx, rss, decodable)
+    for _on_start, on_stop, _rss, delay, _decodable in hearers:
         sim.call_after(duration + delay, on_stop, tx)
 
 
