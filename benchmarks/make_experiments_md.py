@@ -168,24 +168,43 @@ COMMENTARY: dict[str, tuple[str, str]] = {
     "fig14": (
         "Paper: the greedy receiver out-earns the average normal receiver "
         "for any number of pairs; the gap shrinks under one shared AP.",
-        "Match: GR above the normal mean in both topologies, larger gap "
-        "with per-flow APs.",
+        "Deviation: GR stays above the normal mean in both topologies at "
+        "every pair count, but the gap runs the other way from the paper's. "
+        "At 2 / 4 / 6 / 8 pairs the spoofer's edge over the normal mean is "
+        "1.53 / 1.39 / 1.15 / 1.09 Mbps under one AP, against "
+        "1.45 / 0.93 / 0.49 / 0.30 with per-flow APs: larger under one "
+        "shared AP at every count, and shrinking far more slowly as pairs "
+        "are added. The ratio points the same way (GR/NR 12-15x under one "
+        "AP, 8.7x falling to 2.8x with per-flow APs), so absolute against "
+        "relative gap does not explain it; how the one AP's queue serves "
+        "its receivers, against ns-2's, is the open suspect.",
     ),
     "fig15": (
         "Paper: wireline latency makes end-to-end recovery costlier, "
         "widening the spoofer's edge; past ~200 ms the spoofer's own "
         "ACK-clocked goodput decays though it still wins.",
-        "Shape match with one caveat: the greedy/normal ratio grows only "
-        "mildly with latency (8.4x at 2 ms to 10.1x at 200 ms) because our "
-        "Reno victim already collapses at low latency; the signature 400 ms "
-        "regime — the attacker's own ACK-clocked goodput decaying (1.55 to "
-        "0.76 Mbps) while still far above the victim — reproduces exactly.",
+        "Shape match with one caveat: the victim collapses at every "
+        "latency (0.15–0.18 Mbps with the spoofer up to 200 ms, against "
+        "0.98–1.10 without), so the greedy/normal ratio follows the "
+        "attacker's own goodput rather than widening with latency: 10.4x "
+        "at 2 ms, 13.2x at 50 ms, 9.7x at 200 ms. The attacker's "
+        "ACK-clocked goodput already starts to decay at 100 ms (1.96 at "
+        "50 ms, 1.89 at 100 ms, 1.70 at 200 ms), and the signature 400 ms "
+        "regime — that goodput down to 0.76 Mbps while still far above "
+        "the victim — reproduces. Earlier versions of this table were "
+        "capped near 1.7 Mbps of total goodput by a MAC duplicate filter "
+        "that stalled a sender after 4,096 MSDUs (its 12-bit sequence "
+        "counter wrapped within these 20 s runs); the numbers above are "
+        "from the fixed receive cache.",
     ),
     "fig16": (
         "Paper: increasing GP widens the gap at every latency; spoofing "
         "20 % of frames already yields ~52 % gain at 200 ms.",
-        "Match: GP=20 % measurably hurts the victim at 200 ms, and the "
-        "gap grows with GP at every latency.",
+        "Match: GP=20 % already hurts the victim at 200 ms (0.98 to 0.46 "
+        "Mbps) and lifts the spoofer from 0.96 to 1.48 Mbps, a 54 % gain "
+        "against the paper's ~52 %; the gap grows with GP at every "
+        "latency, though not monotonically between neighbouring GP points "
+        "(seed noise of up to ~0.15 Mbps).",
     ),
     "fig17": (
         "Paper: under UDP the spoofer steals service time from the victim "

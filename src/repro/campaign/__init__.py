@@ -11,13 +11,13 @@ DESIGN.md ("Campaign subsystem") and ``examples/campaigns/``.
 
 from repro.campaign.builders import BUILDERS, builder_names, get_builder, register
 from repro.campaign.manifest import (
-    BACKUP_SUFFIX,
     DONE,
     FAILED,
     PENDING,
     Manifest,
     ManifestError,
     PointState,
+    manifest_path,
 )
 from repro.campaign.runner import (
     CampaignError,
@@ -25,7 +25,6 @@ from repro.campaign.runner import (
     aggregate,
     default_out_dir,
     load_point_results,
-    manifest_path,
     metrics_fingerprint,
     point_path,
     run_campaign,
@@ -43,7 +42,6 @@ from repro.campaign.spec import (
 )
 
 __all__ = [
-    "BACKUP_SUFFIX",
     "BUILDERS",
     "CampaignError",
     "CampaignRun",

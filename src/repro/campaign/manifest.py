@@ -1,19 +1,22 @@
 """Campaign manifest: the on-disk record of what ran, enabling ``--resume``.
 
-``manifest.json`` lives in the campaign's output directory and is rewritten
-atomically after every completed point, so an interrupted run leaves a valid
-partial manifest behind.  A resumed run reloads it, checks that the spec
-hash and code-version token still match (a changed spec or changed simulator
-code makes old numbers non-comparable), and skips every point already marked
-done.
+The manifest is an append-only log in the campaign's output directory
+(:func:`manifest_path`).  Line 1 is the whole document, written by
+:meth:`Manifest.save` in one atomic rename, so a fresh run replaces an old
+log whole.  Each point transition (``running``, ``done``, ``failed``) then
+appends that point's absolute :class:`PointState` as one line, and the end
+of a run appends one ``faults`` line.  :meth:`Manifest.load` folds the lines
+in order; the last line for a point wins.  A resumed run checks that the
+spec hash and code-version token still match (a changed spec or changed
+simulator code makes old numbers non-comparable), and skips every point
+already done.
 
-Crash consistency: every ``save`` goes through the fsync-ing atomic writer
-in :mod:`repro.runtime.io` and rotates the previous manifest to
-``manifest.json.bak`` first.  If a SIGKILL (or power cut) lands at the one
-instant where the destination could be caught missing or torn,
-:meth:`Manifest.load_or_recover` falls back to the ``.bak`` copy — at most
-one completed point is forgotten and simply re-runs, which is safe because
-point execution is deterministic and idempotent.
+Crash consistency is the fleet journal's (:mod:`repro.runtime.io`): every
+line carries its own sha256 and is appended with an fsync, so a SIGKILL
+can only tear the final line.  Readers drop it, so the log reads as the
+state before that transition and at most the point in flight re-runs —
+safe, because point execution is deterministic and idempotent.  Readers
+never write; the resuming owner cuts the torn tail off before appending.
 
 Fault accounting: ``PointState`` records the retry budget spent on each
 point (``retries``) and the most recent failure message (``last_failure``),
@@ -25,12 +28,16 @@ before the fault-tolerance layer still load.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.runtime.io import atomic_write_text
+from repro.runtime.io import (
+    atomic_write_text,
+    checksummed_line,
+    durable_append_line,
+    read_checksummed_lines,
+)
 
 MANIFEST_VERSION = 1
 
@@ -43,8 +50,10 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 
-#: Suffix of the previous-manifest fallback rotated on every save.
-BACKUP_SUFFIX = ".bak"
+
+def manifest_path(out_dir: str | Path) -> Path:
+    """The manifest log of the campaign output directory ``out_dir``."""
+    return Path(out_dir) / "manifest.jsonl"
 
 
 class ManifestError(ValueError):
@@ -142,88 +151,49 @@ class Manifest:
         return dataclasses.asdict(self)
 
     def save(self, path: str | Path) -> None:
-        """Persist durably + atomically, rotating the old file to ``.bak``."""
-        atomic_write_text(
-            Path(path),
-            json.dumps(self.to_dict(), indent=2, sort_keys=True),
-            backup_suffix=BACKUP_SUFFIX,
-        )
+        """Start a fresh log: the whole document as line 1, in one rename."""
+        atomic_write_text(Path(path), checksummed_line(self.to_dict()) + "\n")
+
+    def append_point(self, path: str | Path, point: PointState) -> None:
+        """Durably log ``point``'s current state as one absolute line."""
+        durable_append_line(path, checksummed_line({"point": dataclasses.asdict(point)}))
+
+    def append_faults(self, path: str | Path) -> None:
+        """Durably log the campaign-level ``faults`` counters."""
+        durable_append_line(path, checksummed_line({"faults": self.faults}))
 
     @staticmethod
-    def _from_dict(data: dict[str, Any], path: Path) -> "Manifest":
+    def load(path: str | Path) -> "Manifest":
+        """Fold the log: line 1, then each later line in order; never writes.
+
+        A torn final line is dropped; a missing, garbled or malformed line 1
+        is a :class:`ManifestError`.
+        """
+        path = Path(path)
+        try:
+            records = read_checksummed_lines(path, "campaign manifest")
+        except FileNotFoundError:
+            raise ManifestError(f"no manifest at {path}") from None
+        except OSError as exc:
+            raise ManifestError(f"unreadable manifest {path}: {exc}") from None
+        if not records:
+            raise ManifestError(f"unreadable manifest {path}: line 1 is missing or corrupt")
+        data = records[0]
         try:
             if data["version"] != MANIFEST_VERSION:
                 raise ManifestError(
                     f"manifest {path} has version {data['version']}, "
                     f"this code reads version {MANIFEST_VERSION}"
                 )
-            points = [PointState(**point) for point in data["points"]]
-            return Manifest(
-                name=data["name"],
-                builder=data["builder"],
-                spec_hash=data["spec_hash"],
-                code_version=data["code_version"],
-                seeds=list(data["seeds"]),
-                duration_s=data["duration_s"],
-                points=points,
-                version=data["version"],
-                telemetry=data.get("telemetry", False),
-                faults=dict(data.get("faults", {})),
-            )
+            points = [PointState(**point) for point in data.pop("points")]
+            manifest = Manifest(**data, points=points)
+            slots = {point.id: n for n, point in enumerate(manifest.points)}
+            for record in records[1:]:
+                if "point" in record:
+                    point = PointState(**record["point"])
+                    manifest.points[slots[point.id]] = point
+                elif "faults" in record:
+                    manifest.faults = dict(record["faults"])
         except (KeyError, TypeError) as exc:
             raise ManifestError(f"malformed manifest {path}: {exc}") from None
-
-    @staticmethod
-    def load(path: str | Path) -> "Manifest":
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise ManifestError(f"no manifest at {path}") from None
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ManifestError(f"unreadable manifest {path}: {exc}") from None
-        return Manifest._from_dict(data, path)
-
-    @staticmethod
-    def load_latest(path: str | Path) -> "Manifest":
-        """Load ``path``, else its ``.bak`` rotation; never writes.
-
-        For readers that may race a live writer, such as fleet status polls.
-        Between a save's rotate-to-``.bak`` step and its publish step the
-        primary is briefly missing, and the backup is then the latest
-        durable state.  Writing it back from a reader would either roll the
-        manifest back past the writer's publish or race its rename.  A
-        missing or torn primary with no readable backup raises the
-        primary's :class:`ManifestError`.
-        """
-        path = Path(path)
-        try:
-            return Manifest.load(path)
-        except ManifestError as exc:
-            backup = Path(str(path) + BACKUP_SUFFIX)
-            if not backup.exists():
-                raise
-            try:
-                return Manifest.load(backup)
-            except ManifestError:
-                raise exc from None
-
-    @staticmethod
-    def load_or_recover(path: str | Path) -> "Manifest":
-        """:meth:`load_latest`, re-publishing the backup if it was used.
-
-        For the manifest's owner (a resuming runner, a finished shard).  The
-        backup is one save older than the primary, so recovery forgets at
-        most the single most recently completed point — it re-runs on resume,
-        deterministically, rather than wedging the whole campaign behind an
-        unreadable manifest.  A *missing* primary with no backup is still an
-        error (there is nothing to resume).
-        """
-        path = Path(path)
-        try:
-            return Manifest.load(path)
-        except ManifestError:
-            recovered = Manifest.load_latest(path)
-        # Re-publish the good copy so later saves rotate sane content.
-        recovered.save(path)
-        return recovered
+        return manifest

@@ -10,13 +10,14 @@ bit-identical numbers for equal seeds.
 Everything lands in one output directory::
 
     results/campaigns/<name>/
-        manifest.json       # spec hash, code version, per-point status
+        manifest.jsonl      # spec hash, code version, per-point status (a log)
         points/<id>.json    # per-seed metrics of one grid point
         results.csv         # tidy per-point table (params + metric medians)
         results.json        # full results: per-seed values + medians
 
-The manifest is rewritten atomically after every point, so Ctrl-C mid-run
-leaves a valid partial record; ``--resume`` skips every point already done.
+Each point transition appends one fsync'd line to the manifest log, so a
+killed run leaves a valid partial record; ``--resume`` skips every point
+whose ``done`` line (written after its payload) survived.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.campaign.manifest import (
     Manifest,
     PointState,
     atomic_write_text,
+    manifest_path,
 )
 from repro.campaign.spec import CampaignSpec, expand_grid, point_id, spec_hash
 from repro.runtime import (
@@ -46,6 +48,7 @@ from repro.runtime import (
     map_over_seeds,
     seed_job,
 )
+from repro.runtime.io import truncate_torn_tail
 from repro.stats.summary import median
 
 #: Default root for campaign outputs, mirroring the experiments' results dir.
@@ -80,10 +83,6 @@ def points_dir(out_dir: Path) -> Path:
 
 def point_path(out_dir: Path, point: PointState) -> Path:
     return points_dir(out_dir) / f"{point.id}.json"
-
-
-def manifest_path(out_dir: Path) -> Path:
-    return Path(out_dir) / "manifest.json"
 
 
 def _fresh_manifest(
@@ -130,11 +129,10 @@ def _resumable_manifest(
 ) -> Manifest:
     """Load an existing manifest and verify it matches this spec + code.
 
-    Uses :meth:`Manifest.load_or_recover`: a manifest torn by a SIGKILL
-    mid-write falls back to the ``.bak`` rotation (one save older), so at
-    most the last completed point re-runs instead of the resume failing.
+    The log's torn tail, if a SIGKILL left one, reads as the state before
+    that transition and is cut off here, before this run appends.
     """
-    manifest = Manifest.load_or_recover(manifest_path(out_dir))
+    manifest = Manifest.load(manifest_path(out_dir))
     if manifest.spec_hash != spec_hash(spec):
         raise CampaignError(
             f"cannot resume in {out_dir}: the manifest was written for spec "
@@ -154,6 +152,7 @@ def _resumable_manifest(
             "point selection than this run requests (shard plan changed, "
             "e.g. a different shard count); use a fresh output directory"
         )
+    truncate_torn_tail(manifest_path(out_dir))
     return manifest
 
 
@@ -221,14 +220,12 @@ def run_campaign(
 
     if point_ids is not None:
         point_ids = frozenset(point_ids)
-    if resume and (
-        manifest_path(out).exists()
-        or Path(str(manifest_path(out)) + ".bak").exists()
-    ):
+    log = manifest_path(out)
+    if resume and log.exists():
         manifest = _resumable_manifest(spec, out, point_ids=point_ids)
     else:
         manifest = _fresh_manifest(spec, telemetry=telemetry, point_ids=point_ids)
-    manifest.save(manifest_path(out))
+        manifest.save(log)
 
     cache = None
     if use_cache:
@@ -251,7 +248,7 @@ def run_campaign(
             # "still queued".  A crash leaves it "running", which a resume
             # treats exactly like pending.
             point.status = RUNNING
-            manifest.save(manifest_path(out))
+            manifest.append_point(log, point)
             job = seed_job(builder, duration_s=spec.duration_s, **point.params)
             report = ExecutionReport()
             try:
@@ -265,7 +262,7 @@ def run_campaign(
                 point.error = f"{type(exc).__name__}: {exc}"
                 point.retries += report.total_retries
                 point.last_failure = report.last_error or point.error
-                manifest.save(manifest_path(out))
+                manifest.append_point(log, point)
                 failed += 1
                 say(f"{label} FAILED: {point.error}")
                 continue
@@ -289,7 +286,7 @@ def run_campaign(
             point.retries += report.total_retries
             if report.last_error is not None:
                 point.last_failure = report.last_error  # succeeded, but flaky
-            manifest.save(manifest_path(out))
+            manifest.append_point(log, point)
             executed += 1
             suffix = f", {report.total_retries} retries" if report.total_retries else ""
             say(f"{label} done ({len(spec.seeds)} seeds{suffix})")
@@ -299,7 +296,7 @@ def run_campaign(
             "worker_kills": active.worker_kills,
             "degraded_to_serial": active.degraded,
         }
-        manifest.save(manifest_path(out))
+        manifest.append_faults(log)
         if owned is not None:
             owned.shutdown()
 

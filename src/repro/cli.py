@@ -364,7 +364,7 @@ def _retry_policy(args: argparse.Namespace):
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    from repro.campaign import FAILED, load_spec, run_campaign
+    from repro.campaign import FAILED, load_spec, manifest_path, run_campaign
 
     spec = load_spec(args.spec, quick=args.quick)
     summary = run_campaign(
@@ -400,7 +400,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             f"{faults.get('worker_kills', 0)} watchdog kills"
             + (" (degraded to serial)" if faults.get("degraded_to_serial") else "")
         )
-    print(f"  out: {summary.out_dir} (manifest.json, results.csv, results.json)")
+    files = f"{manifest_path(summary.out_dir).name}, results.csv, results.json"
+    print(f"  out: {summary.out_dir} ({files})")
     # Nonzero whenever any point *ends* failed — also on --resume runs that
     # executed nothing but inherit failed points from the manifest.
     return 1 if manifest.count(FAILED) else 0
@@ -484,7 +485,7 @@ def _fmt_cell(value) -> str:
 
 
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
-    from repro.campaign import default_out_dir, load_spec
+    from repro.campaign import default_out_dir, load_spec, manifest_path
     from repro.fleet import run_fleet
 
     spec = load_spec(args.spec, quick=args.quick)
@@ -515,7 +516,8 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
         f"  merged: {manifest.count('done')}/{manifest.total} points done"
         + ("" if manifest.complete else " (INCOMPLETE)")
     )
-    print(f"  out: {run.out_dir} (manifest.json, results.csv, results.json)")
+    files = f"{manifest_path(run.out_dir).name}, results.csv, results.json"
+    print(f"  out: {run.out_dir} ({files})")
     return 0 if manifest.complete else 1
 
 

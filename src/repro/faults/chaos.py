@@ -14,8 +14,8 @@ directory:
 3. **heal** — re-run against the sabotaged cache into a fresh output
    directory: corrupt entries are quarantined and recomputed, intact ones
    replay, and the metrics must still match.
-4. **recover** — truncate the chaos run's ``manifest.json`` mid-byte and
-   resume: the ``.bak`` rotation restores it and zero points re-execute.
+4. **recover** — tear the chaos run's manifest log mid-way through its
+   final line (the only tear an append can leave), resume: zero re-runs.
 
 The acceptance bar is byte-identity: the per-point payloads (per-seed
 metrics + medians) of phases 1–3 are compared as canonical JSON.  Retried
@@ -77,7 +77,7 @@ class ChaosProfile:
     worker_kills: int = 1
     #: Result-cache entries to truncate mid-run.
     cache_truncations: int = 1
-    #: Also truncate manifest.json afterwards and prove --resume recovers.
+    #: Also tear the manifest log's final line and prove --resume recovers.
     recover_manifest: bool = True
     #: Park every job's first attempt (needs a ``retry.timeout_s``).
     hang: bool = False
@@ -86,7 +86,7 @@ class ChaosProfile:
 
 PROFILES: dict[str, ChaosProfile] = {
     # CI smoke: a real-simulator campaign surviving a worker kill and a
-    # truncated cache entry, plus manifest .bak recovery.
+    # truncated cache entry, plus recovery from a torn manifest log.
     "quick": ChaosProfile(
         name="quick",
         spec={
@@ -166,7 +166,7 @@ class ChaosReport:
         ]
         if self.manifest_recovered is not None:
             lines.append(
-                "  manifest .bak recovery after truncation: "
+                "  manifest recovery after a torn final line: "
                 + ("yes" if self.manifest_recovered else "NO")
             )
         for problem in self.problems:
@@ -360,10 +360,11 @@ def run_chaos(
 
     manifest_recovered: bool | None = None
     if profile.recover_manifest:
-        say(f"[chaos:{profile.name}] recovery run (manifest truncated mid-byte)")
+        say(f"[chaos:{profile.name}] recovery run (manifest's final line torn)")
         mpath = manifest_path(chaos_out)
         data = mpath.read_bytes()
-        mpath.write_bytes(data[: len(data) // 2])
+        final = data.rstrip(b"\n").rfind(b"\n") + 1
+        mpath.write_bytes(data[: (final + len(data)) // 2])
         resumed = run_campaign(
             spec, out_dir=chaos_out, resume=True, cache_dir=chaos_cache
         )
@@ -400,7 +401,7 @@ def run_chaos(
     if profile.hang and faults.get("worker_kills", 0) == 0:
         problems.append("no watchdog kills despite hang-once injection")
     if manifest_recovered is False:
-        problems.append("resume after manifest truncation did not skip all points")
+        problems.append("resume after a torn manifest line did not skip all points")
 
     identical = True
     if not problems or all("run has" not in p for p in problems):

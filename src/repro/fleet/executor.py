@@ -3,7 +3,7 @@
 A :class:`FleetExecutor` turns one :class:`ShardTask` (spec file + out dir +
 shard index) into a finished shard campaign directory and reports a
 :class:`ShardOutcome`.  The orchestrator never cares *where* the shard ran —
-it re-checks the shard's own ``manifest.json`` afterwards, so an executor
+it re-checks the shard's own manifest log afterwards, so an executor
 that lies about success is caught, and one that dies mid-run is healed by a
 re-dispatch (the shard worker always resumes).
 
@@ -129,8 +129,8 @@ def chaos_kill_hook(task: ShardTask) -> Callable[[str], None] | None:
 
     Only when :data:`CHAOS_KILL_ENV` names ``task.shard`` and the shard has
     no ``.chaos-killed`` marker yet.  The campaign calls ``progress`` right
-    after the manifest save that settles a point, so the worker writes the
-    marker and kills itself as soon as its manifest shows a DONE point,
+    after the manifest line that settles a point, so the worker writes the
+    marker and kills itself as soon as its manifest log shows a DONE point,
     before it can finish and exit.  ``repro fleet worker`` installs it; the
     local executor runs shards in the service's own process and never does.
     """
@@ -139,9 +139,9 @@ def chaos_kill_hook(task: ShardTask) -> Callable[[str], None] | None:
         return None
 
     def kill_after_first_done(_message: str) -> None:
-        from repro.campaign.manifest import DONE, Manifest
+        from repro.campaign.manifest import DONE, Manifest, manifest_path
 
-        manifest = Manifest.load(task.out_dir / "manifest.json")
+        manifest = Manifest.load(manifest_path(task.out_dir))
         if any(point.status == DONE for point in manifest.points):
             marker.write_text("killed after first DONE point\n")
             os.kill(os.getpid(), signal.SIGKILL)

@@ -16,14 +16,12 @@ Format — one JSON object per line::
 - ``seq`` is a strictly increasing sequence number across the whole
   journal (it survives compaction), so replays are totally ordered and a
   snapshot knows exactly which tail of the journal it supersedes.
-- ``sha256`` is the checksum of the record *without* the checksum field,
-  canonically serialized (sorted keys, compact separators).  A torn final
-  line (the only kind of tear an fsync'd append can produce) fails either
-  the JSON parse or the checksum and is dropped; nothing after the first
-  bad line is trusted, because an append-only file corrupted mid-stream
-  means the storage lied and the suffix has no integrity guarantee.
-- Appends go through :func:`repro.runtime.io.durable_append_line`
-  (write + fsync, directory fsync on creation).
+- ``sha256`` checksums the rest of the record.  Lines are written, read
+  and repaired by the helpers in :mod:`repro.runtime.io` that the campaign
+  manifest log shares: a torn final line (the only tear an fsync'd append
+  can produce) is dropped, and :meth:`JobJournal.replay` cuts it off before
+  the service appends again.  Nothing after the first bad line is trusted:
+  an append-only file corrupted mid-stream means the storage lied.
 
 Compaction: once ``compact_every`` lines accumulate, the current job
 table is written to ``snapshot.json`` with the atomic fsync'd writer
@@ -42,14 +40,19 @@ Job lifecycle recorded here (DESIGN.md §13)::
 
 from __future__ import annotations
 
-import hashlib
 import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.runtime.io import atomic_write_text, durable_append_line
+from repro.runtime.io import (
+    atomic_write_text,
+    checksummed_line,
+    durable_append_line,
+    read_checksummed_lines,
+    truncate_torn_tail,
+)
 
 JOURNAL_VERSION = 1
 
@@ -70,11 +73,6 @@ _SNAPSHOT_BACKUP = ".bak"
 
 class JournalError(ValueError):
     """The journal directory holds something this code cannot read."""
-
-
-def _checksum(record: dict[str, Any]) -> str:
-    canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 @dataclass
@@ -202,10 +200,7 @@ class JobJournal:
         }
         if data:
             record["data"] = data
-        record["sha256"] = _checksum(record)
-        durable_append_line(
-            self.path, json.dumps(record, sort_keys=True, separators=(",", ":"))
-        )
+        durable_append_line(self.path, checksummed_line(record))
         self._lines_since_snapshot += 1
         return self._seq
 
@@ -285,44 +280,21 @@ class JobJournal:
     def replay(self) -> dict[str, JobRecord]:
         """Rebuild the job table: snapshot + every valid journal line after it.
 
-        Replay stops at the first line that fails to parse or checksum.  If
-        that line is the *last* one it is the expected torn tail of a killed
-        append and is dropped silently; anything earlier means the file was
-        corrupted in place, which is surfaced as a warning (the valid prefix
-        is still recovered — losing the suffix beats refusing to start).
+        A torn tail (a killed append) is cut off first, so the appends after
+        a restart start on a fresh line.  Replay stops at the first bad line
+        (:func:`repro.runtime.io.read_checksummed_lines`).
         """
         last_seq, jobs = self._load_snapshot()
         self._seq = max(self._seq, last_seq)
         self._lines_since_snapshot = 0
         try:
-            lines = self.path.read_text().splitlines()
+            truncate_torn_tail(self.path)
+            records = read_checksummed_lines(self.path, "fleet journal")
         except FileNotFoundError:
-            lines = []
+            records = []
         except OSError as exc:
             raise JournalError(f"unreadable journal {self.path}: {exc}") from None
-        for number, line in enumerate(lines):
-            if not line.strip():
-                continue
-            bad: str | None = None
-            record: dict[str, Any] = {}
-            try:
-                record = json.loads(line)
-                stated = record.pop("sha256", None)
-                if stated != _checksum(record):
-                    bad = "checksum mismatch"
-            except json.JSONDecodeError as exc:
-                bad = f"not valid JSON ({exc})"
-            if bad is not None:
-                if number != len(lines) - 1:
-                    warnings.warn(
-                        f"fleet journal {self.path} line {number + 1}: {bad}; "
-                        f"dropping this line and the {len(lines) - number - 1} "
-                        "after it (append-only integrity ends at the first "
-                        "bad record)",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                break
+        for record in records:
             seq = int(record.get("seq", 0))
             job_id = str(record.get("job", ""))
             event = str(record.get("event", ""))

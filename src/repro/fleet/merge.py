@@ -3,7 +3,7 @@
 Each shard worker produced a row-filtered campaign directory (a manifest
 whose points keep their *global* grid indices, plus ``points/<id>.json``
 payloads).  :func:`merge_fleet` stitches those back into the fleet root's
-own ``manifest.json`` / ``points/`` / ``results.csv`` / ``results.json`` —
+own manifest log / ``points/`` / ``results.csv`` / ``results.json`` —
 byte-identical in metrics fingerprints to a single-host
 ``repro campaign run`` of the same spec, because the payload files are
 copied verbatim and the reporting layer is the exact same
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.campaign.manifest import DONE, PENDING, RUNNING, Manifest, PointState
-from repro.campaign.runner import point_path, write_reports
+from repro.campaign.runner import manifest_path, point_path, write_reports
 from repro.campaign.spec import CampaignSpec, expand_grid, point_id, spec_hash
 from repro.fleet.plan import FleetError
 from repro.runtime.io import atomic_write_text
@@ -43,10 +43,10 @@ def merge_fleet(
 ) -> Manifest:
     """Merge shard results under ``out_dir`` into the canonical artifacts.
 
-    Reads each shard's manifest (via ``load_or_recover`` — a shard killed
-    mid-save still merges), validates it against ``spec``, copies the done
-    points' payloads into ``<out>/points/`` and writes the merged
-    ``manifest.json`` plus ``results.csv`` / ``results.json``.  Points no
+    Reads each shard's manifest (a shard killed mid-append still merges),
+    validates it against ``spec``, copies the done points' payloads into
+    ``<out>/points/`` and writes the merged manifest plus
+    ``results.csv`` / ``results.json``.  Points no
     surviving shard completed stay ``pending`` in the merged manifest, so
     ``complete`` honestly reports whether the fleet covered the whole grid.
     """
@@ -67,7 +67,7 @@ def merge_fleet(
     telemetry = False
     faults: dict[str, Any] = {}
     for shard_dir in dirs:
-        manifest = Manifest.load_or_recover(shard_dir / "manifest.json")
+        manifest = Manifest.load(manifest_path(shard_dir))
         if manifest.spec_hash != digest:
             raise FleetError(
                 f"shard {shard_dir} was run for spec hash {manifest.spec_hash}, "
@@ -135,7 +135,7 @@ def merge_fleet(
         telemetry=telemetry,
         faults=faults,
     )
-    manifest.save(out / "manifest.json")
+    manifest.save(manifest_path(out))
     write_reports(out, manifest)
     return manifest
 
@@ -150,7 +150,7 @@ def collect_fleet_telemetry(out_dir: str | Path):
     from repro.obs import TelemetrySnapshot, merge_snapshots
 
     out = Path(out_dir)
-    manifest = Manifest.load_or_recover(out / "manifest.json")
+    manifest = Manifest.load(manifest_path(out))
     snapshots = []
     for point in manifest.points:
         if point.status != DONE:

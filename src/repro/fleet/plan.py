@@ -11,7 +11,7 @@ The assignment is a pure function of ``(spec_hash, n_shards)``:
 Round-robin over the keyed ranking makes the partition *balanced* (shard
 sizes differ by at most one) as well as deterministic: every worker — and
 every re-dispatch of a dead shard — re-derives the identical assignment from
-the spec alone, so the per-shard ``manifest.json`` resume fences of
+the spec alone, so the per-shard manifest resume fences of
 :func:`repro.campaign.runner.run_campaign` keep working unchanged.  Within a
 shard, points stay in global grid order, so a shard manifest is literally a
 row-filtered view of the single-host manifest.

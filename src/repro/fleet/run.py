@@ -8,9 +8,9 @@ merges the shard outputs into the canonical single-host artifacts.
 
 Fault model — two layers, deliberately separate:
 
-* *Within* a shard, the PR-5 runtime already heals: retries, watchdog
-  kills, pool rebuilds, manifest recovery.  The orchestrator never reaches
-  inside a shard.
+* *Within* a shard, the campaign runtime already heals: retries, watchdog
+  kills, pool rebuilds, and a manifest log whose torn tail a resume cuts
+  off.  The orchestrator never reaches inside a shard.
 * *Of* a shard (worker process SIGKILLed, host gone), the orchestrator
   re-dispatches the same task up to ``max_shard_attempts`` times.  The
   worker always runs with ``resume=True`` against the same shard directory,
@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.campaign.manifest import DONE, Manifest, ManifestError
+from repro.campaign.manifest import DONE, Manifest, ManifestError, manifest_path
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, spec_from_dict, spec_to_dict, spec_hash
 from repro.fleet.executor import FleetExecutor, ShardTask, get_executor
@@ -181,7 +181,7 @@ class FleetRun:
 def _shard_complete(task: ShardTask, planned: tuple[str, ...]) -> bool:
     """Ground truth for shard success: its manifest, not the exit code."""
     try:
-        manifest = Manifest.load_or_recover(Path(task.out_dir) / "manifest.json")
+        manifest = Manifest.load(manifest_path(task.out_dir))
     except ManifestError:
         return False
     if {point.id for point in manifest.points} != set(planned):
@@ -359,8 +359,8 @@ def fleet_status_document(out_dir: str | Path) -> dict[str, Any]:
 
     Combines ``fleet.json`` with live per-shard progress read from each
     shard's own campaign manifest, plus whether the merged artifacts exist.
-    Read-only (:meth:`Manifest.load_latest`): shards may be saving their
-    manifests while a status poll reads them.
+    Read-only (:meth:`Manifest.load` never writes): shards may be appending
+    to their manifest logs while a status poll reads them.
     """
     out = Path(out_dir)
     state = FleetState.load(fleet_state_path(out))
@@ -377,7 +377,7 @@ def fleet_status_document(out_dir: str | Path) -> dict[str, Any]:
             "retries": 0,
         }
         try:
-            manifest = Manifest.load_latest(shard_dir(out, entry.shard) / "manifest.json")
+            manifest = Manifest.load(manifest_path(shard_dir(out, entry.shard)))
         except ManifestError:
             manifest = None
         if manifest is not None:
@@ -388,7 +388,7 @@ def fleet_status_document(out_dir: str | Path) -> dict[str, Any]:
     merged_manifest = None
     if state.merged:
         try:
-            merged_manifest = Manifest.load_latest(out / "manifest.json")
+            merged_manifest = Manifest.load(manifest_path(out))
         except ManifestError:
             pass
     return {

@@ -54,6 +54,7 @@ import urllib.parse
 from pathlib import Path
 from typing import Any
 
+from repro.campaign.manifest import manifest_path
 from repro.campaign.spec import CampaignSpec, SpecError, spec_from_dict, spec_hash
 from repro.fleet import journal as jl
 from repro.fleet.journal import JobJournal, JobRecord
@@ -637,7 +638,7 @@ class FleetService:
         from repro.fleet.merge import collect_fleet_telemetry
 
         job = self._job(job_id)
-        if not (job.out_dir / "manifest.json").exists():
+        if not manifest_path(job.out_dir).exists():
             raise _HttpError(409, f"job {job_id} has not merged yet (status {job.status})")
         snapshot = collect_fleet_telemetry(job.out_dir)
         if snapshot is None:

@@ -1,9 +1,8 @@
-"""Durable atomic file writes, shared by the result cache and manifests.
+"""Durable writes, shared by the result cache, manifests and the journal.
 
-Both :mod:`repro.runtime.cache` and :mod:`repro.campaign.manifest` persist
-state that must survive being interrupted at any instruction — a SIGKILLed
-campaign must leave either the old file or the new file, never a torn one.
-The recipe is the classic one:
+*Whole files* go through :func:`atomic_write_text`: a SIGKILLed writer
+leaves either the old file or the new file, never a torn one.  The recipe
+is the classic one:
 
 1. write the full content to a temp file in the *same directory* (so the
    final rename never crosses a filesystem),
@@ -12,18 +11,21 @@ The recipe is the classic one:
 3. ``os.replace`` onto the destination (atomic on POSIX),
 4. ``fsync`` the directory, so the rename itself survives a power cut.
 
-``backup_suffix`` additionally rotates the previous file content aside
-before the rename (e.g. ``manifest.json`` -> ``manifest.json.bak``), which
-gives readers a one-version-old fallback if the destination is ever caught
-corrupt — the crash-consistent recovery path of
-:meth:`repro.campaign.manifest.Manifest.load_or_recover`.
+*Logs* (the fleet journal, the campaign manifest) are fsync'd appends of
+:func:`checksummed_line` records.  A crash can only tear the final line:
+:func:`read_checksummed_lines` drops it, and the log's owner cuts it off
+with :func:`truncate_torn_tail` before appending again.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
+from typing import Any
 
 
 def fsync_dir(path: Path) -> None:
@@ -72,13 +74,9 @@ def atomic_write_text(
 
 
 def durable_append_line(path: str | Path, text: str) -> None:
-    """Append one line to ``path`` and fsync it — the JSONL journal idiom.
-
-    Appends are the write-ahead-log counterpart of :func:`atomic_write_text`:
-    a crash mid-append can only tear the *final* line, which journal readers
-    detect (newline missing / JSON truncated / checksum mismatch) and drop.
-    The first append also fsyncs the parent directory so the journal file's
-    creation itself survives a power cut.
+    """Append one line to ``path`` and fsync it — the log counterpart of
+    :func:`atomic_write_text`.  The first append also fsyncs the parent
+    directory, so the file's creation itself survives a power cut.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -89,6 +87,65 @@ def durable_append_line(path: str | Path, text: str) -> None:
         os.fsync(handle.fileno())
     if created:
         fsync_dir(path.parent)
+
+
+def _checksum(record: dict[str, Any]) -> str:
+    canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def checksummed_line(record: dict[str, Any]) -> str:
+    """``record`` plus the sha256 of its canonical JSON, as one such line."""
+    return json.dumps(
+        {**record, "sha256": _checksum(record)}, sort_keys=True, separators=(",", ":")
+    )
+
+
+def read_checksummed_lines(path: str | Path, what: str) -> list[dict[str, Any]]:
+    """The valid records of a :func:`checksummed_line` log, in order; never writes.
+
+    Bytes after the last newline are a torn append and are ignored.  Reading
+    stops at the first line that fails to parse or checksum: silently if it
+    is the last line, else with a warning naming the log as ``what`` (the
+    file was corrupted in place; the valid prefix beats refusing to start).
+    """
+    lines = Path(path).read_bytes().rpartition(b"\n")[0].split(b"\n")
+    records: list[dict[str, Any]] = []
+    for number, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            bad = f"not valid JSON ({exc})"
+        else:
+            stated = record.pop("sha256", None) if isinstance(record, dict) else None
+            bad = None if stated == _checksum(record) else "checksum mismatch"
+        if bad is not None:
+            if number != len(lines) - 1:
+                warnings.warn(
+                    f"{what} {path} line {number + 1}: {bad}; dropping this line "
+                    f"and the {len(lines) - number - 1} after it (append-only "
+                    "integrity ends at the first bad record)",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+            break
+        records.append(record)
+    return records
+
+
+def truncate_torn_tail(path: str | Path) -> None:
+    """Cut ``path`` (if it exists) back to its last newline, durably, so
+    the owner's next append cannot glue a new line onto a torn fragment."""
+    try:
+        with open(path, "rb+") as handle:
+            keep = handle.read().rfind(b"\n") + 1
+            if keep < handle.tell():
+                handle.truncate(keep)
+                os.fsync(handle.fileno())
+    except FileNotFoundError:
+        pass
 
 
 def clean_stale_tmp(directory: str | Path, max_age_s: float = 3600.0) -> int:

@@ -22,7 +22,7 @@ bit-identical metrics to an undisturbed one.
 :class:`ExecutionReport` accumulates what actually happened (per-job
 attempts, retries, errors; pool rebuilds; degradation) so callers — the
 campaign runner foremost — can persist the retry budget spent into
-``manifest.json``.
+the campaign manifest.
 """
 
 from __future__ import annotations

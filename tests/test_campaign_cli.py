@@ -51,7 +51,7 @@ def test_run_status_report_cycle(spec_path, tmp_path, capsys):
     assert run_cli("campaign", "run", spec_path, "--out", out, "--jobs", "2") == 0
     text = capsys.readouterr().out
     assert "executed 2, skipped 0, failed 0" in text
-    assert "manifest.json" in text
+    assert manifest_path(out).name in text
 
     assert run_cli("campaign", "status", out) == 0
     text = capsys.readouterr().out

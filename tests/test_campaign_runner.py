@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import (
-    BACKUP_SUFFIX,
     DONE,
     FAILED,
     PENDING,
@@ -30,6 +29,7 @@ from repro.campaign import (
 )
 from repro.experiments import fig1_nav_udp
 from repro.experiments.common import RunSettings
+from repro.runtime.io import checksummed_line
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "campaigns"
 
@@ -190,67 +190,175 @@ def test_fig1_campaign_matches_serial_experiment(tmp_path):
 # -------------------------------------------- crash-consistent manifests ----
 
 
-def test_manifest_save_rotates_a_backup(tmp_path):
-    run_campaign(small_spec(), out_dir=tmp_path)
-    backup = Path(str(manifest_path(tmp_path)) + BACKUP_SUFFIX)
-    assert backup.exists()
-    # the backup is itself a loadable manifest (the pre-finalize snapshot)
-    recovered = Manifest.load(backup)
-    assert recovered.total == 2
-
-
-def test_torn_manifest_recovers_from_backup(tmp_path):
-    run_campaign(small_spec(), out_dir=tmp_path)
-    path = manifest_path(tmp_path)
-    intact = path.read_bytes()
-    path.write_bytes(intact[: len(intact) // 2])  # SIGKILL mid-write
-
-    with pytest.raises(ManifestError, match="unreadable manifest"):
-        Manifest.load(path)
-    recovered = Manifest.load_or_recover(path)
-    assert recovered.total == 2
-    # recovery re-publishes the primary so plain load works again
-    assert Manifest.load(path).total == 2
-
-
-def test_load_latest_reads_the_backup_without_writing(tmp_path):
-    run_campaign(small_spec(), out_dir=tmp_path)
-    path = manifest_path(tmp_path)
-    intact = path.read_bytes()
-    torn = intact[: len(intact) // 2]
+def _tear_final_line(path: Path) -> bytes:
+    """Cut the log mid-way through its final line, as a SIGKILL mid-append
+    would; returns the torn bytes now on disk."""
+    data = path.read_bytes()
+    final = data.rstrip(b"\n").rfind(b"\n") + 1
+    torn = data[: (final + len(data)) // 2]
     path.write_bytes(torn)
-    backup = Path(str(path) + BACKUP_SUFFIX)
-    backup_bytes = backup.read_bytes()
-
-    assert Manifest.load_latest(path).total == 2
-    assert path.read_bytes() == torn  # the reader left the primary alone
-    assert backup.read_bytes() == backup_bytes
-    backup.unlink()
-    with pytest.raises(ManifestError, match="unreadable manifest"):
-        Manifest.load_latest(path)
+    return torn
 
 
-def test_resume_after_torn_manifest_skips_done_points(tmp_path):
+def test_manifest_is_a_log_of_point_transitions(tmp_path):
+    run_campaign(small_spec(), out_dir=tmp_path)
+    lines = manifest_path(tmp_path).read_text().splitlines()
+    # the document, running + done per point, then the run's faults
+    assert len(lines) == 1 + 2 * 2 + 1
+    records = [json.loads(line) for line in lines]
+    assert [p["status"] for p in records[0]["points"]] == [PENDING, PENDING]
+    assert [r["point"]["status"] for r in records[1:-1]] == [
+        "running", DONE, "running", DONE,
+    ]
+    assert set(records[-1]) == {"faults", "sha256"}
+    assert Manifest.load(manifest_path(tmp_path)).complete
+
+
+def test_fresh_run_replaces_an_old_log_whole(tmp_path):
     spec = small_spec()
     run_campaign(spec, out_dir=tmp_path)
     path = manifest_path(tmp_path)
-    intact = path.read_bytes()
-    path.write_bytes(intact[: len(intact) // 2])
+    first = path.read_bytes()
+    run_campaign(spec, out_dir=tmp_path)  # not --resume: a fresh log
+    assert len(path.read_bytes().splitlines()) == len(first.splitlines())
+    assert Manifest.load(path).complete
+    assert not list(tmp_path.glob("manifest*.bak"))
+
+
+def test_torn_final_line_is_dropped(tmp_path, recwarn):
+    run_campaign(small_spec(), out_dir=tmp_path)
+    path = manifest_path(tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    # tear the second point's "done" line: the log then reads "running"
+    path.write_bytes(b"".join(lines[:4]) + lines[4][: len(lines[4]) // 2])
+
+    manifest = Manifest.load(path)
+    assert [p.status for p in manifest.points] == [DONE, "running"]
+    assert manifest.faults == {}
+    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
+
+
+def test_resume_after_torn_manifest_skips_done_points(tmp_path, recwarn):
+    spec = small_spec()
+    run_campaign(spec, out_dir=tmp_path)
+    _tear_final_line(manifest_path(tmp_path))  # the faults line
 
     summary = run_campaign(spec, out_dir=tmp_path, resume=True)
     assert summary.executed == 0
     assert summary.skipped == 2
     assert summary.failed == 0
+    reloaded = Manifest.load(manifest_path(tmp_path))
+    assert reloaded.complete and reloaded.faults == summary.manifest.faults != {}
+    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
 
 
-def test_torn_manifest_without_backup_is_a_hard_error(tmp_path):
+def test_append_after_torn_tail_survives_the_next_load(tmp_path):
+    spec = small_spec()
+    run_campaign(spec, out_dir=tmp_path)
+    path = manifest_path(tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    # SIGKILL mid-append of the second point's "done" line
+    path.write_bytes(b"".join(lines[:4]) + lines[4][: len(lines[4]) // 2])
+
+    summary = run_campaign(spec, out_dir=tmp_path, resume=True)
+    assert (summary.executed, summary.skipped) == (1, 1)
+    reloaded = Manifest.load(path)
+    assert reloaded.complete
+    assert reloaded.faults == summary.manifest.faults != {}
+
+
+def test_status_read_of_a_torn_log_writes_nothing(tmp_path):
     run_campaign(small_spec(), out_dir=tmp_path)
     path = manifest_path(tmp_path)
-    intact = path.read_bytes()
-    path.write_bytes(intact[: len(intact) // 2])
-    Path(str(path) + BACKUP_SUFFIX).unlink()
-    with pytest.raises(ManifestError, match="unreadable manifest"):
-        Manifest.load_or_recover(path)
+    torn = _tear_final_line(path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+
+    manifest = Manifest.load(path)
+    assert manifest.count(DONE) == 2  # the valid prefix
+    assert manifest.status_document()["done"] == 2
+    assert path.read_bytes() == torn  # the reader left the log alone
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_midfile_corruption_keeps_the_prefix_and_warns(tmp_path):
+    run_campaign(small_spec(), out_dir=tmp_path)
+    path = manifest_path(tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"done"', b'"DONE"')  # checksum now wrong
+    path.write_bytes(b"".join(lines))
+
+    with pytest.warns(RuntimeWarning, match="dropping this line"):
+        manifest = Manifest.load(path)
+    assert [p.status for p in manifest.points] == ["running", PENDING]
+
+
+def test_garbled_first_line_is_a_hard_error(tmp_path):
+    run_campaign(small_spec(), out_dir=tmp_path)
+    path = manifest_path(tmp_path)
+    assert Manifest.load(path).complete  # the later lines fold to done
+    data = path.read_bytes()
+    path.write_bytes(b"{garbled" + data[40:])  # every later line intact
+
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(ManifestError, match=str(path)):
+            Manifest.load(path)
+        with pytest.raises(ManifestError, match="line 1"):
+            run_campaign(small_spec(), out_dir=tmp_path, resume=True)
+
+
+def test_write_shape_is_one_save_and_a_fixed_cost_per_point(tmp_path, monkeypatch):
+    """A run saves the whole document once; each point then costs a fixed
+    number of fsyncs (running line 1, payload 2, done line 1), and no byte
+    of the manifest is ever rewritten."""
+    import os
+
+    from repro.campaign import manifest as manifest_module
+
+    per_point_fsyncs = 4
+    counts = {"saves": 0, "fsyncs": 0, "bytes": 0}
+    save, fsync = Manifest.save, os.fsync
+    write_text = manifest_module.atomic_write_text
+    append_line = manifest_module.durable_append_line
+
+    def counted_save(self, path):
+        counts["saves"] += 1
+        save(self, path)
+
+    def counted_fsync(fd):
+        counts["fsyncs"] += 1
+        fsync(fd)
+
+    def counted_write(path, text, **kwargs):
+        counts["bytes"] += len(text.encode())
+        write_text(path, text, **kwargs)
+
+    def counted_append(path, text):
+        counts["bytes"] += len(text.encode()) + 1  # the newline it adds
+        append_line(path, text)
+
+    monkeypatch.setattr(Manifest, "save", counted_save)
+    monkeypatch.setattr(os, "fsync", counted_fsync)
+    monkeypatch.setattr(manifest_module, "atomic_write_text", counted_write)
+    monkeypatch.setattr(manifest_module, "durable_append_line", counted_append)
+
+    def shape(n_points):
+        values = list(range(n_points))
+        spec = spec_from_dict({
+            "campaign": {"name": f"shape{n_points}", "builder": "nav_pairs",
+                         "seeds": [1], "duration_s": 0.02},
+            "params": {"transport": "udp"},
+            "zip": {"alpha": values, "nav_inflation_us": [100.0 * v for v in values]},
+        })
+        out = tmp_path / str(n_points)
+        for key in counts:
+            counts[key] = 0
+        run_campaign(spec, out_dir=out, use_cache=False)
+        assert counts["bytes"] == manifest_path(out).stat().st_size
+        return dict(counts)
+
+    small, large = shape(2), shape(6)
+    assert small["saves"] == large["saves"] == 1
+    assert large["fsyncs"] - small["fsyncs"] == per_point_fsyncs * (6 - 2)
 
 
 def test_retry_telemetry_roundtrips_through_save_and_load(tmp_path):
@@ -273,13 +381,13 @@ def test_manifest_from_before_fault_tolerance_still_loads(tmp_path):
     """Forward compatibility: pre-repro.faults manifests lack the new keys."""
     run_campaign(small_spec(), out_dir=tmp_path)
     path = manifest_path(tmp_path)
-    data = json.loads(path.read_text())
+    data = Manifest.load(path).to_dict()
     data.pop("faults", None)
     data.pop("telemetry", None)
     for point in data["points"]:
         point.pop("retries", None)
         point.pop("last_failure", None)
-    path.write_text(json.dumps(data))
+    path.write_text(checksummed_line(data) + "\n")
 
     loaded = Manifest.load(path)
     assert loaded.faults == {}

@@ -10,11 +10,11 @@ real-simulator version of this is the ``quick`` profile (also the CI
 
 from __future__ import annotations
 
-import json
 import warnings
 
 import pytest
 
+from repro.campaign import Manifest, manifest_path
 from repro.faults.chaos import PROFILES, ChaosProfile, run_chaos
 from repro.runtime import RetryPolicy
 
@@ -79,10 +79,10 @@ def test_toy_artifacts_land_under_root(tmp_path, quiet):
     report = run_chaos(TOY, tmp_path)
     assert report.ok
     for phase in ("reference", "chaos", "healed"):
-        manifest = json.loads((tmp_path / phase / "manifest.json").read_text())
-        assert {p["status"] for p in manifest["points"]} == {"done"}
-    chaos_manifest = json.loads((tmp_path / "chaos" / "manifest.json").read_text())
-    assert sum(p["retries"] for p in chaos_manifest["points"]) >= 1
+        manifest = Manifest.load(manifest_path(tmp_path / phase))
+        assert {p.status for p in manifest.points} == {"done"}
+    chaos_manifest = Manifest.load(manifest_path(tmp_path / "chaos"))
+    assert sum(p.retries for p in chaos_manifest.points) >= 1
     # the sabotaged entries were moved aside, not silently deleted
     quarantine = tmp_path / "cache-chaos" / "quarantine"
     assert quarantine.exists() and any(quarantine.iterdir())

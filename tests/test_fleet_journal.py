@@ -90,6 +90,25 @@ def test_torn_tail_is_dropped_silently(tmp_path, recwarn):
     assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
 
 
+def test_appends_after_a_torn_tail_survive_the_next_replay(tmp_path, recwarn):
+    """Kill mid-append, restart (replay + appends), kill again before any
+    compaction: the second replay must see every restart append."""
+    journal = JobJournal(tmp_path)
+    _submit(journal, "0001-j")
+    journal.append("0001-j", jl.RUNNING)
+    text = journal.path.read_text()
+    journal.path.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
+
+    restarted = JobJournal(tmp_path)
+    assert restarted.replay()["0001-j"].seq == 2
+    restarted.append("0001-j", jl.INTERRUPTED)
+    restarted.append("0001-j", jl.QUEUED)
+
+    record = JobJournal(tmp_path).replay()["0001-j"]
+    assert (record.status, record.seq) == (jl.QUEUED, 4)
+    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
+
+
 def test_midfile_corruption_keeps_prefix_and_warns(tmp_path):
     journal = JobJournal(tmp_path)
     _submit(journal, "0001-j")

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import metrics_fingerprint, run_campaign
-from repro.campaign.manifest import DONE, Manifest, PointState
+from repro.campaign.manifest import DONE, Manifest, PointState, manifest_path
 from repro.campaign.runner import point_path, write_reports
 from repro.campaign.spec import expand_grid, point_id, spec_from_dict, spec_hash
 from repro.fleet import FleetError, merge_fleet, plan_shards, run_fleet
@@ -73,7 +73,7 @@ def _fake_shard(tmp_path, spec, name, points):
         duration_s=spec.duration_s,
         points=states,
     )
-    manifest.save(shard_dir / "manifest.json")
+    manifest.save(manifest_path(shard_dir))
     return shard_dir
 
 
@@ -101,7 +101,7 @@ def test_merge_reconstructs_the_single_host_artifacts(tmp_path, spec):
     for part in parts:
         whole.update(part)
     reference_dir = _fake_shard(tmp_path, spec, "single", whole)
-    reference = Manifest.load(reference_dir / "manifest.json")
+    reference = Manifest.load(manifest_path(reference_dir))
     reference.points.sort(key=lambda p: p.index)
     write_reports(reference_dir, reference)
     assert (out / "results.csv").read_bytes() == (
@@ -126,9 +126,7 @@ def test_merge_is_order_independent(tmp_path_factory, order, spec):
     assert (permuted / "results.csv").read_bytes() == (
         baseline / "results.csv"
     ).read_bytes()
-    assert (permuted / "manifest.json").read_bytes() == (
-        baseline / "manifest.json"
-    ).read_bytes()
+    assert manifest_path(permuted).read_bytes() == manifest_path(baseline).read_bytes()
 
 
 def test_merge_is_idempotent(tmp_path, spec):
@@ -139,10 +137,10 @@ def test_merge_is_idempotent(tmp_path, spec):
     out = tmp_path / "merged"
     merge_fleet(spec, out, shard_dirs=dirs)
     first_csv = (out / "results.csv").read_bytes()
-    first_manifest = (out / "manifest.json").read_bytes()
+    first_manifest = manifest_path(out).read_bytes()
     merge_fleet(spec, out, shard_dirs=dirs)  # merge again, same inputs
     assert (out / "results.csv").read_bytes() == first_csv
-    assert (out / "manifest.json").read_bytes() == first_manifest
+    assert manifest_path(out).read_bytes() == first_manifest
 
 
 def test_partial_merge_leaves_missing_points_pending(tmp_path, spec):
@@ -183,9 +181,9 @@ def test_mixed_code_versions_are_refused(tmp_path, spec):
         _fake_shard(tmp_path, spec, f"shard{i}", part)
         for i, part in enumerate(parts)
     ]
-    drifted = Manifest.load(dirs[1] / "manifest.json")
+    drifted = Manifest.load(manifest_path(dirs[1]))
     drifted.code_version = "othertoken"
-    drifted.save(dirs[1] / "manifest.json")
+    drifted.save(manifest_path(dirs[1]))
     with pytest.raises(FleetError, match="code"):
         merge_fleet(spec, tmp_path / "merged", shard_dirs=dirs)
 

@@ -14,7 +14,7 @@ import pytest
 
 pytest.importorskip("tomllib", reason="TOML campaign specs need Python 3.11+")
 
-from repro.campaign import metrics_fingerprint, run_campaign
+from repro.campaign import manifest_path, metrics_fingerprint, run_campaign
 from repro.campaign.spec import spec_from_dict
 from repro.cli import main
 from repro.fleet import (
@@ -167,24 +167,25 @@ def test_fleet_status_document(tmp_path, spec):
     json.dumps(doc)  # the whole document is JSON-serializable
 
 
-def test_fleet_status_reads_a_mid_save_shard_without_writing(tmp_path, spec):
-    """A shard caught between "rotate to .bak" and "publish" has only the
-    backup on disk.  A status read must report the backup's counts and
-    leave the shard directory as it found it: re-publishing the backup from
-    a reader would roll the manifest back or race the writer's rename."""
+def test_fleet_status_reads_a_mid_append_shard_without_writing(tmp_path, spec):
+    """A shard caught mid-append has a torn final line in its manifest log.
+    A status read must report the valid prefix's counts and leave the shard
+    directory as it found it: only the shard's owner may cut the tail."""
     fleet_out = tmp_path / "fleet"
     run_fleet(spec, fleet_out, n_shards=2, executor="local")
-    primary = shard_dir(fleet_out, 0) / "manifest.json"
-    backup = primary.with_name("manifest.json.bak")
-    primary.replace(backup)
-    before = sorted(p.name for p in primary.parent.iterdir())
+    log = manifest_path(shard_dir(fleet_out, 0))
+    lines = log.read_bytes().splitlines(keepends=True)
+    # SIGKILL mid-append of the last point's "done" line
+    torn = b"".join(lines[:-2]) + lines[-2][: len(lines[-2]) // 2]
+    log.write_bytes(torn)
+    before = sorted(p.name for p in log.parent.iterdir())
 
     doc = fleet_status_document(fleet_out)
 
     shard = doc["shards"][0]
-    assert shard["done"] == shard["points"] > 0
-    assert not primary.exists()
-    assert sorted(p.name for p in primary.parent.iterdir()) == before
+    assert shard["done"] == shard["points"] - 1 >= 1
+    assert log.read_bytes() == torn
+    assert sorted(p.name for p in log.parent.iterdir()) == before
 
 
 # -------------------------------------------------------------------- CLI ---
