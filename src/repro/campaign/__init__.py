@@ -26,7 +26,6 @@ from repro.campaign.runner import (
     default_out_dir,
     load_point_results,
     metrics_fingerprint,
-    point_path,
     run_campaign,
     write_reports,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "manifest_path",
     "metrics_fingerprint",
     "point_id",
-    "point_path",
     "register",
     "run_campaign",
     "spec_from_dict",

@@ -5,11 +5,12 @@ The manifest is an append-only log in the campaign's output directory
 :meth:`Manifest.save` in one atomic rename, so a fresh run replaces an old
 log whole.  Each point transition (``running``, ``done``, ``failed``) then
 appends that point's absolute :class:`PointState` as one line, and the end
-of a run appends one ``faults`` line.  :meth:`Manifest.load` folds the lines
-in order; the last line for a point wins.  A resumed run checks that the
-spec hash and code-version token still match (a changed spec or changed
-simulator code makes old numbers non-comparable), and skips every point
-already done.
+of a run appends one ``faults`` line.  A ``done`` line carries the point's
+results (``PointState.result``), so it is the point's one durable record.
+:meth:`Manifest.load` folds the lines in order; the last line for a point
+wins.  A resumed run checks that the spec hash and code-version token
+still match (a changed spec or changed simulator code makes old numbers
+non-comparable), and skips every point already done.
 
 Crash consistency is the fleet journal's (:mod:`repro.runtime.io`): every
 line carries its own sha256 and is appended with an fsync, so a SIGKILL
@@ -76,6 +77,27 @@ class PointState:
     #: Most recent failure message observed for this point, kept even after
     #: a later attempt succeeded (flakiness is worth surfacing).
     last_failure: str | None = None
+    #: A done point's results: ``per_seed`` metrics (keyed by the seed as a
+    #: string), their ``median`` and the representative run's ``telemetry``
+    #: snapshot (None unless the run captured telemetry).
+    result: dict[str, Any] | None = None
+
+
+def add_faults(total: dict[str, Any], more: dict[str, Any]) -> dict[str, Any]:
+    """Fault counters of two runs as one: ints sum, bools OR, others replace.
+
+    A resumed run adds its pool counters to the interrupted run's, and a
+    fleet merge adds up its shards', by this one rule.
+    """
+    summed = dict(total)
+    for key, value in more.items():
+        if isinstance(value, bool):
+            summed[key] = bool(summed.get(key, False)) or value
+        elif isinstance(value, (int, float)):
+            summed[key] = summed.get(key, 0) + value
+        else:
+            summed[key] = value
+    return summed
 
 
 @dataclass
@@ -90,7 +112,7 @@ class Manifest:
     duration_s: float
     points: list[PointState]
     version: int = MANIFEST_VERSION
-    #: Whether per-point telemetry snapshots were captured into the payloads.
+    #: Whether per-point telemetry snapshots were captured into the results.
     telemetry: bool = False
     #: Aggregate fault counters for the whole campaign (pool rebuilds,
     #: watchdog kills, serial degradation); purely informational.

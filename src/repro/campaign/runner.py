@@ -10,14 +10,16 @@ bit-identical numbers for equal seeds.
 Everything lands in one output directory::
 
     results/campaigns/<name>/
-        manifest.jsonl      # spec hash, code version, per-point status (a log)
-        points/<id>.json    # per-seed metrics of one grid point
+        manifest.jsonl      # spec hash, code version, per-point status and
+                            # results (a log)
         results.csv         # tidy per-point table (params + metric medians)
         results.json        # full results: per-seed values + medians
+        cache/              # per-seed result cache
 
 Each point transition appends one fsync'd line to the manifest log, so a
-killed run leaves a valid partial record; ``--resume`` skips every point
-whose ``done`` line (written after its payload) survived.
+killed run leaves a valid partial record; a ``done`` line carries the
+point's per-seed metrics, and ``--resume`` skips every point whose ``done``
+line survived.  Reports are built from the log as loaded from disk.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.campaign.manifest import (
     RUNNING,
     Manifest,
     PointState,
+    add_faults,
     atomic_write_text,
     manifest_path,
 )
@@ -75,14 +78,6 @@ class CampaignRun:
 def default_out_dir(spec: CampaignSpec) -> Path:
     """Where a campaign's artifacts live unless ``--out`` says otherwise."""
     return DEFAULT_CAMPAIGN_ROOT / spec.name
-
-
-def points_dir(out_dir: Path) -> Path:
-    return Path(out_dir) / "points"
-
-
-def point_path(out_dir: Path, point: PointState) -> Path:
-    return points_dir(out_dir) / f"{point.id}.json"
 
 
 def _fresh_manifest(
@@ -156,15 +151,6 @@ def _resumable_manifest(
     return manifest
 
 
-def _payload_ok(path: Path) -> bool:
-    """Whether a previously-written point payload is present and readable."""
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return False
-    return isinstance(payload, dict) and "per_seed" in payload and "median" in payload
-
-
 def run_campaign(
     spec: CampaignSpec,
     out_dir: str | Path | None = None,
@@ -206,7 +192,7 @@ def run_campaign(
 
     ``telemetry=True`` additionally runs one in-process *representative*
     repetition (the first seed) of each point inside a
-    :func:`repro.obs.capture` and stores the snapshot in the point payload
+    :func:`repro.obs.capture` and stores the snapshot in the point's result
     (worker processes don't report registries back, so per-seed telemetry of
     the fanned-out runs is deliberately out of scope).  The snapshot never
     feeds the metric medians — those still come exclusively from the seeded
@@ -216,7 +202,6 @@ def run_campaign(
     out.mkdir(parents=True, exist_ok=True)
     # Reap temp-file debris a SIGKILLed previous run may have left behind.
     clean_stale_tmp(out)
-    clean_stale_tmp(points_dir(out))
 
     if point_ids is not None:
         point_ids = frozenset(point_ids)
@@ -239,7 +224,7 @@ def run_campaign(
     try:
         for point in manifest.points:
             label = f"point {point.index + 1}/{manifest.total} [{point.id}]"
-            if point.status == DONE and _payload_ok(point_path(out, point)):
+            if point.status == DONE:
                 skipped += 1
                 say(f"{label} already done, skipped")
                 continue
@@ -266,9 +251,7 @@ def run_campaign(
                 failed += 1
                 say(f"{label} FAILED: {point.error}")
                 continue
-            payload = {
-                "id": point.id,
-                "params": point.params,
+            point.result = {
                 "per_seed": {str(seed): metrics for seed, metrics in per_seed.items()},
                 "median": _medians(per_seed),
                 "telemetry": (
@@ -277,9 +260,6 @@ def run_campaign(
                     else None
                 ),
             }
-            atomic_write_text(
-                point_path(out, point), json.dumps(payload, indent=2, sort_keys=True)
-            )
             point.status = DONE
             point.seeds_done = list(spec.seeds)
             point.error = None
@@ -291,15 +271,18 @@ def run_campaign(
             suffix = f", {report.total_retries} retries" if report.total_retries else ""
             say(f"{label} done ({len(spec.seeds)} seeds{suffix})")
     finally:
-        manifest.faults = {
+        manifest.faults = add_faults(manifest.faults, {
             "pool_rebuilds": active.rebuilds,
             "worker_kills": active.worker_kills,
             "degraded_to_serial": active.degraded,
-        }
+        })
         manifest.append_faults(log)
         if owned is not None:
             owned.shutdown()
 
+    # Report from the log as loaded, so every value takes the JSON round
+    # trip a later ``repro campaign report`` of this directory sees.
+    manifest = Manifest.load(log)
     write_reports(out, manifest)
     return CampaignRun(
         spec=spec,
@@ -342,45 +325,40 @@ def _point_telemetry(
 def metrics_fingerprint(out_dir: str | Path) -> dict[str, str]:
     """Per-point canonical JSON of everything scientific in a campaign output.
 
-    Maps point id to a ``sort_keys`` JSON blob of (params, per_seed, median)
+    Maps each done point's id to a ``sort_keys`` JSON blob of (params, per_seed, median)
     — exactly the content that must be bit-identical between a single-host
     run, a healed chaos run and a merged fleet run.  Telemetry and fault
     accounting are deliberately excluded: they describe *how* the run went,
     not what it measured.
     """
-    out = Path(out_dir)
-    manifest = Manifest.load(manifest_path(out))
-    prints: dict[str, str] = {}
-    for point in manifest.points:
-        payload = json.loads(point_path(out, point).read_text())
-        prints[point.id] = json.dumps(
-            {
-                "params": payload["params"],
-                "per_seed": payload["per_seed"],
-                "median": payload["median"],
-            },
+    results = load_point_results(out_dir, Manifest.load(manifest_path(out_dir)))
+    return {
+        point_id: json.dumps(
+            {key: payload[key] for key in ("params", "per_seed", "median")},
             sort_keys=True,
         )
-    return prints
+        for point_id, payload in results.items()
+    }
 
 
 def load_point_results(
     out_dir: str | Path, manifest: Manifest
 ) -> dict[str, dict[str, Any]]:
-    """Per-point payloads ({id: {params, per_seed, median}}) of done points."""
-    out = Path(out_dir)
+    """Results ({id: {id, params, per_seed, median, telemetry}}) of done points.
+
+    Reads the ``done`` lines folded into ``manifest``; ``out_dir`` only
+    names the campaign in errors.
+    """
     results: dict[str, dict[str, Any]] = {}
     for point in manifest.points:
         if point.status != DONE:
             continue
-        path = point_path(out, point)
-        try:
-            results[point.id] = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        if point.result is None:
             raise CampaignError(
-                f"point result {path} is missing or corrupt ({exc}); "
-                "rerun the campaign (without --resume) to regenerate it"
-            ) from None
+                f"point {point.id} of {out_dir} is done but its manifest line "
+                "carries no result; rerun the campaign (without --resume)"
+            )
+        results[point.id] = {"id": point.id, "params": point.params, **point.result}
     return results
 
 
@@ -388,9 +366,9 @@ def aggregate(manifest: Manifest, results: dict[str, dict[str, Any]]) -> tuple[l
     """Tidy results table: one row per done point, params + metric medians.
 
     Returns ``(columns, rows)``.  Parameter columns come first, then metric
-    columns, each sorted by name — the manifest and point files round-trip
-    through ``sort_keys`` JSON, so sorted columns keep the table layout
-    identical whether it is built from a live run or reloaded from disk.
+    columns, each sorted by name — the manifest round-trips through
+    ``sort_keys`` JSON, so sorted columns keep the table layout identical
+    whether it is built from a live run or reloaded from disk.
     """
     param_cols: list[str] = []
     metric_cols: list[str] = []
@@ -422,7 +400,7 @@ def aggregate(manifest: Manifest, results: dict[str, dict[str, Any]]) -> tuple[l
 
 
 #: Representative-run gauges promoted to flat results.csv columns; the full
-#: snapshot stays in the point payloads / results.json.
+#: snapshot stays in the manifest's done lines / results.json.
 _FLAT_TELEMETRY = {
     "tm_events": "sim.engine.events_processed",
     "tm_frames_sent": "phy.medium.frames_sent",

@@ -17,8 +17,9 @@ directory:
 4. **recover** — tear the chaos run's manifest log mid-way through its
    final line (the only tear an append can leave), resume: zero re-runs.
 
-The acceptance bar is byte-identity: the per-point payloads (per-seed
-metrics + medians) of phases 1–3 are compared as canonical JSON.  Retried
+The acceptance bar is byte-identity: the per-point results (per-seed
+metrics + medians, as each run's ``done`` lines logged them) of phases 1–3
+are compared as canonical JSON.  Retried
 jobs re-run identical :class:`~repro.runtime.JobSpec`\\ s and every
 simulation RNG is seed-derived, so any difference is a real robustness bug,
 not noise.  :data:`PROFILES` ships a ``quick`` profile (worker kill + cache
@@ -41,7 +42,6 @@ from repro.campaign.manifest import Manifest
 from repro.campaign.runner import (
     manifest_path,
     metrics_fingerprint,
-    point_path,
     run_campaign,
 )
 from repro.campaign.spec import spec_from_dict
@@ -410,7 +410,7 @@ def run_chaos(
         mismatches += _compare(prints, metrics_fingerprint(root / "healed"), "heal")
         identical = not mismatches
         problems += mismatches
-    else:  # a run failed outright; point payloads may be missing
+    else:  # a run failed outright; point results may be missing
         identical = False
 
     return ChaosReport(

@@ -1,12 +1,13 @@
 """Merge step: fold shard campaign directories back into one canonical run.
 
 Each shard worker produced a row-filtered campaign directory (a manifest
-whose points keep their *global* grid indices, plus ``points/<id>.json``
-payloads).  :func:`merge_fleet` stitches those back into the fleet root's
-own manifest log / ``points/`` / ``results.csv`` / ``results.json`` —
+log whose points keep their *global* grid indices, each done point's line
+carrying its results).  :func:`merge_fleet` stitches those back into the
+fleet root's own manifest log / ``results.csv`` / ``results.json`` —
 byte-identical in metrics fingerprints to a single-host
-``repro campaign run`` of the same spec, because the payload files are
-copied verbatim and the reporting layer is the exact same
+``repro campaign run`` of the same spec, because each done
+:class:`PointState` carries its results into the merged line 1 unchanged
+and the reporting layer is the exact same
 :func:`repro.campaign.runner.write_reports`.
 
 The merge is idempotent and order-independent by construction: every point
@@ -17,15 +18,13 @@ the missing points pending so "merge the survivors" still writes reports.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.campaign.manifest import DONE, PENDING, RUNNING, Manifest, PointState
-from repro.campaign.runner import manifest_path, point_path, write_reports
+from repro.campaign.manifest import PENDING, RUNNING, Manifest, PointState, add_faults
+from repro.campaign.runner import load_point_results, manifest_path, write_reports
 from repro.campaign.spec import CampaignSpec, expand_grid, point_id, spec_hash
 from repro.fleet.plan import FleetError
-from repro.runtime.io import atomic_write_text
 
 
 def default_shard_dirs(out_dir: str | Path) -> list[Path]:
@@ -44,8 +43,8 @@ def merge_fleet(
     """Merge shard results under ``out_dir`` into the canonical artifacts.
 
     Reads each shard's manifest (a shard killed mid-append still merges),
-    validates it against ``spec``, copies the done points' payloads into
-    ``<out>/points/`` and writes the merged manifest plus
+    validates it against ``spec`` and writes the merged manifest, whose
+    line 1 carries every done point's results, plus
     ``results.csv`` / ``results.json``.  Points no
     surviving shard completed stay ``pending`` in the merged manifest, so
     ``complete`` honestly reports whether the fleet covered the whole grid.
@@ -75,13 +74,7 @@ def merge_fleet(
             )
         code_versions.add(manifest.code_version)
         telemetry = telemetry or manifest.telemetry
-        for key, value in manifest.faults.items():
-            if isinstance(value, bool):
-                faults[key] = bool(faults.get(key, False)) or value
-            elif isinstance(value, (int, float)):
-                faults[key] = faults.get(key, 0) + value
-            else:
-                faults[key] = value
+        faults = add_faults(faults, manifest.faults)
         for point in manifest.points:
             if point.id not in expected:
                 raise FleetError(
@@ -93,10 +86,7 @@ def merge_fleet(
                     f"point {point.id} appears in more than one shard manifest; "
                     "the shard plan the workers used does not partition the grid"
                 )
-            if point.status == DONE:
-                source = point_path(shard_dir, point)
-                atomic_write_text(point_path(out, point), source.read_text())
-            elif point.status == RUNNING:
+            if point.status == RUNNING:
                 # A shard manifest snapshotted mid-point (worker killed with
                 # the point in flight): in the merged view that point simply
                 # was not computed.  Normalize so a survivors-merge reports
@@ -144,21 +134,17 @@ def collect_fleet_telemetry(out_dir: str | Path):
     """Aggregate per-point telemetry snapshots of a merged fleet run.
 
     Returns a single merged :class:`repro.obs.TelemetrySnapshot`, or None if
-    the run captured no telemetry.  Reads the *merged* points directory, so
-    call after :func:`merge_fleet`.
+    the run captured no telemetry.  Reads the *merged* manifest, so call
+    after :func:`merge_fleet`.
     """
     from repro.obs import TelemetrySnapshot, merge_snapshots
 
-    out = Path(out_dir)
-    manifest = Manifest.load(manifest_path(out))
-    snapshots = []
-    for point in manifest.points:
-        if point.status != DONE:
-            continue
-        payload = json.loads(point_path(out, point).read_text())
-        raw = payload.get("telemetry")
-        if raw:
-            snapshots.append(TelemetrySnapshot.from_dict(raw))
+    results = load_point_results(out_dir, Manifest.load(manifest_path(out_dir)))
+    snapshots = [
+        TelemetrySnapshot.from_dict(payload["telemetry"])
+        for payload in results.values()
+        if payload["telemetry"]
+    ]
     if not snapshots:
         return None
     return merge_snapshots(snapshots)

@@ -11,7 +11,7 @@ that as a first-class subsystem:
   :class:`repro.net.scenario.Scenario` auto-attaches the active registry.
 * :class:`TelemetrySnapshot` — schema-versioned frozen view with a JSON
   round-trip, attached to :class:`repro.stats.ExperimentResult` and campaign
-  point payloads; :func:`validate_snapshot` checks the schema.
+  point results; :func:`validate_snapshot` checks the schema.
 
 With no registry attached every instrumentation hook is a single
 ``if self.obs is not None`` test on a plain attribute: golden traces stay

@@ -1,7 +1,7 @@
 """Telemetry aggregation across runs: fold many snapshots into one.
 
 The fleet tier captures one :class:`TelemetrySnapshot` per campaign point
-(the representative-run snapshot stored in each point payload);
+(the representative-run snapshot stored in each point's result);
 :func:`merge_snapshots` folds any number of them into a single fleet-wide
 view.  Semantics follow the metric kinds:
 

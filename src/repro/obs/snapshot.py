@@ -3,7 +3,7 @@
 A :class:`TelemetrySnapshot` is the serializable view of one
 :class:`repro.obs.MetricsRegistry`: plain dicts of floats, stable key order,
 an explicit ``schema_version``, and a JSON round-trip.  Snapshots ride on
-:class:`repro.stats.ExperimentResult` and in campaign point payloads.
+:class:`repro.stats.ExperimentResult` and in campaign point results.
 
 Key naming (DESIGN.md §10): ``layer.station.metric`` with at least three
 dot-separated segments.  Live counters accumulate during the run; the gauge

@@ -12,7 +12,7 @@ import pytest
 
 pytest.importorskip("tomllib", reason="TOML campaign specs need Python 3.11+")
 
-from repro.campaign import Manifest, PENDING, manifest_path, point_path
+from repro.campaign import Manifest, PENDING, manifest_path
 from repro.cli import main
 
 SPEC_TOML = """\
@@ -85,8 +85,8 @@ def test_resume_after_interrupt_runs_only_the_missing_point(
     victim = manifest.points[1]
     victim.status = PENDING
     victim.seeds_done = []
+    victim.result = None
     manifest.save(manifest_path(out))
-    point_path(out, victim).unlink()
     capsys.readouterr()
 
     assert run_cli("campaign", "run", spec_path, "--out", out, "--resume") == 0

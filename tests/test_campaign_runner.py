@@ -22,7 +22,6 @@ from repro.campaign import (
     aggregate,
     load_point_results,
     manifest_path,
-    point_path,
     run_campaign,
     spec_from_dict,
     spec_hash,
@@ -59,11 +58,17 @@ def test_run_produces_manifest_points_and_reports(tmp_path):
     for point in manifest.points:
         assert point.status == DONE
         assert point.seeds_done == [1, 2]
-        payload = json.loads(point_path(tmp_path, point).read_text())
-        assert set(payload["per_seed"]) == {"1", "2"}
-        assert "goodput_R0" in payload["median"]
+        assert set(point.result["per_seed"]) == {"1", "2"}
+        assert "goodput_R0" in point.result["median"]
     assert (tmp_path / "results.csv").exists()
     assert (tmp_path / "results.json").exists()
+
+
+def test_finished_run_leaves_the_log_the_reports_and_the_cache(tmp_path):
+    run_campaign(small_spec(), out_dir=tmp_path)
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "cache", "manifest.jsonl", "results.csv", "results.json",
+    ]
 
 
 def test_resume_reexecutes_nothing(tmp_path):
@@ -86,14 +91,14 @@ def test_rerun_without_resume_hits_the_cache(tmp_path):
 def test_resume_after_simulated_interrupt(tmp_path):
     spec = small_spec()
     run_campaign(spec, out_dir=tmp_path)
-    # Simulate a run interrupted mid-point: the manifest says pending and the
-    # point file never landed.
+    # Simulate a run interrupted mid-point: the manifest says pending and
+    # holds no result for it.
     manifest = Manifest.load(manifest_path(tmp_path))
     victim = manifest.points[0]
     victim.status = PENDING
     victim.seeds_done = []
+    victim.result = None
     manifest.save(manifest_path(tmp_path))
-    point_path(tmp_path, victim).unlink()
 
     summary = run_campaign(spec, out_dir=tmp_path, resume=True)
     assert summary.executed == 1  # only the interrupted point
@@ -146,12 +151,15 @@ def test_failed_point_is_recorded_and_run_continues(tmp_path):
     assert columns[:2] == ["index", "point"]
 
 
-def test_corrupt_point_file_is_a_readable_error(tmp_path):
+def test_done_line_without_a_result_is_a_campaign_error_naming_the_point(tmp_path):
     run_campaign(small_spec(), out_dir=tmp_path)
-    manifest = Manifest.load(manifest_path(tmp_path))
-    point_path(tmp_path, manifest.points[0]).write_text("{not json")
-    with pytest.raises(CampaignError, match="missing or corrupt"):
-        load_point_results(tmp_path, manifest)
+    path = manifest_path(tmp_path)
+    manifest = Manifest.load(path)
+    victim = manifest.points[0]
+    victim.result = None  # a done line as logged before points carried results
+    manifest.append_point(path, victim)
+    with pytest.raises(CampaignError, match=f"point {victim.id} .* no result"):
+        load_point_results(tmp_path, Manifest.load(path))
 
 
 def test_parallel_campaign_matches_serial_campaign(tmp_path):
@@ -252,6 +260,27 @@ def test_resume_after_torn_manifest_skips_done_points(tmp_path, recwarn):
     assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
 
 
+def test_resume_adds_its_pool_counters_to_the_logged_faults(tmp_path):
+    spec = small_spec()
+    run_campaign(spec, out_dir=tmp_path)
+    path = manifest_path(tmp_path)
+    manifest = Manifest.load(path)
+    # The interrupted run rebuilt its pool once and left a point running.
+    manifest.faults = {"pool_rebuilds": 1, "worker_kills": 2,
+                       "degraded_to_serial": True}
+    manifest.append_faults(path)
+    manifest.points[1].status = "running"
+    manifest.points[1].result = None
+    manifest.append_point(path, manifest.points[1])
+
+    summary = run_campaign(spec, out_dir=tmp_path, resume=True)
+    assert (summary.executed, summary.skipped) == (1, 1)
+    faults = Manifest.load(path).faults
+    assert faults == summary.manifest.faults
+    assert faults["pool_rebuilds"] >= 1 and faults["worker_kills"] >= 2
+    assert faults["degraded_to_serial"] is True
+
+
 def test_append_after_torn_tail_survives_the_next_load(tmp_path):
     spec = small_spec()
     run_campaign(spec, out_dir=tmp_path)
@@ -308,13 +337,13 @@ def test_garbled_first_line_is_a_hard_error(tmp_path):
 
 def test_write_shape_is_one_save_and_a_fixed_cost_per_point(tmp_path, monkeypatch):
     """A run saves the whole document once; each point then costs a fixed
-    number of fsyncs (running line 1, payload 2, done line 1), and no byte
-    of the manifest is ever rewritten."""
+    number of fsyncs (running line 1, done line 1, which carries the
+    point's results), and no byte of the manifest is ever rewritten."""
     import os
 
     from repro.campaign import manifest as manifest_module
 
-    per_point_fsyncs = 4
+    per_point_fsyncs = 2
     counts = {"saves": 0, "fsyncs": 0, "bytes": 0}
     save, fsync = Manifest.save, os.fsync
     write_text = manifest_module.atomic_write_text

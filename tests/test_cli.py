@@ -353,8 +353,13 @@ def test_campaign_report_csv_equals_results_csv(csv_campaign, capsys):
 
 
 def test_campaign_report_missing_payload_exits_2(csv_campaign, capsys):
-    payloads = sorted((csv_campaign / "points").glob("*.json"))
-    payloads[0].unlink()
+    from repro.campaign import Manifest, manifest_path
+
+    log = manifest_path(csv_campaign)
+    manifest = Manifest.load(log)
+    victim = manifest.points[0]
+    victim.result = None  # a done line that carries no result
+    manifest.append_point(log, victim)
     assert main(["campaign", "report", str(csv_campaign)]) == 2
     line = _first_err_line(capsys)
-    assert line.startswith(f"point result {payloads[0]} is missing or corrupt")
+    assert line.startswith(f"point {victim.id} of {csv_campaign} is done but")

@@ -2,16 +2,16 @@
 
 Two layers of evidence:
 
-- *Synthetic* manifests + payloads drive the pure merge properties
-  (idempotent, order-independent, partial-merge leaves points pending,
-  duplicate/unknown/stale shards refused) without paying for simulations.
+- *Synthetic* manifests whose done points carry results drive the pure
+  merge properties (idempotent, order-independent, partial-merge leaves
+  points pending, duplicate/unknown/stale shards refused) without paying
+  for simulations.
 - *Real* runs pin the acceptance criterion: a fleet run of a tiny spec over
   2 and 3 shards produces ``results.csv`` bytes and metrics fingerprints
   identical to ``run_campaign`` of the same spec on one host.
 """
 
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.campaign import metrics_fingerprint, run_campaign
 from repro.campaign.manifest import DONE, Manifest, PointState, manifest_path
-from repro.campaign.runner import point_path, write_reports
+from repro.campaign.runner import write_reports
 from repro.campaign.spec import expand_grid, point_id, spec_from_dict, spec_hash
 from repro.fleet import FleetError, merge_fleet, plan_shards, run_fleet
 
@@ -47,23 +47,20 @@ def spec():
 def _fake_shard(tmp_path, spec, name, points):
     """Write a fake completed shard dir carrying ``points`` (id->index map)."""
     shard_dir = tmp_path / name
-    states = []
-    for pid, (index, params) in points.items():
-        state = PointState(
+    states = [
+        PointState(
             id=pid, index=index, params=params, status=DONE,
             seeds_done=list(spec.seeds),
+            result={
+                "per_seed": {
+                    str(s): {"goodput": float(index + s)} for s in spec.seeds
+                },
+                "median": {"goodput": float(index) + 1.5},
+                "telemetry": None,
+            },
         )
-        payload = {
-            "id": pid,
-            "params": params,
-            "per_seed": {str(s): {"goodput": float(index + s)} for s in spec.seeds},
-            "median": {"goodput": float(index) + 1.5},
-            "telemetry": None,
-        }
-        path = point_path(shard_dir, state)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        states.append(state)
+        for pid, (index, params) in points.items()
+    ]
     manifest = Manifest(
         name=spec.name,
         builder=spec.builder,
