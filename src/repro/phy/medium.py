@@ -23,7 +23,8 @@ Equal-delay hearer groups.  Hearers at one spot, or on a ring around the
 sender, receive its frames at the same float time.  Each link-table row
 partitions the sender's hearers by their exact delay, and a frame pushes
 one start and one end entry per group (:class:`_HearerGroup`), not per
-hearer.  The events fire as one entry per hearer would, with the hearers
+hearer; the start entry carries the row's own ``rss`` and ``decodable``
+columns.  The events fire as one entry per hearer would, with the hearers
 numbered in group order (by first member, then attach order), for every
 airtime and every clock:
 
@@ -94,8 +95,8 @@ class LinkTable:
     ``row(i)`` is sender attach index ``i``'s hearers, every receiver index
     inside carrier-sense range, partitioned by the exact ``delay`` float: a
     tuple of one ``(delay, receivers, rss, decodable)`` group per distinct
-    delay, ordered by first member, with its members' columns (lists, never
-    changed once built) in attach order.
+    delay, ordered by first member, with its members' columns (tuples, so
+    every medium of the layout can bind them as they are) in attach order.
 
     A row is built on first use and kept.  Finding it looks only at the
     radios in the grid cells the sender's reach touches, so building every
@@ -204,7 +205,9 @@ class LinkTable:
                 group[1].append(index)
                 group[2].append(rss)
                 group[3].append(rss >= rx_threshold)
-        return tuple(groups.values())
+        return tuple(
+            (d, tuple(r), tuple(p), tuple(f)) for d, r, p, f in groups.values()
+        )
 
 
 @functools.lru_cache(maxsize=LINK_TABLE_LAYOUTS)
@@ -242,29 +245,28 @@ class _HearerGroup:
     """Hearers of one sender that its frames reach at the same instant.
 
     One heap entry each way stands for the group (``Medium.transmit``):
-    :meth:`start` runs each member's ``_on_tx_start`` and :meth:`stop` each
-    member's ``_on_tx_end``, in attach order, and each adds the members
-    beyond the first to ``Simulator.grouped_events``, so
+    :meth:`start` zips the members' ``_on_tx_start`` with the link-table
+    row's ``rss`` and ``decodable`` columns its entry carries, and
+    :meth:`stop` runs each member's ``_on_tx_end``, in attach order; each
+    adds the members beyond the first to ``Simulator.grouped_events``, so
     ``events_processed`` still counts one event per member callback.
     """
 
-    __slots__ = ("starts", "stops", "sim", "extra")
+    __slots__ = ("on_starts", "on_ends", "sim", "extra")
 
-    def __init__(self, sim: Simulator, starts: tuple, stops: tuple) -> None:
-        #: ``(on_tx_start, rss, decodable)`` per member.
-        self.starts = starts
-        #: ``on_tx_end`` per member.
-        self.stops = stops
+    def __init__(self, sim: Simulator, on_starts: list, on_ends: list) -> None:
+        self.on_starts = on_starts
+        self.on_ends = on_ends
         self.sim = sim
-        self.extra = len(stops) - 1
+        self.extra = len(on_ends) - 1
 
-    def start(self, tx: _Transmission, _rss: Any, _decodable: Any) -> None:
-        for on_tx_start, rss, decodable in self.starts:
-            on_tx_start(tx, rss, decodable)
+    def start(self, tx: _Transmission, rss: tuple, decodable: tuple) -> None:
+        for on_tx_start, power, flag in zip(self.on_starts, rss, decodable):
+            on_tx_start(tx, power, flag)
         self.sim.grouped_events += self.extra
 
     def stop(self, tx: _Transmission) -> None:
-        for on_tx_end in self.stops:
+        for on_tx_end in self.on_ends:
             on_tx_end(tx)
         self.sim.grouped_events += self.extra
 
@@ -518,13 +520,12 @@ class Medium:
         # once, shared by every hearer list the radio appears in.
         self._on_starts: list[Callable] = []
         self._on_ends: list[Callable] = []
-        # sender -> its hearer list: one ``(on_tx_start, on_tx_end, rss,
-        # delay, decodable)`` entry per equal-delay group of hearers
-        # inside carrier-sense range.  Positions and the path-loss model are
-        # fixed once traffic starts, so a sender's list is bound on its first
-        # frame, from its row of ``_links``, and only rebound after the
-        # topology (``_attach``) or the thresholds (``configure_ranges``)
-        # change.
+        # sender -> its hearer list: per equal-delay group of hearers inside
+        # carrier-sense range, a lone hearer's ``(on_tx_start, on_tx_end,
+        # rss, delay, decodable)`` or a group's ``(start, stop, rss, delay,
+        # decodable)`` over the row's columns.  Bound on the sender's first
+        # frame from its row of ``_links``; rebound only after the topology
+        # (``_attach``) or the thresholds (``configure_ranges``) change.
         self._hearers: dict[Radio, list[tuple]] = {}
         # This layout's process-wide LinkTable (``link_table``), looked up
         # with the first hearer list and dropped with ``_hearers``.
@@ -603,25 +604,17 @@ class Medium:
         if hearers is not None:
             return hearers
         links = self._links or self._layout_links()
-        groups = links.row(sender.index)
-        on_starts, on_ends = self._on_starts, self._on_ends
-        sim = self.sim
+        on_starts, on_ends, sim = self._on_starts, self._on_ends, self.sim
         hearers = []
         append = hearers.append
-        for delay, receivers, rss, decodable in groups:
+        for delay, receivers, rss, decodable in links.row(sender.index):
             if len(receivers) == 1:
-                receiver = receivers[0]
-                append(
-                    (on_starts[receiver], on_ends[receiver], rss[0], delay, decodable[0])
-                )
+                (r,) = receivers
+                append((on_starts[r], on_ends[r], rss[0], delay, decodable[0]))
             else:
-                starts = []
-                for receiver, power, flag in zip(receivers, rss, decodable):
-                    starts.append((on_starts[receiver], power, flag))
-                group = _HearerGroup(
-                    sim, tuple(starts), tuple([on_ends[r] for r in receivers])
-                )
-                append((group.start, group.stop, None, delay, None))
+                starts = [on_starts[r] for r in receivers]
+                group = _HearerGroup(sim, starts, [on_ends[r] for r in receivers])
+                append((group.start, group.stop, rss, delay, decodable))
         self._hearers[sender] = hearers
         return hearers
 

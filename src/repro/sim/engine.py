@@ -53,9 +53,10 @@ trace suite in ``tests/test_golden_traces.py`` holds this down):
   :meth:`Simulator.call_fanout`, numbered in three blocks: the sender's
   end, then every start, then every end; a hearer's end entry carries only
   the transmission.  The medium hands it one entry per group of hearers the
-  frame reaches at the same instant, and that entry's callback runs every
-  member (``repro.phy.medium``, "Equal-delay hearer groups", says why the
-  blocks make that the per-hearer order).  Such a callback adds its
+  frame reaches at the same instant, whose ``rss`` and ``decodable`` slots
+  may be the group's columns, and that entry's callback runs every member
+  (``repro.phy.medium``, "Equal-delay hearer groups", says why the blocks
+  make that the per-hearer order).  Such a callback adds its
   members beyond the first to :attr:`Simulator.grouped_events`, which
   :meth:`Simulator.run` folds into :attr:`~Simulator.events_processed`:
   events count callbacks, while :attr:`~Simulator.pending_events` and

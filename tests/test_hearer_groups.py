@@ -203,11 +203,12 @@ def pop_order(heap):
     for time, _seq, fn, args in sorted(heap, key=lambda entry: entry[:2]):
         group = getattr(fn, "__self__", None)
         if isinstance(group, _HearerGroup):
-            tx = args[0]
             if fn == group.start:
-                order += [(time, start, (tx, rss, dec)) for start, rss, dec in group.starts]
+                tx, rss, dec = args
+                members = zip(group.on_starts, rss, dec)
+                order += [(time, start, (tx, r, d)) for start, r, d in members]
             else:
-                order += [(time, stop, (tx,)) for stop in group.stops]
+                order += [(time, stop, args) for stop in group.on_ends]
         else:
             order.append((time, fn, args))
     return order
@@ -244,7 +245,7 @@ def test_group_entries_expand_to_the_per_hearer_keys(medium_cls):
     )
     hearers = medium._hearers_from(medium.radios[0])
     sizes = sorted(
-        len(entry[0].__self__.starts)
+        len(entry[0].__self__.on_starts)
         for entry in hearers
         if isinstance(entry[0].__self__, _HearerGroup)
     )
@@ -263,10 +264,10 @@ def test_group_entries_expand_to_the_per_hearer_keys(medium_cls):
         group = getattr(fn, "__self__", None)
         if isinstance(group, _HearerGroup):
             if fn == group.start:
-                first, rss, dec = group.starts[0]
-                member = (first, (args[0], rss, dec))
+                tx, rss, dec = args
+                member = (group.on_starts[0], (tx, rss[0], dec[0]))
             else:
-                member = (group.stops[0], (args[0],))
+                member = (group.on_ends[0], args)
         else:
             member = (fn, args)
         assert keys[member][0] == time
@@ -341,10 +342,31 @@ def test_group_entries_pop_in_the_reference_order(positions, medium_cls, duratio
     assert pop_order(sim._heap) == pop_order(reference._heap)
 
 
+@pytest.mark.parametrize("medium_cls", [Medium, SinrMedium])
+def test_group_entries_bind_the_link_table_columns(medium_cls):
+    """Two media of one layout bind each group's ``rss`` and ``decodable``
+    as the link-table row's own tuples: a bind copies no column."""
+    media = [make_medium(EQUAL_DELAYS, medium_cls)[1] for _ in range(2)]
+    for medium in media:
+        sender = medium.radios[0]
+        hearers = medium._hearers_from(sender)
+        row = medium._links.row(sender.index)
+        assert medium._links is media[0]._links
+        assert len(hearers) == len(row)
+        groups = 0
+        for (start, _stop, rss, delay, decodable), column in zip(hearers, row):
+            if isinstance(start.__self__, _HearerGroup):
+                groups += 1
+                assert delay == column[0]
+                assert rss is column[2] and decodable is column[3]
+                assert type(rss) is tuple and type(decodable) is tuple
+        assert groups == 3
+
+
 def test_group_counts_one_event_per_member():
     sim, medium, radios = make_medium([(0.0, 0.0)] * 4)
     hearers = medium._hearers_from(radios[0])
-    assert len(hearers) == 1 and len(hearers[0][0].__self__.starts) == 3
+    assert len(hearers) == 1 and len(hearers[0][0].__self__.on_starts) == 3
     radios[0].transmit(data_frame(), 500.0)
     assert sim.pending_events == 3  # the sender's end, one start, one end
     sim.run(until=100.0)

@@ -265,16 +265,21 @@ def expand_groups(hearers):
     for on_tx_start, on_tx_end, rss, delay, decodable in hearers:
         group = on_tx_start.__self__
         if isinstance(group, _HearerGroup):
-            assert on_tx_end.__self__ is group and rss is None and decodable is None
-            assert len(group.starts) == len(group.stops) >= 2
-            assert group.extra == len(group.starts) - 1
+            assert on_tx_end.__self__ is group
+            assert type(rss) is tuple and type(decodable) is tuple
+            assert len(group.on_starts) == len(group.on_ends) >= 2
+            assert len(rss) == len(decodable) == len(group.on_starts)
+            assert group.extra == len(group.on_starts) - 1
             expanded.append(
-                [
-                    (start, stop, member_rss, delay, member_decodable)
-                    for (start, member_rss, member_decodable), stop in zip(
-                        group.starts, group.stops
+                list(
+                    zip(
+                        group.on_starts,
+                        group.on_ends,
+                        rss,
+                        [delay] * len(rss),
+                        decodable,
                     )
-                ]
+                )
             )
         else:
             expanded.append([(on_tx_start, on_tx_end, rss, delay, decodable)])

@@ -156,7 +156,7 @@ def test_ext_rts_roc_quick_end_to_end():
     assert entry.extension and entry.builder == "rts_flood_roc"
     settings = RunSettings(duration_s=0.3, seeds=(1,), mode="quick")
     result = entry.runner(settings)
-    assert result.column("threshold") == [1.0, 4.0, 16.0]
+    assert result.column("threshold") == [1.0, 8.0, 16.0]
     for row in result.rows:
         assert 0.0 <= row["true_positive"] <= 1.0
         assert 0.0 <= row["false_positive"] <= 1.0
