@@ -4,8 +4,9 @@
 
 Builds the five pairwise ``paper_hotspots`` topologies of ``perfbench/`` (or
 the named perf scenarios) at seeds 1 and 2, then runs each for 1 simulated
-second under :mod:`cProfile`; building is not profiled.  Prints one JSON
-line:
+second under :mod:`cProfile`.  Building is not profiled, nor is binding
+each sender's hearer list (``Scenario.warm_caches``), so every count is a
+per-frame count.  Prints one JSON line:
 
 * ``transmits`` — frames put on the air (``Medium.frames_sent``), summed;
 * ``events`` — ``Simulator.events_processed``, summed;
@@ -49,6 +50,7 @@ def count_calls(topologies: list[str], seeds: list[int], duration_s: float) -> d
         spec = get_scenario(name)
         for seed in seeds:
             scenario = spec.build(seed).scenario
+            scenario.warm_caches()
             profile = cProfile.Profile()
             profile.runcall(scenario.run, duration_s)
             for function, row in pstats.Stats(profile).stats.items():

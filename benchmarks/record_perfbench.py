@@ -51,6 +51,19 @@ SCHEMA = "perfbench-trajectory/2"
 #: same benchmark code.
 ANCHOR = "c6ed72b"
 
+#: The trajectory's ``about`` text, written with every append.
+ABOUT = (
+    "End-to-end perfbench results per commit, oldest first. Append with "
+    "benchmarks/record_perfbench.py; metrics are medians and quartiles over the "
+    "listed seeds, one untraced run of python3 perfbench/run.py per seed. Since "
+    "schema 2 every entry also holds 'anchor': each metric's per-seed ratio to the "
+    "anchor tree named there, run in the same rounds; compare entries from "
+    "different sessions by these ratios, not by absolute values. A change entry's "
+    "'commit' names its parent, since a change is measured before it is "
+    "committed; its 'src_tree' identifies the measured change: git rev-parse "
+    "C:src equals it for the commit C that holds the code."
+)
+
 ENTRY_KEYS = {"commit", "src_tree", "label", "workload", "seeds", "seconds",
               "host", "backfilled", "metrics", "outputs_digest", "failed"}
 #: ``source`` names a backfilled entry's origin; ``anchor`` holds the ratios
@@ -219,6 +232,7 @@ def _valid_stats(stats: Any, backfilled: bool) -> bool:
 
 def append(entries: list[dict[str, Any]]) -> None:
     doc = json.loads(TRAJECTORY.read_text())
+    doc["about"] = ABOUT
     doc["entries"].extend(entries)
     problems = validate(doc)
     if problems:

@@ -31,34 +31,21 @@ Quickstart
 >>> s.run(1.0)  # the greedy receiver's flow now dominates the medium
 """
 
-from repro.core.greedy import GreedyConfig, GreedyReceiverPolicy
-from repro.core.detection import DetectionReport
-from repro.experiments.common import RunSettings
-from repro.net.scenario import Scenario
-from repro.obs import MetricsRegistry, TelemetrySnapshot, capture
-from repro.phy.channel import ChannelConfig, use_channel
-from repro.phy.params import dot11a, dot11b
-from repro.phy.profiles import resolve_phy
-from repro.stats.summary import ExperimentResult
-from repro.stats.trace import FrameTracer
+from repro._lazy import exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "GreedyConfig",
-    "GreedyReceiverPolicy",
-    "DetectionReport",
-    "Scenario",
-    "ChannelConfig",
-    "use_channel",
-    "RunSettings",
-    "ExperimentResult",
-    "MetricsRegistry",
-    "TelemetrySnapshot",
-    "capture",
-    "FrameTracer",
-    "resolve_phy",
-    "dot11a",
-    "dot11b",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".core.greedy": ("GreedyConfig", "GreedyReceiverPolicy"),
+    ".core.detection.report": ("DetectionReport",),
+    ".net.scenario": ("Scenario",),
+    ".phy.channel": ("ChannelConfig", "use_channel"),
+    ".experiments.common": ("RunSettings",),
+    ".stats.summary": ("ExperimentResult",),
+    ".obs.registry": ("MetricsRegistry", "capture"),
+    ".obs.snapshot": ("TelemetrySnapshot",),
+    ".stats.trace": ("FrameTracer",),
+    ".phy.profiles": ("resolve_phy",),
+    ".phy.params": ("dot11a", "dot11b"),
+})
+__all__.append("__version__")

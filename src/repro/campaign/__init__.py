@@ -9,63 +9,20 @@ resumable manifest, and aggregates a tidy results table.  See
 DESIGN.md ("Campaign subsystem") and ``examples/campaigns/``.
 """
 
-from repro.campaign.builders import BUILDERS, builder_names, get_builder, register
-from repro.campaign.manifest import (
-    DONE,
-    FAILED,
-    PENDING,
-    Manifest,
-    ManifestError,
-    PointState,
-    manifest_path,
-)
-from repro.campaign.runner import (
-    CampaignError,
-    CampaignRun,
-    aggregate,
-    default_out_dir,
-    load_point_results,
-    metrics_fingerprint,
-    run_campaign,
-    write_reports,
-)
-from repro.campaign.spec import (
-    CampaignSpec,
-    SpecError,
-    expand_grid,
-    load_spec,
-    point_id,
-    spec_from_dict,
-    spec_hash,
-    spec_to_dict,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "BUILDERS",
-    "CampaignError",
-    "CampaignRun",
-    "CampaignSpec",
-    "DONE",
-    "FAILED",
-    "Manifest",
-    "ManifestError",
-    "PENDING",
-    "PointState",
-    "SpecError",
-    "aggregate",
-    "builder_names",
-    "default_out_dir",
-    "expand_grid",
-    "get_builder",
-    "load_point_results",
-    "load_spec",
-    "manifest_path",
-    "metrics_fingerprint",
-    "point_id",
-    "register",
-    "run_campaign",
-    "spec_from_dict",
-    "spec_hash",
-    "spec_to_dict",
-    "write_reports",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".builders": ("BUILDERS", "builder_names", "get_builder", "register"),
+    ".manifest": (
+        "DONE", "FAILED", "PENDING", "Manifest", "ManifestError", "PointState",
+        "manifest_path",
+    ),
+    ".runner": (
+        "CampaignError", "CampaignRun", "aggregate", "default_out_dir",
+        "load_point_results", "metrics_fingerprint", "run_campaign", "write_reports",
+    ),
+    ".spec": (
+        "CampaignSpec", "SpecError", "expand_grid", "load_spec", "point_id",
+        "spec_from_dict", "spec_hash", "spec_to_dict",
+    ),
+})

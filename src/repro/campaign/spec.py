@@ -43,11 +43,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-try:  # Python 3.11+
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - older interpreters
-    tomllib = None  # type: ignore[assignment]
-
 from repro.campaign.builders import builder_names, get_builder
 from repro.phy.profiles import profile_names
 from repro.runtime.jobspec import canonical
@@ -96,12 +91,14 @@ class CampaignSpec:
 
 def load_spec(path: str | Path, quick: bool = False) -> CampaignSpec:
     """Parse and validate a TOML campaign spec file."""
-    path = Path(path)
-    if tomllib is None:  # pragma: no cover - Python < 3.11
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # pragma: no cover - Python < 3.11
         raise SpecError(
             "TOML campaign specs need Python 3.11+ (tomllib); "
             "build the spec as a dict and use spec_from_dict() instead"
-        )
+        ) from None
+    path = Path(path)
     if not path.exists():
         raise SpecError(f"campaign spec not found: {path}")
     try:

@@ -1098,15 +1098,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     The library's user-facing errors (unknown names, invalid specs or
     manifests, campaign and fleet failures) exit 2 with their message.
     """
-    from repro.campaign import CampaignError
-    from repro.fleet import FleetClientError, FleetError
-
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except KeyError as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
-    except (ValueError, CampaignError, FleetError, FleetClientError) as exc:
+    except (ValueError, RuntimeError) as exc:
+        # Imported on this path only: the campaign runner and the fleet
+        # client (with http.client) are not what most commands load.
+        from repro.campaign import CampaignError
+        from repro.fleet import FleetClientError, FleetError
+
+        if not isinstance(exc, (ValueError, CampaignError, FleetError, FleetClientError)):
+            raise
         print(exc, file=sys.stderr)
     return 2
 

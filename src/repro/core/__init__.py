@@ -10,27 +10,13 @@
   Equations (1)-(2) (Section V-A).
 """
 
-from repro.core.greedy import GreedyConfig, GreedyReceiverPolicy
-from repro.core.detection import (
-    CrossLayerSpoofDetector,
-    DetectionEvent,
-    DetectionReport,
-    FakeAckDetector,
-    NavValidator,
-    RssiSpoofDetector,
-)
-from repro.core.model import backoff_pmf, sending_probabilities, sending_ratio
+from repro._lazy import exports
 
-__all__ = [
-    "GreedyConfig",
-    "GreedyReceiverPolicy",
-    "NavValidator",
-    "RssiSpoofDetector",
-    "CrossLayerSpoofDetector",
-    "FakeAckDetector",
-    "DetectionEvent",
-    "DetectionReport",
-    "backoff_pmf",
-    "sending_probabilities",
-    "sending_ratio",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".greedy": ("GreedyConfig", "GreedyReceiverPolicy"),
+    ".detection": (
+        "NavValidator", "RssiSpoofDetector", "CrossLayerSpoofDetector",
+        "FakeAckDetector", "DetectionEvent", "DetectionReport",
+    ),
+    ".model": ("backoff_pmf", "sending_probabilities", "sending_ratio"),
+})

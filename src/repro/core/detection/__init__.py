@@ -26,37 +26,18 @@ Two additional flavors analyze **traces** rather than hooking the MAC:
   (:mod:`repro.detect.diff`).
 """
 
-from repro.core.detection.report import DetectionEvent, DetectionReport
-from repro.core.detection.nav import NavValidator
-from repro.core.detection.spoof import CrossLayerSpoofDetector, RssiSpoofDetector
-from repro.core.detection.fake import FakeAckDetector, ProbeResponder, Prober
-from repro.core.detection.monitor import MisbehaviorMonitor, OffenderVerdict
-from repro.core.detection.offline import analyze_trace
-from repro.core.detection.streaming import (
-    DetectionTap,
-    StreamingDetectionPipeline,
-    StreamingDetector,
-    StreamingImpersonationDetector,
-    StreamingRtsFloodDetector,
-    default_pipeline,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "DetectionEvent",
-    "DetectionReport",
-    "NavValidator",
-    "RssiSpoofDetector",
-    "CrossLayerSpoofDetector",
-    "FakeAckDetector",
-    "Prober",
-    "ProbeResponder",
-    "MisbehaviorMonitor",
-    "OffenderVerdict",
-    "analyze_trace",
-    "DetectionTap",
-    "StreamingDetectionPipeline",
-    "StreamingDetector",
-    "StreamingImpersonationDetector",
-    "StreamingRtsFloodDetector",
-    "default_pipeline",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".report": ("DetectionEvent", "DetectionReport"),
+    ".nav": ("NavValidator",),
+    ".spoof": ("RssiSpoofDetector", "CrossLayerSpoofDetector"),
+    ".fake": ("FakeAckDetector", "Prober", "ProbeResponder"),
+    ".monitor": ("MisbehaviorMonitor", "OffenderVerdict"),
+    ".offline": ("analyze_trace",),
+    ".streaming": (
+        "DetectionTap", "StreamingDetectionPipeline", "StreamingDetector",
+        "StreamingImpersonationDetector", "StreamingRtsFloodDetector",
+        "default_pipeline",
+    ),
+})

@@ -8,30 +8,12 @@ high-water assertion.  ``repro detect diff`` is the CLI entry point;
 DESIGN.md §14 documents the contract.
 """
 
-from repro.detect.diff import (
-    DetectDiffReport,
-    DetectRun,
-    canonical_event_lines,
-    diff_detection,
-    diff_fuzz_case,
-    diff_golden_trace,
-    diff_scenario_live,
-    diff_trace_records,
-    run_offline,
-    run_streaming,
-    run_streaming_chunked,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "DetectDiffReport",
-    "DetectRun",
-    "canonical_event_lines",
-    "diff_detection",
-    "diff_fuzz_case",
-    "diff_golden_trace",
-    "diff_scenario_live",
-    "diff_trace_records",
-    "run_offline",
-    "run_streaming",
-    "run_streaming_chunked",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".diff": (
+        "DetectDiffReport", "DetectRun", "canonical_event_lines", "diff_detection",
+        "diff_fuzz_case", "diff_golden_trace", "diff_scenario_live",
+        "diff_trace_records", "run_offline", "run_streaming", "run_streaming_chunked",
+    ),
+})

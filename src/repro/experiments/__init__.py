@@ -19,10 +19,9 @@ import importlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.stats import ExperimentResult
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.common import RunSettings
+    from repro.stats.summary import ExperimentResult
 
 
 @dataclass(frozen=True)

@@ -17,33 +17,19 @@ recovery.  The chaos harness that proves the harness plane end to end is
 DESIGN.md §11 documents the determinism guarantees of both planes.
 """
 
-from repro.faults.channel import GilbertElliottChannel
-from repro.faults.inject import FaultInjector
-from repro.faults.jammer import JamFrame, Jammer
-from repro.faults.plan import (
-    CrashConfig,
-    FaultPlan,
-    GilbertElliottConfig,
-    JammerConfig,
-    RtsFloodConfig,
-)
-from repro.faults.rtsflood import RtsFlooder
+from repro._lazy import exports
 
-# Harness-plane convenience re-export: the deterministic jittered backoff
-# policy lives in repro.runtime.retry, but callers reaching for "how do I
-# retry against faults" (the fleet HTTP client foremost) look here first.
-from repro.runtime.retry import RetryPolicy
-
-__all__ = [
-    "CrashConfig",
-    "FaultInjector",
-    "FaultPlan",
-    "GilbertElliottChannel",
-    "GilbertElliottConfig",
-    "JamFrame",
-    "Jammer",
-    "JammerConfig",
-    "RetryPolicy",
-    "RtsFloodConfig",
-    "RtsFlooder",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".channel": ("GilbertElliottChannel",),
+    ".inject": ("FaultInjector",),
+    ".jammer": ("JamFrame", "Jammer"),
+    ".plan": (
+        "CrashConfig", "FaultPlan", "GilbertElliottConfig", "JammerConfig",
+        "RtsFloodConfig",
+    ),
+    ".rtsflood": ("RtsFlooder",),
+    # Harness-plane convenience re-export: the deterministic jittered backoff
+    # policy lives in repro.runtime.retry, but callers reaching for "how do I
+    # retry against faults" (the fleet HTTP client foremost) look here first.
+    "..runtime.retry": ("RetryPolicy",),
+})

@@ -22,79 +22,24 @@ The fleet tier turns one campaign into N independently-runnable *shards*:
 See DESIGN.md §13 for the contracts and shard resume semantics.
 """
 
-from repro.fleet.client import (
-    FleetClientError,
-    cancel_job,
-    fetch_results,
-    get_json,
-    submit_job,
-    wait_for_job,
-)
-from repro.fleet.executor import (
-    CHAOS_KILL_ENV,
-    FleetExecutor,
-    LocalExecutor,
-    ShardOutcome,
-    ShardTask,
-    SubprocessExecutor,
-    executor_names,
-    get_executor,
-    register_executor,
-)
-from repro.fleet.journal import JobJournal, JobRecord, JournalError
-from repro.fleet.merge import collect_fleet_telemetry, default_shard_dirs, merge_fleet
-from repro.fleet.plan import FleetError, ShardPlan, plan_shards
-from repro.fleet.run import (
-    FleetRun,
-    FleetState,
-    ShardState,
-    fleet_state_path,
-    fleet_status_document,
-    load_spec_document,
-    run_fleet,
-    run_fleet_async,
-    run_shard_inprocess,
-    shard_dir,
-    spec_path,
-)
-from repro.fleet.service import FleetService, ServiceThread
+from repro._lazy import exports
 
-__all__ = [
-    "CHAOS_KILL_ENV",
-    "FleetClientError",
-    "FleetError",
-    "FleetExecutor",
-    "FleetRun",
-    "FleetService",
-    "FleetState",
-    "JobJournal",
-    "JobRecord",
-    "JournalError",
-    "LocalExecutor",
-    "ServiceThread",
-    "ShardOutcome",
-    "ShardPlan",
-    "ShardState",
-    "ShardTask",
-    "SubprocessExecutor",
-    "cancel_job",
-    "collect_fleet_telemetry",
-    "default_shard_dirs",
-    "executor_names",
-    "fetch_results",
-    "fleet_state_path",
-    "fleet_status_document",
-    "get_executor",
-    "get_json",
-    "load_spec_document",
-    "merge_fleet",
-    "plan_shards",
-    "register_executor",
-    "run_fleet",
-    "run_fleet_async",
-    "run_shard_inprocess",
-    "shard_dir",
-    "spec_path",
-    "submit_job",
-    "wait_for_job",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".client": (
+        "FleetClientError", "cancel_job", "fetch_results", "get_json", "submit_job",
+        "wait_for_job",
+    ),
+    ".executor": (
+        "CHAOS_KILL_ENV", "FleetExecutor", "LocalExecutor", "ShardOutcome", "ShardTask",
+        "SubprocessExecutor", "executor_names", "get_executor", "register_executor",
+    ),
+    ".journal": ("JobJournal", "JobRecord", "JournalError"),
+    ".merge": ("collect_fleet_telemetry", "default_shard_dirs", "merge_fleet"),
+    ".plan": ("FleetError", "ShardPlan", "plan_shards"),
+    ".run": (
+        "FleetRun", "FleetState", "ShardState", "fleet_state_path",
+        "fleet_status_document", "load_spec_document", "run_fleet", "run_fleet_async",
+        "run_shard_inprocess", "shard_dir", "spec_path",
+    ),
+    ".service": ("FleetService", "ServiceThread"),
+})

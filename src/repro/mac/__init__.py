@@ -6,19 +6,12 @@ exponential backoff with freeze/resume, optional RTS/CTS, SIFS-separated
 responses, retry limits and contention-window doubling.
 """
 
-from repro.mac.frames import Frame, FrameKind
-from repro.mac.policy import ReceiverPolicy
-from repro.mac.stats import MacStats
-from repro.mac.dcf import DcfMac
-from repro.mac.autorate import ArfRateController, DOT11A_RATES, DOT11B_RATES
+from repro._lazy import exports
 
-__all__ = [
-    "Frame",
-    "FrameKind",
-    "ReceiverPolicy",
-    "MacStats",
-    "DcfMac",
-    "ArfRateController",
-    "DOT11A_RATES",
-    "DOT11B_RATES",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".frames": ("Frame", "FrameKind"),
+    ".policy": ("ReceiverPolicy",),
+    ".stats": ("MacStats",),
+    ".dcf": ("DcfMac",),
+    ".autorate": ("ArfRateController", "DOT11A_RATES", "DOT11B_RATES"),
+})

@@ -6,8 +6,10 @@ hotspot AP relaying traffic between remote Internet hosts and WLAN clients
 (the paper's Figure 15 scenario).
 """
 
-from repro.net.node import Node
-from repro.net.wired import WiredLink
-from repro.net.scenario import Scenario
+from repro._lazy import exports
 
-__all__ = ["Node", "WiredLink", "Scenario"]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".node": ("Node",),
+    ".wired": ("WiredLink",),
+    ".scenario": ("Scenario",),
+})

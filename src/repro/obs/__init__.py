@@ -19,22 +19,12 @@ byte-identical (tests/test_obs.py, tests/test_golden_traces.py) and the
 fast-path perf gate holds.
 """
 
-from repro.obs.fleet import merge_snapshots
-from repro.obs.registry import MetricsRegistry, capture, current_registry
-from repro.obs.snapshot import (
-    SCHEMA_VERSION,
-    TelemetrySnapshot,
-    sweep_scenario,
-    validate_snapshot,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "MetricsRegistry",
-    "TelemetrySnapshot",
-    "SCHEMA_VERSION",
-    "capture",
-    "current_registry",
-    "merge_snapshots",
-    "sweep_scenario",
-    "validate_snapshot",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".registry": ("MetricsRegistry", "capture", "current_registry"),
+    ".snapshot": (
+        "TelemetrySnapshot", "SCHEMA_VERSION", "sweep_scenario", "validate_snapshot",
+    ),
+    ".fleet": ("merge_snapshots",),
+})

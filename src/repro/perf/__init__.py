@@ -5,34 +5,12 @@
 the bit-exactness methodology.
 """
 
-from repro.perf.harness import (
-    REGRESSION_FACTOR,
-    SCHEMA,
-    check_regression,
-    load_bench,
-    run_benchmark,
-    time_scenario,
-    validate_bench,
-    write_bench,
-)
-from repro.perf.scenarios import (
-    SCENARIOS,
-    PerfScenario,
-    get_scenario,
-    scenario_names,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "REGRESSION_FACTOR",
-    "SCENARIOS",
-    "SCHEMA",
-    "PerfScenario",
-    "check_regression",
-    "get_scenario",
-    "load_bench",
-    "run_benchmark",
-    "scenario_names",
-    "time_scenario",
-    "validate_bench",
-    "write_bench",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".harness": (
+        "REGRESSION_FACTOR", "SCHEMA", "check_regression", "load_bench",
+        "run_benchmark", "time_scenario", "validate_bench", "write_bench",
+    ),
+    ".scenarios": ("SCENARIOS", "PerfScenario", "get_scenario", "scenario_names"),
+})

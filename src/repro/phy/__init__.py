@@ -6,18 +6,11 @@ interference ranges, the capture effect, and independent-bit-error frame
 corruption.
 """
 
-from repro.phy.params import PhyParams, dot11a, dot11b
-from repro.phy.error import frame_error_rate, BitErrorModel
-from repro.phy.propagation import PathLossModel
-from repro.phy.medium import Medium, Radio
+from repro._lazy import exports
 
-__all__ = [
-    "PhyParams",
-    "dot11a",
-    "dot11b",
-    "frame_error_rate",
-    "BitErrorModel",
-    "PathLossModel",
-    "Medium",
-    "Radio",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".params": ("PhyParams", "dot11a", "dot11b"),
+    ".error": ("frame_error_rate", "BitErrorModel"),
+    ".propagation": ("PathLossModel",),
+    ".medium": ("Medium", "Radio"),
+})

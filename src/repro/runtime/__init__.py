@@ -7,62 +7,21 @@ parallel and serial execution are bit-identical.  The fault-tolerance layer
 §11 and exercised by tests/test_runtime_faulttol.py.
 """
 
-from repro.runtime.cache import (
-    DEFAULT_CACHE_DIRNAME,
-    LOCKS_DIRNAME,
-    QUARANTINE_DIRNAME,
-    EntryClaim,
-    ResultCache,
-    code_version_token,
-    result_checksum,
-)
-from repro.runtime.io import atomic_write_text, clean_stale_tmp, fsync_dir
-from repro.runtime.jobspec import JobSpec, canonical, resolve_runner, runner_path, seed_job
-from repro.runtime.pool import (
-    ExecutionContext,
-    JobExecutionError,
-    WorkerPool,
-    current_context,
-    execute_job,
-    execution,
-    map_over_seeds,
-)
-from repro.runtime.retry import (
-    NON_RETRYABLE,
-    ExecutionReport,
-    JobReport,
-    JobTimeoutError,
-    PoolBrokenError,
-    RetryPolicy,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "DEFAULT_CACHE_DIRNAME",
-    "EntryClaim",
-    "ExecutionContext",
-    "ExecutionReport",
-    "JobExecutionError",
-    "JobReport",
-    "JobSpec",
-    "JobTimeoutError",
-    "LOCKS_DIRNAME",
-    "NON_RETRYABLE",
-    "PoolBrokenError",
-    "QUARANTINE_DIRNAME",
-    "ResultCache",
-    "RetryPolicy",
-    "WorkerPool",
-    "atomic_write_text",
-    "canonical",
-    "clean_stale_tmp",
-    "code_version_token",
-    "current_context",
-    "execute_job",
-    "execution",
-    "fsync_dir",
-    "map_over_seeds",
-    "resolve_runner",
-    "result_checksum",
-    "runner_path",
-    "seed_job",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".cache": (
+        "DEFAULT_CACHE_DIRNAME", "LOCKS_DIRNAME", "QUARANTINE_DIRNAME", "EntryClaim",
+        "ResultCache", "code_version_token", "result_checksum",
+    ),
+    ".io": ("atomic_write_text", "clean_stale_tmp", "fsync_dir"),
+    ".jobspec": ("JobSpec", "canonical", "resolve_runner", "runner_path", "seed_job"),
+    ".pool": (
+        "ExecutionContext", "JobExecutionError", "WorkerPool", "current_context",
+        "execute_job", "execution", "map_over_seeds",
+    ),
+    ".retry": (
+        "NON_RETRYABLE", "ExecutionReport", "JobReport", "JobTimeoutError",
+        "PoolBrokenError", "RetryPolicy",
+    ),
+})

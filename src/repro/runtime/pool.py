@@ -28,13 +28,7 @@ Experiments themselves stay oblivious: they build JobSpecs and the ambient
 from __future__ import annotations
 
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
@@ -44,6 +38,8 @@ from repro.runtime.jobspec import JobSpec
 from repro.runtime.retry import ExecutionReport, JobTimeoutError, RetryPolicy
 
 if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.phy.channel import ChannelConfig
 
 #: Watchdog poll interval while futures are in flight with a timeout armed.
@@ -187,6 +183,10 @@ class WorkerPool:
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            # Imported here, the one place a pool starts: it loads
+            # multiprocessing, which a serial run never needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             self._executor = ProcessPoolExecutor(max_workers=self.jobs)
         return self._executor
 

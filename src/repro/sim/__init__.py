@@ -7,7 +7,9 @@ derived from a single root seed so experiments are reproducible and individual
 subsystems can be re-seeded independently.
 """
 
-from repro.sim.engine import Event, Simulator
-from repro.sim.rng import RngStreams
+from repro._lazy import exports
 
-__all__ = ["Event", "RngStreams", "Simulator"]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".engine": ("Event", "Simulator"),
+    ".rng": ("RngStreams",),
+})

@@ -1,27 +1,11 @@
 """Result collection, tracing, and presentation helpers."""
 
-from repro.stats.summary import (
-    ExperimentResult,
-    format_table,
-    median,
-    median_over_seeds,
-)
-from repro.stats.trace import (
-    FrameTracer,
-    GoodputSeries,
-    TraceRecord,
-    attach_goodput_series,
-    sparkline,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "ExperimentResult",
-    "format_table",
-    "median",
-    "median_over_seeds",
-    "FrameTracer",
-    "GoodputSeries",
-    "TraceRecord",
-    "attach_goodput_series",
-    "sparkline",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".summary": ("ExperimentResult", "format_table", "median", "median_over_seeds"),
+    ".trace": (
+        "FrameTracer", "GoodputSeries", "TraceRecord", "attach_goodput_series",
+        "sparkline",
+    ),
+})

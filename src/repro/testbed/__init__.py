@@ -18,18 +18,11 @@ by the ``testbed_pairs`` and ``testbed_shared_sender`` families of
 :mod:`repro.campaign.builders`.
 """
 
-from repro.testbed.corruption import (
-    CorruptionBreakdown,
-    address_survival_analytic,
-    measure_address_survival,
-)
-from repro.testbed.rssi import RssiCampaign, RssiSample, roc_curve
+from repro._lazy import exports
 
-__all__ = [
-    "CorruptionBreakdown",
-    "address_survival_analytic",
-    "measure_address_survival",
-    "RssiCampaign",
-    "RssiSample",
-    "roc_curve",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".corruption": (
+        "CorruptionBreakdown", "address_survival_analytic", "measure_address_survival",
+    ),
+    ".rssi": ("RssiCampaign", "RssiSample", "roc_curve"),
+})

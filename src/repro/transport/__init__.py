@@ -6,15 +6,10 @@ spoofing exploits).  Agents attach to :class:`repro.net.Node` instances and
 exchange :class:`Packet` objects that ride as MAC-layer MSDUs.
 """
 
-from repro.transport.packets import Packet, PacketKind
-from repro.transport.udp import CbrSource, UdpSink
-from repro.transport.tcp import TcpReceiver, TcpSender
+from repro._lazy import exports
 
-__all__ = [
-    "Packet",
-    "PacketKind",
-    "CbrSource",
-    "UdpSink",
-    "TcpSender",
-    "TcpReceiver",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".packets": ("Packet", "PacketKind"),
+    ".udp": ("CbrSource", "UdpSink"),
+    ".tcp": ("TcpSender", "TcpReceiver"),
+})

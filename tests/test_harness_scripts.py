@@ -268,6 +268,8 @@ def test_record_perfbench_without_baseline_still_runs_the_anchor(stubbed_recorde
     (entry,) = doc["entries"][before:]
     assert entry["anchor"]["ratios"]["setup_s"]["median"] == 0.25
     assert record.validate(doc) == []
+    assert doc["about"] == record.ABOUT
+    assert "'commit' names its parent" in doc["about"]
 
 
 def test_perf_trajectory_validation_of_anchor_ratios():
